@@ -8,7 +8,6 @@ sub-Gaussian UCB-1 index policy over the resulting finite arm set.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -131,14 +130,12 @@ def ucb1_update(state: Ucb1State, arm: int, reward: float) -> Ucb1State:
 
 @dataclass
 class Phase2Config:
-    """Execution knobs; every default tracks the single-epoch known-horizon run."""
+    """Execution knobs; every default tracks the known-horizon run."""
 
     ucb_scale: Optional[float] = None  # None: sigma + 2 * C2
     M: Optional[int] = None  # None: choose_M(n2, k)
-    multi_epoch: bool = False
-    opt_value: Optional[float] = None  # None: grid oracle on the environment
+    opt_value: Optional[float] = None  # None: optimal_value on the environment
     budget_cap: Optional[int] = None
-    oracle_resolution: Optional[float] = None
 
 
 @dataclass
@@ -151,7 +148,6 @@ class Phase2Result:
     state: Ucb1State
     opt_value: float
     scale: float
-    epoch_bounds: list  # (start_round, length, M) per epoch
 
     @property
     def cumulative_regret(self) -> float:
@@ -163,23 +159,6 @@ def default_ucb_scale(env: Environment) -> float:
     return env.sigma + 2.0 * env.mean.c2
 
 
-def _play_rounds(env, grid, state, rounds, arm_true_means, opt_value, out, offset):
-    arm_ids, rewards, regrets, y_coords = out
-    for i in range(rounds):
-        arm = ucb1_select(state)
-        reward = sample_reward(env, grid.arms[arm])
-        ucb1_update(state, arm, reward)
-        j = offset + i
-        arm_ids[j] = arm
-        rewards[j] = reward
-        regrets[j] = opt_value - arm_true_means[arm]
-        y_coords[j] = grid.lattice_points[arm]
-
-
-def _true_arm_means(env: Environment, grid: ArmGrid) -> np.ndarray:
-    return mean_value(env.mean, grid.arms @ env.A.T)
-
-
 def run_phase2(
     env: Environment,
     a_hat: np.ndarray,
@@ -188,10 +167,7 @@ def run_phase2(
 ) -> Phase2Result:
     """Play exactly n2 rounds of UCB-1 on the embedded arm grid.
 
-    Single epoch by default: the horizon is known, so one grid sized by
-    choose_M(n2, k) suffices.  With multi_epoch=True the horizon is split
-    into doubling epochs, each with its own grid and fresh index state
-    (experimental, for unknown-horizon runs).
+    The horizon is known, so one grid sized by choose_M(n2, k) suffices.
     """
     cfg = cfg or Phase2Config()
     a_hat = np.asarray(a_hat, dtype=float)
@@ -206,72 +182,33 @@ def run_phase2(
             f"insufficient budget: need {n2} rounds but only "
             f"{cfg.budget_cap - env.query_count} queries remain"
         )
-    k = a_hat.shape[0]
     scale = default_ucb_scale(env) if cfg.ucb_scale is None else float(cfg.ucb_scale)
     if cfg.opt_value is None:
-        opt_value, _ = optimal_value(env, resolution=cfg.oracle_resolution)
+        opt_value, _ = optimal_value(env)
     else:
         opt_value = float(cfg.opt_value)
 
+    M = choose_M(n2, a_hat.shape[0]) if cfg.M is None else int(cfg.M)
+    grid = build_arm_grid(a_hat, M, env.nu)
+    state = fresh_ucb_state(grid.n_arms, scale)
     arm_ids = np.zeros(n2, dtype=np.int64)
     rewards = np.zeros(n2, dtype=float)
-    regrets = np.zeros(n2, dtype=float)
-    y_coords = np.zeros((n2, k), dtype=float)
-    out = (arm_ids, rewards, regrets, y_coords)
-
-    epoch_bounds = []
-    if not cfg.multi_epoch:
-        M = choose_M(n2, k) if cfg.M is None else int(cfg.M)
-        grid = build_arm_grid(a_hat, M, env.nu)
-        state = fresh_ucb_state(grid.n_arms, scale)
-        _play_rounds(env, grid, state, n2, _true_arm_means(env, grid), opt_value, out, 0)
-        epoch_bounds.append((0, n2, M))
-    else:
-        start = 0
-        length = 1
-        grid = None
-        state = None
-        while start < n2:
-            rounds = min(length, n2 - start)
-            M = choose_M(max(rounds, 2), k) if cfg.M is None else int(cfg.M)
-            grid = build_arm_grid(a_hat, M, env.nu)
-            state = fresh_ucb_state(grid.n_arms, scale)
-            _play_rounds(
-                env, grid, state, rounds, _true_arm_means(env, grid), opt_value, out, start
-            )
-            epoch_bounds.append((start, rounds, M))
-            start += rounds
-            length *= 2
+    for i in range(n2):
+        arm = ucb1_select(state)
+        reward = sample_reward(env, grid.arms[arm])
+        ucb1_update(state, arm, reward)
+        arm_ids[i] = arm
+        rewards[i] = reward
+    arm_true_means = mean_value(env.mean, grid.arms @ env.A.T)
 
     return Phase2Result(
         arm_ids=arm_ids,
         rewards=rewards,
-        regrets=regrets,
-        y_coords=y_coords,
+        regrets=opt_value - arm_true_means[arm_ids],
+        y_coords=grid.lattice_points[arm_ids],
         grid=grid,
         state=state,
         opt_value=opt_value,
         scale=scale,
-        epoch_bounds=epoch_bounds,
     )
 
-
-def trace_header(k: int) -> list:
-    return ["round", "arm_id", *[f"y_{i}" for i in range(k)], "reward", "instantaneous_regret"]
-
-
-def write_trace_csv(result: Phase2Result, fileobj, start_round: int = 1) -> None:
-    """Per-round trace rows; rounds are numbered from start_round."""
-    k = result.y_coords.shape[1]
-    writer = csv.writer(fileobj)
-    writer.writerow(trace_header(k))
-    for i in range(result.arm_ids.size):
-        writer.writerow(
-            [
-                start_round + i,
-                int(result.arm_ids[i]),
-                *[repr(float(v)) for v in result.y_coords[i]],
-                repr(float(result.rewards[i])),
-                repr(float(result.regrets[i])),
-            ]
-        )

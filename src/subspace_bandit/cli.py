@@ -18,9 +18,9 @@ from typing import Optional
 from .harness import (
     ExperimentConfig,
     conditioning_report,
-    config_from_dict,
     emit_plot_data,
     fit_regret_exponent,
+    load_config,
     plan_report,
     recovery_report,
     run_experiment,
@@ -42,22 +42,16 @@ def _parse_int_list(text: str) -> list:
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise ValueError("--config PATH is required for this command")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
+    overrides = {}
     if getattr(args, "horizons", None):
-        data["horizons"] = _parse_int_list(args.horizons)
+        overrides["horizons"] = _parse_int_list(args.horizons)
     if getattr(args, "seeds", None):
-        data["seeds"] = _parse_int_list(args.seeds)
+        overrides["seeds"] = _parse_int_list(args.seeds)
     if getattr(args, "mode", None):
-        data["mode"] = args.mode
+        overrides["mode"] = args.mode
     if getattr(args, "out", None):
-        data["out_dir"] = args.out
-    return config_from_dict(data)
+        overrides["out_dir"] = args.out
+    return load_config(args.config, overrides)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -119,7 +113,7 @@ def _cmd_run(args) -> int:
         ) as fh:
             write_regret_csv(record, fh)
     if cell.status != "ok":
-        print(f"cell (n={n}, seed={seed}) failed: {cell.status}")
+        print(f"cell (n={n}, seed={seed}) failed: {cell.status} ({cell.reason})")
         return 2
     print(
         f"n={n} seed={seed} R_total={cell.R_total:.4f} "

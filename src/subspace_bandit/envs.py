@@ -35,9 +35,9 @@ class MeanRewardSpec:
     """A smooth mean-reward family on B_k(1 + nu).
 
     c2 is an analytic upper bound on |g|, all first partials and all second
-    partials over the domain.  closed_form_opt, when available, stores
-    (optimal value, an argmax in R^k) and is used as a test oracle for the
-    grid maximizer.
+    partials over the domain.  closed_form_opt stores (optimal value, an
+    argmax in R^k), derived independently of the optimum oracles so tests
+    can check them against it.
     """
 
     family: str
@@ -366,94 +366,73 @@ def gradient_mean_reward(env: Environment, x: np.ndarray) -> np.ndarray:
 # ---------- optimum oracles ----------
 
 
-def _grid_axis(radius: float, resolution: float) -> np.ndarray:
-    n_steps = int(np.ceil(2.0 * radius / resolution))
-    return np.linspace(-radius, radius, n_steps + 1)
+def _closest_in_ball(T: np.ndarray, c: np.ndarray, radius: float) -> np.ndarray:
+    """Minimize ||T y - c|| over ||y|| <= radius (a k x k trust-region subproblem).
 
-
-def _best_on_ball(spec: MeanRewardSpec, radius: float, resolution: float, transform=None):
-    """Grid-maximize g (or g composed with a k x k transform) over B_k(radius).
-
-    Grid points slightly outside the ball are radially projected onto it, so a
-    boundary maximizer is always approximated within sqrt(k) * resolution.
-    Returns (value, argmax y in R^k).
+    The minimum-norm least-squares solution is optimal when it lies in the
+    ball.  Otherwise the optimum is y(mu) = (T^T T + mu I)^{-1} T^T c on the
+    sphere, for the mu > 0 where ||y(mu)|| = radius; ||y(mu)|| decreases in
+    mu, so bisection in the eigenbasis of T^T T finds it.  T^T c lies in the
+    range of T^T T, so the "hard case" of the general subproblem cannot occur
+    (More & Sorensen 1983).
     """
-    k = spec.k
-    axis = _grid_axis(radius, resolution)
-    best_val = -np.inf
-    best_y = np.zeros(k)
-    if k == 1:
-        Y = axis[:, None]
-        chunks = [Y]
-    else:
-        # Chunk along the first axis to bound memory for fine grids.
-        rest = np.meshgrid(*([axis] * (k - 1)), indexing="ij")
-        rest = np.stack([r.ravel() for r in rest], axis=1)
-        chunks = None
-    if chunks is not None:
-        blocks = chunks
-    else:
-        blocks = (
-            np.column_stack([np.full(rest.shape[0], a), rest]) for a in axis
-        )
-    r2 = radius * radius
-    for Y in blocks:
-        nrm2 = np.einsum("ij,ij->i", Y, Y)
-        outside = nrm2 > r2
-        if np.any(outside):
-            # Keep near-boundary points by projecting them onto the sphere.
-            near = outside & (nrm2 <= (radius + np.sqrt(k) * resolution) ** 2)
-            Y = Y.copy()
-            Y[near] *= (radius / np.sqrt(nrm2[near]))[:, None]
-            keep = ~outside | near
-            Y = Y[keep]
-            if Y.shape[0] == 0:
-                continue
-        U = Y if transform is None else Y @ transform.T
-        vals = mean_value(spec, U)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_y = Y[i].copy()
-    return best_val, best_y
+    y = np.linalg.lstsq(T, c, rcond=None)[0]
+    if np.linalg.norm(y) <= radius:
+        return y
+    lam, Q = np.linalg.eigh(T.T @ T)
+    beta = Q.T @ (T.T @ c)
+    # ||y(mu)|| <= ||T^T c|| / mu, so hi starts on the inside of the sphere
+    lo, hi = 0.0, float(np.linalg.norm(beta)) / radius
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.linalg.norm(beta / (lam + mid)) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return Q @ (beta / (lam + hi))
 
 
-def default_resolution(k: int) -> float:
-    return {1: 1e-4, 2: 2e-3}.get(k, 2e-2)
+def _best_on_ball(spec: MeanRewardSpec, radius: float, T: np.ndarray):
+    """Exactly maximize g(T y) over y in B_k(radius) for a k x k matrix T.
 
-
-def optimal_value(env: Environment, resolution: Optional[float] = None):
-    """Grid-maximize the mean reward over the action ball.
-
-    Returns (value, argmax x in R^d).  The attained value is within
-    C2 * sqrt(k) * resolution of the true optimum; since the mean reward
-    depends on x only through A x, the search runs over B_k(1 + nu) and the
-    argmax is lifted back with A^T.
+    linear: y along T^T w.  norm-squared: y along the top right singular
+    vector of T.  centered-quadratic and gaussian-bump decrease in
+    ||T y - center||, so their argmax is the point of the ball closest to
+    the center in that metric.  Returns (value, argmax y in R^k).
     """
-    if resolution is None:
-        resolution = default_resolution(env.k)
-    val, y = _best_on_ball(env.mean, 1.0 + env.nu, resolution)
+    if spec.family == "linear":
+        v = T.T @ spec.params["weight"]
+        nrm = float(np.linalg.norm(v))
+        y = radius * v / nrm if nrm > 0 else np.zeros(spec.k)
+    elif spec.family == "norm-squared":
+        y = radius * np.linalg.svd(T)[2][0]
+    else:
+        y = _closest_in_ball(T, spec.params["center"], radius)
+    return float(mean_value(spec, T @ y)), y
+
+
+def optimal_value(env: Environment):
+    """Maximize the mean reward over the action ball exactly.
+
+    Returns (value, argmax x in R^d).  The mean reward depends on x only
+    through A x and A has orthonormal rows, so the search runs over
+    B_k(1 + nu) and the argmax is lifted back with A^T.
+    """
+    val, y = _best_on_ball(env.mean, 1.0 + env.nu, np.eye(env.k))
     return val, env.A.T @ y
 
 
-def best_on_subspace(env: Environment, A_hat: np.ndarray, resolution: Optional[float] = None, extra_candidates=None):
+def best_on_subspace(env: Environment, A_hat: np.ndarray):
     """Best mean reward reachable through a recovered subspace.
 
-    Maximizes g(A A_hat^T y) over y in B_k(1 + nu) by grid; extra_candidates
-    (rows in R^k, e.g. an arm grid) are merged into the search so a discrete
-    arm can never beat the reported optimum.  Returns (value, y).
+    Maximizes g(A A_hat^T y) over y in B_k(1 + nu) exactly; every arm laid
+    on that subspace inside the ball therefore scores at most this value.
+    Returns (value, y).
     """
-    if resolution is None:
-        resolution = default_resolution(env.k)
     T = env.A @ np.asarray(A_hat, dtype=float).T
-    val, y = _best_on_ball(env.mean, 1.0 + env.nu, resolution, transform=T)
-    if extra_candidates is not None and len(extra_candidates):
-        C = np.asarray(extra_candidates, dtype=float)
-        vals = mean_value(env.mean, C @ T.T)
-        i = int(np.argmax(vals))
-        if vals[i] > val:
-            val, y = float(vals[i]), C[i].copy()
-    return val, y
+    return _best_on_ball(env.mean, 1.0 + env.nu, T)
 
 
 # ---------- conditioning ----------
@@ -517,18 +496,21 @@ def to_descriptor(env: Environment) -> dict:
 
 
 def environment_from_descriptor(desc: dict) -> Environment:
-    """Build an environment from a descriptor dict (see to_descriptor)."""
-    required = {"family", "k", "d", "sigma", "nu", "seed"}
+    """Build an environment from a descriptor dict (see to_descriptor).
+
+    sigma and nu may be omitted; make_environment's defaults then apply.
+    """
+    required = {"family", "k", "d", "seed"}
     missing = required - set(desc)
     if missing:
         raise ValueError(f"descriptor missing keys: {sorted(missing)}")
+    noise_and_margin = {key: float(desc[key]) for key in ("sigma", "nu") if key in desc}
     return make_environment(
         d=int(desc["d"]),
         k=int(desc["k"]),
         family=desc["family"],
-        sigma=float(desc["sigma"]),
-        nu=float(desc["nu"]),
         seed=int(desc["seed"]),
         A=desc.get("A", "random_orthonormal"),
         params=desc.get("params"),
+        **noise_and_margin,
     )

@@ -5,9 +5,9 @@ A sweep runs the two-phase pipeline over a grid of horizons and seeds.
 Every cell gets a fresh environment whose stream seed is derived from the
 cell seed and the horizon through :func:`subspace_bandit.util.derive_seed`,
 so adding horizons or seeds later never disturbs existing cells.  Cells
-that cannot run (infeasible budget, rank collapse during recovery) are
-recorded with a status and excluded from aggregates instead of aborting
-the sweep.
+that cannot run (infeasible budget, rank collapse during recovery, a
+query outside the action ball) are recorded with a status and a reason
+and excluded from aggregates instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bandit import BudgetError
-from .envs import Environment, environment_from_descriptor, estimate_conditioning
+from .envs import DomainError, Environment, environment_from_descriptor, estimate_conditioning
 from .pipeline import (
     PracticalParams,
     RunAborted,
@@ -62,7 +62,6 @@ class ExperimentConfig:
     practical: dict = field(default_factory=dict)
     theory: dict = field(default_factory=dict)
     out_dir: Optional[str] = None
-    oracle_resolution: Optional[float] = None
 
     def __post_init__(self):
         if not isinstance(self.environment, dict):
@@ -105,7 +104,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Read a JSON config; top-level keys in overrides replace the file's."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -113,6 +113,7 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
+    data.update(overrides or {})
     return config_from_dict(data)
 
 
@@ -125,13 +126,14 @@ class CellResult:
 
     n: int
     seed: int
-    status: str  # "ok" | "infeasible" | "aborted"
+    status: str  # "ok" | "infeasible" | "aborted" | "error"
     R_total: float
     R1: float
     R2: float
     R3: float
     subspace_err: float
     n1: float
+    reason: Optional[str] = None  # why a failed cell failed; not a CSV column
 
     def csv_row(self) -> str:
         vals = [self.R_total, self.R1, self.R2, self.R3, self.subspace_err]
@@ -165,8 +167,6 @@ class SweepSummary:
 
 def _cell_environment(config: ExperimentConfig, n: int, seed: int) -> Environment:
     desc = dict(config.environment)
-    desc.setdefault("sigma", 0.0)
-    desc.setdefault("nu", 0.0)
     desc["seed"] = derive_seed(seed, n)
     desc.pop("A", None)  # realized bases never transfer between cells
     return environment_from_descriptor(desc)
@@ -176,6 +176,10 @@ def _run_cell(config: ExperimentConfig, n: int, seed: int):
     """Run one cell; returns (CellResult, RunRecord or None)."""
     env = _cell_environment(config, n, seed)
     nan = float("nan")
+
+    def failed(status, n1, exc):
+        return CellResult(n, seed, status, nan, nan, nan, nan, nan, n1, reason=str(exc))
+
     if config.mode == "theory":
         constants = TheoryConstants(**config.theory.get("constants", {}))
         try:
@@ -183,8 +187,8 @@ def _run_cell(config: ExperimentConfig, n: int, seed: int):
                 n=n, d=env.d, k=env.k, sigma=env.sigma, c2=env.mean.c2,
                 alpha=float(config.theory["alpha"]), nu=env.nu, constants=constants,
             )
-        except StepSizeError:
-            return CellResult(n, seed, "infeasible", nan, nan, nan, nan, nan, nan), None
+        except StepSizeError as exc:
+            return failed("infeasible", nan, exc), None
         n1_known = float(params.n1)
     else:
         params = PracticalParams(n=n, **config.practical)
@@ -192,18 +196,15 @@ def _run_cell(config: ExperimentConfig, n: int, seed: int):
             n1_known = 0.0
         else:
             n1_known = float(params.N * params.m_X * (params.m_Phi + 1))
-        if config.oracle_resolution is not None and params.oracle_resolution is None:
-            params.oracle_resolution = config.oracle_resolution
     try:
         record = run_cablp(env, params, mode=config.mode)
-    except BudgetError:
-        return CellResult(n, seed, "infeasible", nan, nan, nan, nan, nan, n1_known), None
+    except BudgetError as exc:
+        return failed("infeasible", n1_known, exc), None
+    except DomainError as exc:
+        return failed("error", n1_known, exc), None
     except RunAborted as exc:
         partial = exc.record
-        return (
-            CellResult(n, seed, "aborted", nan, nan, nan, nan, nan, float(partial.phase1_rounds)),
-            partial,
-        )
+        return failed("aborted", float(partial.phase1_rounds), exc), partial
     cell = CellResult(
         n=n,
         seed=seed,

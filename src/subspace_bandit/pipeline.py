@@ -357,9 +357,7 @@ class PracticalParams:
     lambda_override: Optional[float] = None
     ucb_scale: Optional[float] = None
     M: Optional[int] = None
-    multi_epoch: bool = False
     known_subspace: Optional[np.ndarray] = None
-    oracle_resolution: Optional[float] = None
     sampling_seed: Optional[int] = None
     solver: Optional[SolverConfig] = None
 
@@ -393,10 +391,8 @@ class RunRecord:
     x_star_value: float
     x_star_star_value: Optional[float]
     basis: Optional[np.ndarray]
-    lattice_points: Optional[np.ndarray]
     lam: Optional[float]
     recovery_diagnostics: Optional[dict]
-    oracle_resolution: Optional[float]
     skipped_phase1: bool = False
     aborted: bool = False
     abort_reason: Optional[str] = None
@@ -413,13 +409,12 @@ def r3_bound(n2: int, c2: float, k: int, nu: float, subspace_err: float) -> floa
     return n2 * c2 * math.sqrt(k) * (1.0 + nu) * subspace_err / math.sqrt(2.0)
 
 
-def decompose_regret(
-    record: RunRecord, env: Environment, oracle_resolution: Optional[float] = None
-) -> tuple:
-    """Split the trace into (R1, R2, R3) against the recorded or a fresh oracle.
+def decompose_regret(record: RunRecord) -> tuple:
+    """Split the trace into (R1, R2, R3) against the record's stored optima.
 
-    With oracle_resolution=None the record's stored optima are reused and the
-    identity R1 + R2 + R3 = total regret is exact by construction.
+    R1 is the phase-1 regret, R3 = n2 * (x* value - x** value) the cost of
+    the recovered subspace, and R2 the rest of the phase-2 regret, so
+    R1 + R2 + R3 = total regret holds exactly by construction.
     """
     n1 = record.phase1_rounds
     n2 = record.phase2_rounds
@@ -427,16 +422,7 @@ def decompose_regret(
     r1 = float(trace[:n1].sum())
     if record.basis is None:
         raise ValueError("record has no recovered basis; cannot split phase-2 regret")
-    if oracle_resolution is None:
-        opt = record.x_star_value
-        sub_opt = record.x_star_star_value
-    else:
-        opt, _ = optimal_value(env, resolution=oracle_resolution)
-        extra = record.lattice_points
-        sub_opt, _ = best_on_subspace(
-            env, record.basis, resolution=oracle_resolution, extra_candidates=extra
-        )
-    r3 = n2 * (opt - sub_opt)
+    r3 = n2 * (record.x_star_value - record.x_star_star_value)
     r2 = float(trace[n1:].sum()) - r3
     return r1, r2, r3
 
@@ -486,9 +472,7 @@ def run_cablp(
         params_echo = params_to_dict(params)
         ucb_scale = None
         m_override = None
-        multi_epoch = False
         known = None
-        resolution = None
         sampling_seed = None
         solver_cfg = None
         c0 = params.constants.C0
@@ -507,13 +491,11 @@ def run_cablp(
         params_echo = params.to_dict()
         ucb_scale = params.ucb_scale
         m_override = params.M
-        multi_epoch = params.multi_epoch
-        resolution = params.oracle_resolution
         sampling_seed = params.sampling_seed
         solver_cfg = params.solver
         c0 = params.c0
 
-    opt_value, _ = optimal_value(env, resolution=resolution)
+    opt_value, _ = optimal_value(env)
 
     if known is not None:
         basis = np.asarray(known, dtype=float)
@@ -565,10 +547,8 @@ def run_cablp(
                 x_star_value=opt_value,
                 x_star_star_value=None,
                 basis=None,
-                lattice_points=None,
                 lam=lam,
                 recovery_diagnostics=None,
-                oracle_resolution=resolution,
                 aborted=True,
                 abort_reason=str(exc),
             )
@@ -576,23 +556,14 @@ def run_cablp(
         basis = recovery.basis
 
     n2 = n - n1
-    cfg2 = Phase2Config(
-        ucb_scale=ucb_scale,
-        M=m_override,
-        multi_epoch=multi_epoch,
-        opt_value=opt_value,
-        budget_cap=n,
-        oracle_resolution=resolution,
-    )
+    cfg2 = Phase2Config(ucb_scale=ucb_scale, M=m_override, opt_value=opt_value, budget_cap=n)
     phase2 = run_phase2(env, basis, n2, cfg2)
     if env.query_count != n:
         raise RuntimeError(
             f"query accounting is off: spent {env.query_count}, expected {n}"
         )
 
-    sub_opt, _ = best_on_subspace(
-        env, basis, resolution=resolution, extra_candidates=phase2.grid.lattice_points
-    )
+    sub_opt, _ = best_on_subspace(env, basis)
     err = subspace_error(env.A, basis)
     trace = np.concatenate([trace1, phase2.regrets])
     record = RunRecord(
@@ -611,7 +582,6 @@ def run_cablp(
         x_star_value=opt_value,
         x_star_star_value=sub_opt,
         basis=basis,
-        lattice_points=phase2.grid.lattice_points,
         lam=lam,
         recovery_diagnostics=None if skipped else {
             "iterations": recovery.info.iterations,
@@ -621,10 +591,9 @@ def run_cablp(
             "spectrum": recovery.spectrum.tolist(),
             "error_bound": recovery.error_bound,
         },
-        oracle_resolution=resolution,
         skipped_phase1=skipped,
     )
-    r1, r2, r3 = decompose_regret(record, env)
+    r1, r2, r3 = decompose_regret(record)
     record.R1, record.R2, record.R3 = r1, r2, r3
     return record
 
@@ -647,7 +616,6 @@ def record_to_dict(record: RunRecord, include_trace: bool = True) -> dict:
         "x_star_star_value": record.x_star_star_value,
         "lambda": record.lam,
         "recovery": record.recovery_diagnostics,
-        "oracle_resolution": record.oracle_resolution,
         "skipped_phase1": record.skipped_phase1,
         "aborted": record.aborted,
         "abort_reason": record.abort_reason,

@@ -1,6 +1,5 @@
 """Tests for arm-grid construction and the UCB-1 phase-2 loop."""
 
-import io
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from subspace_bandit.bandit import (
     run_phase2,
     ucb1_select,
     ucb1_update,
-    write_trace_csv,
 )
 from subspace_bandit.envs import best_on_subspace, make_environment, optimal_value
 
@@ -257,19 +255,9 @@ class TestRunPhase2:
         env = quad_env(SEED + 8, sigma=0.25)
         assert default_ucb_scale(env) == pytest.approx(0.25 + 2 * env.mean.c2)
 
-    def test_multi_epoch_mode_spends_exact_budget(self):
-        env = quad_env(SEED + 9, sigma=0.1)
-        result = run_phase2(
-            env, env.A, n2=100, cfg=Phase2Config(multi_epoch=True)
-        )
-        assert env.query_count == 100
-        lengths = [length for _, length, _ in result.epoch_bounds]
-        assert sum(lengths) == 100
-        assert lengths[:6] == [1, 2, 4, 8, 16, 32]
-
     def test_phase2_regret_vs_subspace_optimum_is_nonnegative(self):
         """Against the best point on the recovered subspace, regret cannot
-        go negative beyond oracle resolution."""
+        go negative beyond float rounding."""
         n2 = 2000
         totals = []
         for trial in range(10):
@@ -280,8 +268,7 @@ class TestRunPhase2:
             result = run_phase2(env, basis, n2, cfg=Phase2Config(opt_value=opt))
             r2 = result.regrets.sum() - n2 * (opt - sub_opt)
             totals.append(r2)
-            oracle_tol = 2 * n2 * env.mean.c2 * 1e-4
-            assert r2 >= -oracle_tol, f"trial {trial}: R2 = {r2:.4f}"
+            assert r2 >= -n2 * 1e-12, f"trial {trial}: R2 = {r2!r}"
         totals = np.asarray(totals)
         stderr = totals.std(ddof=1) / math.sqrt(totals.size)
         assert totals.mean() >= -2 * stderr
@@ -309,15 +296,3 @@ class TestRunPhase2:
             f"measured {measured:.1f} vs predicted {predicted:.1f}"
         )
 
-    def test_trace_csv_shape(self):
-        env = quad_env(SEED + 11, sigma=0.1)
-        result = run_phase2(env, env.A, n2=12, cfg=Phase2Config(M=1))
-        buf = io.StringIO()
-        write_trace_csv(result, buf, start_round=101)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "round,arm_id,y_0,reward,instantaneous_regret"
-        assert len(lines) == 13
-        first = lines[1].split(",")
-        assert first[0] == "101"
-        # rewards round-trip through repr at full precision
-        assert float(first[3]) == result.rewards[0]

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from subspace_bandit.bandit import build_arm_grid
 from subspace_bandit.envs import (
     DomainError,
     LinearParamMatrix,
@@ -163,7 +164,7 @@ class TestEnvironmentQueries:
         # analysis oracles are free
         mean_reward(env, x)
         gradient_mean_reward(env, x)
-        optimal_value(env, resolution=0.05)
+        optimal_value(env)
         estimate_conditioning(env, 100)
         assert env.query_count == 17
 
@@ -250,43 +251,76 @@ class TestGradientOracle:
 
 
 class TestOptimumOracles:
-    """Grid maximization agrees with closed forms within C2*sqrt(k)*resolution."""
+    """The exact maximizers agree with closed forms and beat any sampled point."""
 
     def test_norm_squared_k1(self):
         env = make_environment(d=6, k=1, family="norm-squared", nu=0.1, seed=SEED)
-        val, x_star = optimal_value(env, resolution=1e-4)
-        assert val == pytest.approx(1.21, abs=1e-3)
+        val, x_star = optimal_value(env)
+        assert val == pytest.approx(1.21, abs=1e-12)
         # argmax is +/- 1.1 times the single row of A
         a1 = env.A[0]
-        assert min(np.linalg.norm(x_star - 1.1 * a1), np.linalg.norm(x_star + 1.1 * a1)) < 1e-2
+        assert min(np.linalg.norm(x_star - 1.1 * a1), np.linalg.norm(x_star + 1.1 * a1)) < 1e-12
 
     @pytest.mark.parametrize("family,k,params", FAMILY_CASES)
     def test_matches_closed_form(self, family, k, params):
         env = make_environment(d=7, k=k, family=family, nu=0.1, seed=SEED, params=params)
-        res = {1: 1e-4, 2: 2e-3, 3: 2e-2}[k]
-        val, x_star = optimal_value(env, resolution=res)
+        val, x_star = optimal_value(env)
         want, _ = env.mean.closed_form_opt
-        tol = env.mean.c2 * np.sqrt(k) * res
-        assert abs(val - want) <= tol, f"{family}: grid {val:.6f} vs closed form {want:.6f}"
-        assert np.linalg.norm(x_star) <= 1.1 + 1e-9
-        assert mean_reward(env, x_star) == pytest.approx(val)
+        assert abs(val - want) <= 1e-12, f"{family}: oracle {val!r} vs closed form {want!r}"
+        assert np.linalg.norm(x_star) <= 1.1 + 1e-12
+        assert mean_reward(env, x_star) == pytest.approx(val, abs=1e-12)
 
     def test_best_on_subspace_equals_optimum_when_exact(self):
         env = make_environment(d=7, k=2, family="centered-quadratic", nu=0.1, seed=SEED,
                                params={"center": np.array([0.3, -0.2])})
-        val, y = best_on_subspace(env, env.A, resolution=2e-3)
+        val, y = best_on_subspace(env, env.A)
         want, _ = env.mean.closed_form_opt
-        assert val == pytest.approx(want, abs=env.mean.c2 * np.sqrt(2) * 2e-3)
-        assert np.linalg.norm(y) <= 1.1 + 1e-9
+        assert val == pytest.approx(want, abs=1e-12)
+        np.testing.assert_allclose(y, [0.3, -0.2], atol=1e-12)
 
-    def test_best_on_subspace_merges_candidates(self):
-        env = make_environment(d=7, k=2, family="centered-quadratic", nu=0.1, seed=SEED,
-                               params={"center": np.array([0.3, -0.2])})
-        # a deliberately coarse grid cannot beat an injected exact candidate
-        val, y = best_on_subspace(env, env.A, resolution=0.5,
-                                  extra_candidates=np.array([[0.3, -0.2]]))
-        assert val == pytest.approx(1.0)
-        np.testing.assert_allclose(y, [0.3, -0.2])
+    def test_best_on_subspace_beats_ball_sample_and_lattice(self):
+        """On tilted and rank-deficient bases, no sampled point of the ball
+        and no lattice arm scores above the reported subspace optimum."""
+        rng = np.random.default_rng(SEED)
+        nu, d = 0.1, 7
+        radius = 1.0 + nu
+        checked = 0
+        for k in (1, 2, 3):
+            # uniform in the ball, plus the sphere where boundary optima live
+            sphere = rng.standard_normal((4000, k))
+            sphere *= radius / np.linalg.norm(sphere, axis=1, keepdims=True)
+            inside = sphere * rng.uniform(size=(4000, 1)) ** (1.0 / k)
+            sample = np.vstack([inside, sphere])
+            for family in FAMILIES:
+                for trial in range(5):
+                    center = rng.standard_normal(k)
+                    center *= rng.uniform(0.2, 1.0) / np.linalg.norm(center)
+                    params = {
+                        "linear": {"weight": rng.standard_normal(k)},
+                        "norm-squared": None,
+                        "centered-quadratic": {"center": center},
+                        "gaussian-bump": {"center": center, "width": 0.4},
+                    }[family]
+                    env = make_environment(d=d, k=k, family=family, nu=nu,
+                                           seed=SEED + trial, params=params)
+                    tilt = env.A + rng.uniform(0.2, 1.5) * rng.standard_normal((k, d))
+                    if trial == 4:
+                        # one basis row orthogonal to A: A A_hat^T is singular
+                        off = rng.standard_normal(d)
+                        off -= env.A.T @ (env.A @ off)
+                        tilt[0] = off
+                    a_hat = make_row_orthonormal(tilt).matrix
+                    T = env.A @ a_hat.T
+                    val, y = best_on_subspace(env, a_hat)
+                    assert np.linalg.norm(y) <= radius + 1e-12
+                    assert mean_value(env.mean, T @ y) == val
+                    sampled = mean_value(env.mean, sample @ T.T).max()
+                    assert sampled <= val + 1e-12, f"{family} k={k}: {sampled!r} > {val!r}"
+                    grid = build_arm_grid(a_hat, 6, nu)
+                    arms = mean_value(env.mean, grid.arms @ env.A.T).max()
+                    assert arms <= val + 1e-12, f"{family} k={k}: arm {arms!r} > {val!r}"
+                    checked += 1
+        assert checked == 60
 
 
 class TestConditioning:

@@ -76,6 +76,19 @@ class TestConfig:
                 }
             )
 
+    def test_removed_oracle_and_epoch_knobs_rejected(self):
+        base = {
+            "environment": {"family": "linear", "d": 4, "k": 1},
+            "horizons": [100],
+            "seeds": [1],
+        }
+        with pytest.raises(ValueError, match="unknown config"):
+            config_from_dict(dict(base, oracle_resolution=1e-3))
+        for key, value in (("oracle_resolution", 1e-3), ("multi_epoch", True)):
+            practical = {"m_X": 5, "m_Phi": 20, "epsilon": 0.05, key: value}
+            with pytest.raises(ValueError, match="unknown practical"):
+                config_from_dict(dict(base, practical=practical))
+
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(
@@ -90,6 +103,8 @@ class TestConfig:
         )
         config = load_config(path)
         assert config.horizons == [500] and config.seeds == [9]
+        config = load_config(path, {"seeds": [3, 4], "out_dir": "elsewhere"})
+        assert config.seeds == [3, 4] and config.out_dir == "elsewhere"
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -153,6 +168,24 @@ class TestSweep:
         assert len(rows) == 5
         assert rows[1].endswith(",infeasible")
         assert "nan" in rows[1]
+
+    def test_environment_without_nu_takes_the_library_default(self):
+        environment = {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "seed": 3}
+        summary = run_experiment(small_config(environment=environment))
+        assert [c.status for c in summary.cells] == ["ok"] * 6
+
+    def test_query_outside_ball_fails_the_cell_not_the_sweep(self, tmp_path):
+        # probe shifts of length 2.0 * sqrt(d / m_Phi) = 0.77 leave B_6(1.1)
+        practical = dict(small_config().practical, epsilon=2.0)
+        out = tmp_path / "out"
+        summary = run_experiment(small_config(practical=practical, out_dir=str(out)))
+        assert [c.status for c in summary.cells] == ["error"] * 6
+        assert summary.failed_count == 6
+        rows = (out / "sweep.csv").read_text().strip().splitlines()
+        assert rows[0] == SWEEP_CSV_HEADER
+        assert len(rows) == 7 and all(r.endswith(",error") for r in rows[1:])
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        assert all("step size infeasible" in c["reason"] for c in cells)
 
     def test_aborted_cell_recorded_not_raised(self):
         config = small_config(
@@ -304,6 +337,14 @@ class TestCli:
         cfg = write_config(tmp_path, horizons=[100])
         assert main(["sweep", "--config", cfg]) == 2
         assert "failed" in capsys.readouterr().out
+
+    def test_sweep_with_query_outside_ball_exits_2(self, tmp_path, capsys):
+        practical = {"m_X": 8, "m_Phi": 40, "epsilon": 2.0, "lambda_scale": 1e-3}
+        cfg = write_config(tmp_path, practical=practical)
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 2
+        assert "1 cell(s) failed" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(out, "summary.json"))
 
     def test_seed_and_horizon_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

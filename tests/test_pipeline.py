@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from subspace_bandit.bandit import BudgetError
-from subspace_bandit.envs import make_environment, optimal_value
+from subspace_bandit.envs import best_on_subspace, make_environment, optimal_value
 from subspace_bandit.pipeline import (
     GAMMA_DEFAULT,
     PracticalParams,
@@ -295,12 +295,11 @@ class TestRunPractical:
         assert record.R1 + record.R2 + record.R3 == pytest.approx(
             record.total_regret, abs=1e-8
         )
-        r1, r2, r3 = decompose_regret(record, env)
+        r1, r2, r3 = decompose_regret(record)
         assert (r1, r2, r3) == (record.R1, record.R2, record.R3)
-        # a fresh oracle at the default resolution lands on the same split
-        r1b, r2b, r3b = decompose_regret(record, env, oracle_resolution=1e-4)
-        assert r3b == pytest.approx(record.R3, abs=2 * record.n * env.mean.c2 * 1e-4)
-        assert r1b == pytest.approx(record.R1)
+        # the stored optima are exactly what fresh oracle calls return
+        assert optimal_value(env)[0] == record.x_star_value
+        assert best_on_subspace(env, record.basis)[0] == record.x_star_star_value
 
     def test_r1_covers_exactly_the_measurement_rounds(self):
         env = make_environment(
@@ -340,10 +339,27 @@ class TestRunPractical:
         assert record.phase1_rounds == 0
         assert record.R1 == 0.0
         assert record.subspace_err <= 1e-12
-        # perfect recovery: no offset beyond oracle resolution
-        oracle_tol = 2 * env.mean.c2 * 1e-4
-        assert abs(record.R3) <= record.phase2_rounds * oracle_tol
+        # perfect recovery: no offset beyond float rounding
+        assert abs(record.R3) <= record.phase2_rounds * 1e-12
         assert env.query_count == 4000
+
+    def test_k4_run_keeps_exact_split(self):
+        """A k = 4 run completes; its x** is the norm-squared closed form
+        (1 + nu)^2 * sigma_max(A A_hat^T)^2 and its regret split is exact."""
+        env = make_environment(
+            d=12, k=4, family="norm-squared", sigma=0.001, nu=0.1, seed=SEED + 10
+        )
+        params = PracticalParams(
+            n=6000, m_X=12, m_Phi=200, epsilon=0.1, lambda_override=0.08, ucb_scale=0.75
+        )
+        record = run_cablp(env, params)
+        assert env.query_count == 6000
+        total = record.total_regret
+        assert abs(record.R1 + record.R2 + record.R3 - total) <= 1e-8 * max(1.0, abs(total))
+        assert record.x_star_value == env.mean.closed_form_opt[0]
+        top = np.linalg.svd(env.A @ record.basis.T, compute_uv=False)[0]
+        assert record.x_star_star_value == pytest.approx(1.21 * top**2, abs=1e-12)
+        assert 0.0 < record.R3 <= record.r3_bound_value
 
     def test_rank_collapse_aborts_with_partial_record(self):
         env = make_environment(
