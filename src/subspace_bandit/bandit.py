@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import Environment, mean_value, optimal_value, sample_reward
+from .envs import Environment, check_points, mean_value, optimal_value
 
 GRID_SLACK = 1e-9
+NOISE_CHUNK = 1024  # noise values run_phase2 draws per rng call
 
 
 class BudgetError(RuntimeError):
@@ -109,7 +110,8 @@ def ucb1_select(state: Ucb1State) -> int:
     """Lowest-index unpulled arm first; afterwards the argmax of the index.
 
     Index of arm a is means[a] + scale * sqrt(2 log t / counts[a]); ties go
-    to the lowest index (numpy argmax keeps the first maximum).
+    to the lowest index (numpy argmax keeps the first maximum).  run_phase2
+    inlines this rule with the same operation order.
     """
     unpulled = np.flatnonzero(state.counts == 0)
     if unpulled.size:
@@ -119,7 +121,10 @@ def ucb1_select(state: Ucb1State) -> int:
 
 
 def ucb1_update(state: Ucb1State, arm: int, reward: float) -> Ucb1State:
-    """Numerically stable running-mean update; mutates and returns the state."""
+    """Numerically stable running-mean update; mutates and returns the state.
+
+    run_phase2 inlines this update with the same operation order.
+    """
     if not 0 <= arm < state.n_arms:
         raise ValueError(f"arm {arm} out of range [0, {state.n_arms})")
     state.counts[arm] += 1
@@ -168,6 +173,11 @@ def run_phase2(
     """Play exactly n2 rounds of UCB-1 on the embedded arm grid.
 
     The horizon is known, so one grid sized by choose_M(n2, k) suffices.
+    The result is bit-identical to n2 rounds of ucb1_select, sample_reward
+    and ucb1_update, without a call per round: the grid is checked against
+    the action ball once, the n2 queries are charged at once, each arm's
+    mean is computed once, and the noise comes NOISE_CHUNK values per rng
+    call, the same stream as one standard_normal() per round.
     """
     cfg = cfg or Phase2Config()
     a_hat = np.asarray(a_hat, dtype=float)
@@ -190,15 +200,45 @@ def run_phase2(
 
     M = choose_M(n2, a_hat.shape[0]) if cfg.M is None else int(cfg.M)
     grid = build_arm_grid(a_hat, M, env.nu)
-    state = fresh_ucb_state(grid.n_arms, scale)
-    arm_ids = np.zeros(n2, dtype=np.int64)
-    rewards = np.zeros(n2, dtype=float)
-    for i in range(n2):
-        arm = ucb1_select(state)
-        reward = sample_reward(env, grid.arms[arm])
-        ucb1_update(state, arm, reward)
-        arm_ids[i] = arm
-        rewards[i] = reward
+    n_arms = grid.n_arms
+    state = fresh_ucb_state(n_arms, scale)
+    check_points(env, grid.arms)
+    # each arm's mean exactly as sample_reward computes it at that arm
+    arm_means = [float(mean_value(env.mean, env.A @ x)) for x in grid.arms]
+    env.query_count += n2
+
+    counts = [0] * n_arms
+    means = [0.0] * n_arms
+    counts_f = np.zeros(n_arms)  # float mirror of counts for the index
+    index = np.empty(n_arms)
+    arm_ids = np.empty(n2, dtype=np.int64)
+    rewards = np.empty(n2)
+    means_a = state.means
+    log, divide, sqrt, multiply, add = math.log, np.divide, np.sqrt, np.multiply, np.add
+    for start in range(0, n2, NOISE_CHUNK):
+        stop = min(start + NOISE_CHUNK, n2)
+        noise = (env.sigma * env.rng.standard_normal(stop - start)).tolist()
+        for t, z in zip(range(start, stop), noise):
+            if t < n_arms:
+                arm = t
+            else:
+                divide(2.0 * log(t), counts_f, out=index)
+                sqrt(index, out=index)
+                multiply(index, scale, out=index)
+                add(index, means_a, out=index)
+                arm = int(index.argmax())
+            reward = arm_means[arm] + z
+            count = counts[arm] + 1
+            mean = means[arm]
+            mean += (reward - mean) / count
+            counts[arm] = count
+            means[arm] = mean
+            counts_f[arm] = count
+            means_a[arm] = mean
+            arm_ids[t] = arm
+            rewards[t] = reward
+    state.counts[:] = counts
+    state.t = n2
     arm_true_means = mean_value(env.mean, grid.arms @ env.A.T)
 
     return Phase2Result(
@@ -211,4 +251,3 @@ def run_phase2(
         opt_value=opt_value,
         scale=scale,
     )
-

@@ -148,6 +148,10 @@ def _cmd_recover(args) -> int:
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         dump_json(report, os.path.join(config.out_dir, "recovery.json"))
+    if report["status"] != "ok":
+        n, seed = config.horizons[0], config.seeds[0]
+        print(f"cell (n={n}, seed={seed}) failed: {report['status']} ({report['reason']})")
+        return 2
     err = report.get("subspace_err")
     err_text = "n/a" if err is None else f"{err:.4e}"
     print(

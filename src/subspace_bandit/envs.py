@@ -331,6 +331,17 @@ def sample_reward(env: Environment, x: np.ndarray) -> float:
     return val + noise
 
 
+def check_points(env: Environment, xs: np.ndarray) -> None:
+    """Raise DomainError, naming the farthest row, if any row of xs leaves the ball."""
+    norms = np.linalg.norm(xs, axis=1)
+    worst = int(np.argmax(norms))
+    if norms[worst] > 1.0 + env.nu + DOMAIN_SLACK:
+        raise DomainError(
+            f"query point {worst} outside the action ball: ||x|| = {norms[worst]:.12g} "
+            f"> 1 + nu = {1.0 + env.nu:.12g}"
+        )
+
+
 def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.ndarray:
     """Query each row of xs `repeats` times and return the per-point averages.
 
@@ -344,13 +355,7 @@ def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.nda
         raise ValueError(f"xs must have shape (n, {env.d}), got {xs.shape}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    norms = np.linalg.norm(xs, axis=1)
-    worst = int(np.argmax(norms))
-    if norms[worst] > 1.0 + env.nu + DOMAIN_SLACK:
-        raise DomainError(
-            f"query point {worst} outside the action ball: ||x|| = {norms[worst]:.12g} "
-            f"> 1 + nu = {1.0 + env.nu:.12g}"
-        )
+    check_points(env, xs)
     vals = mean_value(env.mean, xs @ env.A.T)
     noise = env.rng.standard_normal((xs.shape[0], repeats))
     env.query_count += xs.shape[0] * repeats

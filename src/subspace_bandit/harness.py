@@ -432,7 +432,9 @@ def recovery_report(config: ExperimentConfig) -> dict:
 
     Uses the first configured horizon's cell environment and the practical
     overrides (m_X, m_Phi, epsilon are required).  The measurement draw and
-    the penalty-level resolution mirror the full pipeline exactly.
+    the penalty-level resolution mirror the full pipeline exactly.  A query
+    outside the action ball fails the cell like a sweep does: the report
+    then holds status "error" and the reason instead of the solver output.
     """
     from .recovery import DantzigProblem, compute_lambda, recover_subspace, result_to_dict
     from .sampling import SamplingPlan, collect_measurements, draw_sampling_sets
@@ -445,7 +447,10 @@ def recovery_report(config: ExperimentConfig) -> dict:
     plan = SamplingPlan(m_X=pp.m_X, m_Phi=pp.m_Phi, epsilon=pp.epsilon, N=pp.N)
     seed1 = derive_seed(env.seed, 1) if pp.sampling_seed is None else pp.sampling_seed
     sets = draw_sampling_sets(plan, env.d, np.random.default_rng(seed1))
-    bundle = collect_measurements(env, sets, plan)
+    try:
+        bundle = collect_measurements(env, sets, plan)
+    except DomainError as exc:
+        return {"status": "error", "reason": str(exc), "env_seed": env.seed}
     if pp.lambda_override is not None:
         lam = float(pp.lambda_override)
     else:
@@ -456,6 +461,7 @@ def recovery_report(config: ExperimentConfig) -> dict:
     problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
     result = recover_subspace(problem, cfg=pp.solver, true_basis=env.A, c0=pp.c0)
     out = result_to_dict(result)
+    out["status"] = "ok"
     out["queries"] = plan.budget()
     out["env_seed"] = env.seed
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -44,22 +45,27 @@ def uniform_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return pts / norms[:, None]
 
 
-class NumpyJSONEncoder(json.JSONEncoder):
-    """JSON encoder that understands numpy scalars and arrays."""
+def _json_ready(obj):
+    """obj with numpy values made plain and non-finite floats made None.
 
-    def default(self, o):
-        if isinstance(o, np.integer):
-            return int(o)
-        if isinstance(o, np.floating):
-            return float(o)
-        if isinstance(o, np.bool_):
-            return bool(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
+    JSON has no NaN or infinity, so a failed cell's missing numbers are
+    written as null.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        return _json_ready(obj.tolist())
+    if isinstance(obj, np.generic):
+        return _json_ready(obj.item())
+    return obj
 
 
 def dump_json(obj, path) -> None:
+    """Write obj as strict JSON (non-finite floats as null), indented."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, cls=NumpyJSONEncoder, indent=2)
+        json.dump(_json_ready(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from subspace_bandit import bandit
 from subspace_bandit.bandit import (
     ArmGrid,
     BudgetError,
@@ -17,7 +18,14 @@ from subspace_bandit.bandit import (
     ucb1_select,
     ucb1_update,
 )
-from subspace_bandit.envs import best_on_subspace, make_environment, optimal_value
+from subspace_bandit.envs import (
+    DomainError,
+    best_on_subspace,
+    make_environment,
+    mean_value,
+    optimal_value,
+    sample_reward,
+)
 
 SEED = 91600
 
@@ -250,6 +258,7 @@ class TestRunPhase2:
         with pytest.raises(BudgetError, match="insufficient budget"):
             run_phase2(env, env.A, n2=100, cfg=Phase2Config(budget_cap=40))
         assert env.query_count == 0
+        assert env.rng.standard_normal() == quad_env(SEED + 7).rng.standard_normal()
 
     def test_default_scale_combines_noise_and_range(self):
         env = quad_env(SEED + 8, sigma=0.25)
@@ -296,3 +305,90 @@ class TestRunPhase2:
             f"measured {measured:.1f} vs predicted {predicted:.1f}"
         )
 
+
+# ---------- batched kernel against the per-round reference ----------
+
+
+FAMILY_PARAMS = {
+    "linear": lambda k: {"weight": [0.6] + [0.3] * (k - 1)},
+    "norm-squared": lambda k: {},
+    "centered-quadratic": lambda k: {"center": [0.3] * k},
+    "gaussian-bump": lambda k: {"center": [0.2] * k, "width": 0.4},
+}
+
+
+def family_env(family, k, sigma, seed):
+    return make_environment(
+        d=8, k=k, family=family, sigma=sigma, nu=0.1, seed=seed,
+        params=FAMILY_PARAMS[family](k),
+    )
+
+
+def reference_phase2(env, a_hat, n2, cfg):
+    """run_phase2 from the public per-round pieces: one ucb1_select,
+    sample_reward and ucb1_update call per round."""
+    scale = default_ucb_scale(env) if cfg.ucb_scale is None else float(cfg.ucb_scale)
+    opt_value = optimal_value(env)[0] if cfg.opt_value is None else float(cfg.opt_value)
+    M = choose_M(n2, a_hat.shape[0]) if cfg.M is None else cfg.M
+    grid = build_arm_grid(a_hat, M, env.nu)
+    state = fresh_ucb_state(grid.n_arms, scale)
+    arm_ids = np.zeros(n2, dtype=np.int64)
+    rewards = np.zeros(n2)
+    for i in range(n2):
+        arm = ucb1_select(state)
+        rewards[i] = sample_reward(env, grid.arms[arm])
+        ucb1_update(state, arm, rewards[i])
+        arm_ids[i] = arm
+    regrets = opt_value - mean_value(env.mean, grid.arms @ env.A.T)[arm_ids]
+    return arm_ids, rewards, regrets, grid.lattice_points[arm_ids], state
+
+
+def assert_matches_reference(family, k, sigma, n2, cfg, seed):
+    env = family_env(family, k, sigma, seed)
+    ref_env = family_env(family, k, sigma, seed)
+    a_hat = rotated_basis(env, 0.05)
+    got = run_phase2(env, a_hat, n2, cfg)
+    arm_ids, rewards, regrets, y_coords, state = reference_phase2(ref_env, a_hat, n2, cfg)
+    np.testing.assert_array_equal(got.arm_ids, arm_ids)
+    np.testing.assert_array_equal(got.rewards, rewards)
+    np.testing.assert_array_equal(got.regrets, regrets)
+    np.testing.assert_array_equal(got.y_coords, y_coords)
+    np.testing.assert_array_equal(got.state.counts, state.counts)
+    np.testing.assert_array_equal(got.state.means, state.means)
+    assert got.arm_ids.dtype == arm_ids.dtype and got.state.counts.dtype == state.counts.dtype
+    assert got.state.t == state.t == n2
+    assert env.query_count == ref_env.query_count == n2
+    assert env.rng.standard_normal() == ref_env.rng.standard_normal()
+
+
+class TestPhase2MatchesReference:
+    """run_phase2 is bit-identical to the per-round loop it batches."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_small_chunks(self, family, k, sigma, monkeypatch):
+        """Chunk size 64: fewer rounds than arms, exactly one chunk, and a
+        horizon that ends inside its fourth chunk."""
+        monkeypatch.setattr(bandit, "NOISE_CHUNK", 64)
+        seed = SEED + 100 + k
+        assert_matches_reference(family, k, sigma, 5, Phase2Config(M=4), seed)
+        assert_matches_reference(family, k, sigma, 64, Phase2Config(), seed)
+        assert_matches_reference(family, k, sigma, 3 * 64 + 17, Phase2Config(), seed)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_library_chunk(self, family):
+        """The default chunk size, on one chunk and across a chunk boundary."""
+        chunk = bandit.NOISE_CHUNK
+        cfg = Phase2Config(ucb_scale=0.5)
+        assert_matches_reference(family, 2, 0.1, chunk, cfg, SEED + 200)
+        assert_matches_reference(family, 2, 0.1, chunk + 300, cfg, SEED + 200)
+
+    def test_grid_outside_ball_raises_before_any_query(self):
+        """Rows 4e-9 too long pass the orthonormality check, but the outer
+        arms (at 1 + nu = 11/M) then leave the ball by more than the slack."""
+        env = family_env("norm-squared", 1, 0.2, SEED + 301)
+        with pytest.raises(DomainError, match="outside the action ball"):
+            run_phase2(env, env.A * (1.0 + 4e-9), 500, Phase2Config(M=10))
+        assert env.query_count == 0
+        assert env.rng.standard_normal() == family_env("norm-squared", 1, 0.2, SEED + 301).rng.standard_normal()

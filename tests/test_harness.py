@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from subspace_bandit.cli import main
+from subspace_bandit.util import dump_json
 from subspace_bandit.harness import (
     ExperimentConfig,
     SWEEP_CSV_HEADER,
@@ -346,6 +347,21 @@ class TestCli:
         assert "1 cell(s) failed" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "summary.json"))
 
+    def test_summary_with_failed_cell_is_strict_json(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, horizons=[100, 900, 1300], seeds=[1, 2])
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+
+        def reject(constant):
+            raise ValueError(f"non-finite constant {constant} in summary.json")
+
+        data = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        failed = [c for c in data["cells"] if c["status"] != "ok"]
+        assert [c["n"] for c in failed] == [100, 100]
+        assert all(c[key] is None for c in failed for key in ("R_total", "R1", "R2", "R3", "subspace_err"))
+        assert main(["plot", str(out / "summary.json")]) == 0
+        assert (out / "plot.svg").exists()
+
     def test_seed_and_horizon_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg, "--horizons", "1100", "--seeds", "7"]) == 0
@@ -360,6 +376,17 @@ class TestCli:
         assert main(["recover", "--config", cfg]) == 0
         printed = capsys.readouterr().out
         assert "subspace_err=" in printed and "converged=True" in printed
+
+    def test_recover_with_query_outside_ball_is_a_failed_cell(self, tmp_path, capsys):
+        # probe shifts of length 2.0 * sqrt(6 / 40) = 0.77 exceed nu
+        cfg = write_config(tmp_path, practical={"m_X": 8, "m_Phi": 40, "epsilon": 2.0})
+        out = tmp_path / "out"
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "failed: error (step size infeasible" in captured.out
+        assert "config error" not in captured.err
+        report = json.loads((out / "recovery.json").read_text())
+        assert report["status"] == "error" and "step size infeasible" in report["reason"]
 
     def test_conditioning_prints_alpha(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -389,3 +416,20 @@ class TestCli:
         path.write_text("a,b\n1,2\n")
         assert main(["fit", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+def test_dump_json_writes_non_finite_as_null(tmp_path):
+    path = tmp_path / "out.json"
+    dump_json(
+        {
+            "scalars": [float("nan"), np.float64("inf"), np.float32("-inf"), np.int64(3), np.bool_(True), 0.5],
+            "array": np.array([[1.0, np.nan], [-np.inf, 2.0]]),
+            "pair": (np.float64(0.25), float("nan")),
+        },
+        path,
+    )
+    assert json.loads(path.read_text()) == {
+        "scalars": [None, None, None, 3, True, 0.5],
+        "array": [[1.0, None], [None, 2.0]],
+        "pair": [0.25, None],
+    }
