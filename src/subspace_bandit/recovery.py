@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import SamplingSets, apply_adjoint
+from .sampling import SamplingSets
 
 RANK_FLOOR = 1e-12
 
@@ -138,8 +138,12 @@ def _svt(mat: np.ndarray, thresh: float) -> np.ndarray:
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
-def _fista(flat_op, y, shape, tau, lipschitz, start, max_iters, rel_tol):
-    """Accelerated proximal descent for tau*||M||_* + 0.5*||Phi(M) - y||^2."""
+def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
+    """Accelerated proximal descent for tau*||M||_* + 0.5*||Phi(M) - y||^2.
+
+    ``residual(M)`` is the dual residual ``Phi*(y - Phi(M))``, the negative
+    gradient of the smooth part.
+    """
     m_cur = start.copy()
     z = start.copy()
     t = 1.0
@@ -147,9 +151,7 @@ def _fista(flat_op, y, shape, tau, lipschitz, start, max_iters, rel_tol):
     iters = 0
     converged = False
     for iters in range(1, max_iters + 1):
-        resid = flat_op @ z.ravel() - y
-        grad = (flat_op.T @ resid).reshape(shape)
-        m_new = _svt(z - step * grad, tau * step)
+        m_new = _svt(z + step * residual(z), tau * step)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = m_new + ((t - 1.0) / t_new) * (m_new - m_cur)
         change = np.linalg.norm(m_new - m_cur)
@@ -160,6 +162,64 @@ def _fista(flat_op, y, shape, tau, lipschitz, start, max_iters, rel_tol):
             converged = True
             break
     return m_cur, iters, converged
+
+
+def _is_tall(sets: SamplingSets) -> bool:
+    """A sketch with more rows than unknowns is solved in Gram form."""
+    return sets.m_Phi > sets.d * sets.m_X
+
+
+def _direction_rows(sets: SamplingSets) -> tuple[np.ndarray, np.ndarray]:
+    """``(D, order)`` with ``D[:, order]`` equal to the flat operator F.
+
+    D is a view of the directions, shape ``(m_Phi, m_X * d)``: its columns
+    are F's, point-major instead of dimension-major.
+    """
+    d, m_x = sets.d, sets.m_X
+    rows = sets.directions.reshape(sets.m_Phi, m_x * d)
+    order = np.arange(m_x * d).reshape(m_x, d).T.ravel()
+    return rows, order
+
+
+def _sketch_adjoint(sets: SamplingSets, y: np.ndarray) -> np.ndarray:
+    """``Phi*(y)`` as a flat vector in ``X.ravel()`` order.
+
+    A tall sketch reads it off a view of the directions, so the flat
+    operator is never built.
+    """
+    if _is_tall(sets):
+        rows, order = _direction_rows(sets)
+        return (rows.T @ y)[order]
+    return sets.flat_operator().T @ y
+
+
+def _smooth_part(
+    sets: SamplingSets, y: np.ndarray, adjoint_y: np.ndarray
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """``(residual, lipschitz)`` for the smooth part ``0.5*||Phi(M) - y||^2``.
+
+    ``residual(M) = Phi*(y - Phi(M))`` and ``lipschitz = ||F||_2^2``.  A
+    tall sketch uses the normal equations: with ``G = F^T F`` built once,
+    the residual is ``F^T y - G @ M`` and the constant is the top eigenvalue
+    of G, so no iteration touches an ``m_Phi``-long vector.  Otherwise both
+    come from products with F.
+    """
+    shape = (sets.d, sets.m_X)
+    if _is_tall(sets):
+        rows, order = _direction_rows(sets)
+        gram = (rows.T @ rows)[np.ix_(order, order)]
+
+        def residual(mat):
+            return (adjoint_y - gram @ mat.ravel()).reshape(shape)
+
+        return residual, float(np.linalg.eigvalsh(gram)[-1])
+
+    flat_op = sets.flat_operator()
+
+    def residual(mat):
+        return (flat_op.T @ (y - flat_op @ mat.ravel())).reshape(shape)
+
+    return residual, float(np.linalg.norm(flat_op, 2)) ** 2
 
 
 def solve_dantzig(
@@ -173,15 +233,20 @@ def solve_dantzig(
     ``lam`` (within ``feas_tol`` relative).  The penalized and constrained
     formulations meet at the constraint boundary, so the final iterate is the
     selector solution up to solver tolerance.
+
+    A tall sketch (``m_Phi > d * m_X``) is solved in Gram form and never
+    builds the flat operator; its iterates agree with the flat form to
+    rounding, not bit for bit.
     """
     cfg = cfg or SolverConfig()
     sets = problem.sets
     y = np.asarray(problem.y, dtype=float)
-    d = sets.points.shape[1]
-    m_x = sets.points.shape[0]
-    shape = (d, m_x)
+    if y.shape != (sets.m_Phi,):
+        raise ValueError(f"y must have shape {(sets.m_Phi,)}, got {y.shape}")
+    shape = (sets.d, sets.m_X)
 
-    dual0 = apply_adjoint(sets, y)
+    adjoint_y = _sketch_adjoint(sets, y)
+    dual0 = adjoint_y.reshape(shape)
     dual0_norm = float(np.linalg.norm(dual0, 2))
     if problem.lam >= dual0_norm:
         # zero is already feasible, and it has minimal nuclear norm
@@ -195,8 +260,7 @@ def solve_dantzig(
         )
         return np.zeros(shape), info
 
-    flat_op = sets.flat_operator()
-    lipschitz = float(np.linalg.norm(flat_op, 2)) ** 2
+    residual, lipschitz = _smooth_part(sets, y, adjoint_y)
 
     # continuation: start just under the level where zero is optimal, and
     # aim slightly inside the constraint so inexact subproblem solves still
@@ -215,10 +279,10 @@ def solve_dantzig(
     while outer < cfg.max_outer:
         outer += 1
         m_cur, iters, sub_converged = _fista(
-            flat_op, y, shape, tau, lipschitz, m_cur, cfg.max_iters, cur_tol
+            residual, tau, lipschitz, m_cur, cfg.max_iters, cur_tol
         )
         total_iters += iters
-        dual = apply_adjoint(sets, y - flat_op @ m_cur.ravel())
+        dual = residual(m_cur)
         dual_norm, power_v = operator_norm(
             dual, max_steps=cfg.power_steps, tol=cfg.power_tol, v0=power_v
         )
@@ -237,8 +301,7 @@ def solve_dantzig(
             # tighten it and let the next round grind further down
             cur_tol = max(cur_tol * 1e-2, 1e-15)
 
-    dual = apply_adjoint(sets, y - flat_op @ m_cur.ravel())
-    residual_norm = float(np.linalg.norm(dual, 2))
+    residual_norm = float(np.linalg.norm(residual(m_cur), 2))
     feasible = bool(residual_norm <= problem.lam * (1.0 + cfg.feas_tol))
     info = SolveInfo(
         iterations=total_iters,

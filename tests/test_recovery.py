@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from subspace_bandit import recovery
 from subspace_bandit.envs import make_environment
 from subspace_bandit.recovery import (
     DantzigProblem,
@@ -22,6 +23,7 @@ from subspace_bandit.recovery import (
 )
 from subspace_bandit.sampling import (
     SamplingPlan,
+    SamplingSets,
     apply_adjoint,
     apply_operator,
     collect_measurements,
@@ -227,6 +229,11 @@ class TestSubspaceError:
 # ---------- the selector solve ----------
 
 
+# sketch rows for the planted problems, where d * m_x = 200: the boundary case
+# takes the flat path, anything taller the Gram path
+SKETCH_ROWS = {"wide": 200, "tall": 300}
+
+
 def planted_problem(rng, d=10, m_x=20, m_phi=200, lam_rel=1e-6):
     plan = SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.05)
     sets = draw_sampling_sets(plan, d, rng)
@@ -264,45 +271,49 @@ class TestSolver:
 
     def test_recovers_planted_rank_one(self):
         """Consistent sketches with a tiny lam reproduce the planted matrix."""
-        rng = np.random.default_rng(SEED + 12)
-        problem, planted, _ = planted_problem(rng)
-        est, info = solve_dantzig(problem)
-        rel = np.linalg.norm(est - planted, "fro") / np.linalg.norm(planted, "fro")
-        assert rel <= 1e-3, f"relative recovery error {rel:.2e}"
-        assert info.feasible
-        assert info.residual_norm <= problem.lam * (1 + 1e-6)
+        for label, m_phi in SKETCH_ROWS.items():
+            rng = np.random.default_rng(SEED + 12)
+            problem, planted, _ = planted_problem(rng, m_phi=m_phi)
+            est, info = solve_dantzig(problem)
+            rel = np.linalg.norm(est - planted, "fro") / np.linalg.norm(planted, "fro")
+            assert rel <= 1e-3, f"{label}: relative recovery error {rel:.2e}"
+            assert info.feasible, label
+            assert info.residual_norm <= problem.lam * (1 + 1e-6), label
 
     def test_solver_is_deterministic(self):
-        rng = np.random.default_rng(SEED + 13)
-        problem, _, _ = planted_problem(rng, lam_rel=1e-3)
-        first, _ = solve_dantzig(problem)
-        second, _ = solve_dantzig(problem)
-        np.testing.assert_array_equal(first, second)
+        for label, m_phi in SKETCH_ROWS.items():
+            rng = np.random.default_rng(SEED + 13)
+            problem, _, _ = planted_problem(rng, m_phi=m_phi, lam_rel=1e-3)
+            first, _ = solve_dantzig(problem)
+            second, _ = solve_dantzig(problem)
+            np.testing.assert_array_equal(first, second, err_msg=label)
 
     def test_feasibility_holds_on_noisy_targets(self):
-        rng = np.random.default_rng(SEED + 14)
-        problem, planted, _ = planted_problem(rng, lam_rel=1.0)
-        noisy = problem.y + 0.05 * rng.standard_normal(problem.y.size)
-        dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
-        for lam_rel in (0.5, 0.1, 0.02):
-            prob = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
-            est, info = solve_dantzig(prob)
-            assert info.feasible, f"lam_rel={lam_rel}: {info}"
-            assert info.residual_norm <= prob.lam * (1 + 1e-6)
+        for label, m_phi in SKETCH_ROWS.items():
+            rng = np.random.default_rng(SEED + 14)
+            problem, planted, _ = planted_problem(rng, m_phi=m_phi, lam_rel=1.0)
+            noisy = problem.y + 0.05 * rng.standard_normal(problem.y.size)
+            dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
+            for lam_rel in (0.5, 0.1, 0.02):
+                prob = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
+                est, info = solve_dantzig(prob)
+                assert info.feasible, f"{label}, lam_rel={lam_rel}: {info}"
+                assert info.residual_norm <= prob.lam * (1 + 1e-6), label
 
     def test_smaller_lambda_fits_tighter(self):
         # shrinking the constraint level can only reduce the sketch residual
-        rng = np.random.default_rng(SEED + 15)
-        problem, _, _ = planted_problem(rng, lam_rel=1.0)
-        noisy = problem.y + 0.1 * rng.standard_normal(problem.y.size)
-        dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
-        resids = []
-        for lam_rel in (0.6, 0.2, 0.05):
-            prob = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
-            est, _ = solve_dantzig(prob)
-            resids.append(np.linalg.norm(problem.sets.flat_operator() @ est.ravel() - noisy))
-        assert resids[0] >= resids[1] - 1e-9
-        assert resids[1] >= resids[2] - 1e-9
+        for label, m_phi in SKETCH_ROWS.items():
+            rng = np.random.default_rng(SEED + 15)
+            problem, _, _ = planted_problem(rng, m_phi=m_phi, lam_rel=1.0)
+            noisy = problem.y + 0.1 * rng.standard_normal(problem.y.size)
+            dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
+            resids = []
+            for lam_rel in (0.6, 0.2, 0.05):
+                prob = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
+                est, _ = solve_dantzig(prob)
+                resids.append(np.linalg.norm(problem.sets.flat_operator() @ est.ravel() - noisy))
+            assert resids[0] >= resids[1] - 1e-9, f"{label}: {resids}"
+            assert resids[1] >= resids[2] - 1e-9, f"{label}: {resids}"
 
     def test_invalid_problem_rejected(self):
         rng = np.random.default_rng(SEED + 16)
@@ -312,6 +323,53 @@ class TestSolver:
             DantzigProblem(np.zeros(12), sets, -1.0, 1)
         with pytest.raises(ValueError):
             DantzigProblem(np.zeros(12), sets, 1.0, 0)
+
+
+def _forbidden_flat_operator(self):
+    raise AssertionError("flat operator built for a tall sketch")
+
+
+class TestGramForm:
+    """A tall sketch (m_Phi > d * m_X) is solved from F^T F and F^T y."""
+
+    # d * m_X = 40: 24 and 40 rows take the flat path, 41 and 120 the Gram path
+    @pytest.mark.parametrize("m_phi", [24, 40, 41, 120])
+    def test_solver_pieces_match_flat_products(self, m_phi, monkeypatch):
+        d, m_x = 5, 8
+        rng = np.random.default_rng(SEED + 23 + m_phi)
+        sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng)
+        y = rng.standard_normal(m_phi)
+        mat = rng.standard_normal((d, m_x))
+        tall = m_phi > d * m_x
+        if tall:
+            monkeypatch.setattr(SamplingSets, "flat_operator", _forbidden_flat_operator)
+        adjoint_y = recovery._sketch_adjoint(sets, y)
+        residual, lipschitz = recovery._smooth_part(sets, y, adjoint_y)
+        grad = -residual(mat)
+        monkeypatch.undo()
+
+        flat = sets.flat_operator()
+        pairs = (
+            (adjoint_y, flat.T @ y),
+            (grad, (flat.T @ (flat @ mat.ravel() - y)).reshape(d, m_x)),
+            (lipschitz, np.linalg.norm(flat, 2) ** 2),
+        )
+        for got, want in pairs:
+            if tall:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            else:
+                # the flat path keeps the flat arithmetic bit for bit
+                np.testing.assert_array_equal(got, want)
+
+    # lam_rel = 2 takes the zero-is-feasible exit, 1e-3 the full solve
+    @pytest.mark.parametrize("lam_rel, iterates", [(1e-3, True), (2.0, False)])
+    def test_tall_solve_never_builds_flat_operator(self, lam_rel, iterates, monkeypatch):
+        rng = np.random.default_rng(SEED + 24)
+        problem, _, _ = planted_problem(rng, m_phi=SKETCH_ROWS["tall"], lam_rel=lam_rel)
+        monkeypatch.setattr(SamplingSets, "flat_operator", _forbidden_flat_operator)
+        _, info = solve_dantzig(problem)
+        assert info.feasible
+        assert (info.iterations > 0) == iterates
 
 
 # ---------- end to end against the environment ----------
