@@ -356,10 +356,19 @@ def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.nda
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     check_points(env, xs)
+    return _query_points(env, xs, repeats)[1]
+
+
+def _query_points(env: Environment, xs: np.ndarray, repeats: int) -> tuple:
+    """(means, averages) for rows of xs already checked against the ball.
+
+    means are the noise-free mean rewards, averages the mean of `repeats`
+    noisy rewards per row.  Charges len(xs) * repeats queries.
+    """
     vals = mean_value(env.mean, xs @ env.A.T)
     noise = env.rng.standard_normal((xs.shape[0], repeats))
     env.query_count += xs.shape[0] * repeats
-    return vals + env.sigma * noise.mean(axis=1)
+    return vals, vals + env.sigma * noise.mean(axis=1)
 
 
 def gradient_mean_reward(env: Environment, x: np.ndarray) -> np.ndarray:

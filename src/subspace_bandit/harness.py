@@ -31,7 +31,9 @@ from .pipeline import (
     plan_parameters,
     record_to_dict,
     run_cablp,
+    run_phase1,
 )
+from .recovery import result_to_dict
 from .util import derive_seed, dump_json
 
 SWEEP_CSV_HEADER = "n,seed,R_total,R1,R2,R3,subspace_err,n1,status"
@@ -431,38 +433,23 @@ def recovery_report(config: ExperimentConfig) -> dict:
     """Phase 1 alone: measure, solve, and report the recovered subspace.
 
     Uses the first configured horizon's cell environment and the practical
-    overrides (m_X, m_Phi, epsilon are required).  The measurement draw and
-    the penalty-level resolution mirror the full pipeline exactly.  A query
+    overrides (m_X, m_Phi, epsilon are required), through the same
+    :func:`subspace_bandit.pipeline.run_phase1` as a full run.  A query
     outside the action ball fails the cell like a sweep does: the report
     then holds status "error" and the reason instead of the solver output.
     """
-    from .recovery import DantzigProblem, compute_lambda, recover_subspace, result_to_dict
-    from .sampling import SamplingPlan, collect_measurements, draw_sampling_sets
-
     missing = {"m_X", "m_Phi", "epsilon"} - set(config.practical)
     if missing:
         raise ValueError(f"recover needs practical overrides: {sorted(missing)}")
     env = _cell_environment(config, config.horizons[0], config.seeds[0])
     pp = PracticalParams(n=1, **{k: v for k, v in config.practical.items() if k != "n"})
-    plan = SamplingPlan(m_X=pp.m_X, m_Phi=pp.m_Phi, epsilon=pp.epsilon, N=pp.N)
-    seed1 = derive_seed(env.seed, 1) if pp.sampling_seed is None else pp.sampling_seed
-    sets = draw_sampling_sets(plan, env.d, np.random.default_rng(seed1))
     try:
-        bundle = collect_measurements(env, sets, plan)
+        phase1 = run_phase1(env, pp)
     except DomainError as exc:
         return {"status": "error", "reason": str(exc), "env_seed": env.seed}
-    if pp.lambda_override is not None:
-        lam = float(pp.lambda_override)
-    else:
-        lam = pp.lambda_scale * compute_lambda(
-            env.mean.c2, plan.epsilon, env.d, plan.m_X, plan.m_Phi,
-            env.k, env.sigma / math.sqrt(plan.N), pp.delta, pp.gamma,
-        )
-    problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
-    result = recover_subspace(problem, cfg=pp.solver, true_basis=env.A, c0=pp.c0)
-    out = result_to_dict(result)
+    out = result_to_dict(phase1.recovery)
     out["status"] = "ok"
-    out["queries"] = plan.budget()
+    out["queries"] = phase1.bundle.budget_used
     out["env_seed"] = env.seed
     return out
 

@@ -22,7 +22,6 @@ from .bandit import BudgetError, Phase2Config, run_phase2
 from .envs import (
     Environment,
     best_on_subspace,
-    mean_value,
     optimal_value,
 )
 from .recovery import (
@@ -34,7 +33,12 @@ from .recovery import (
     recover_subspace,
     subspace_error,
 )
-from .sampling import SamplingPlan, collect_measurements, draw_sampling_sets, shifted_points
+from .sampling import (
+    MeasurementBundle,
+    SamplingPlan,
+    collect_measurements,
+    draw_sampling_sets,
+)
 from .util import derive_seed
 
 GAMMA_FLOOR = 2.0 * math.sqrt(math.log(12.0))
@@ -45,6 +49,19 @@ MAX_PLANNABLE_N = 2**60
 
 class StepSizeError(ValueError):
     """The admissible step-size interval misses the domain cap."""
+
+
+class Phase1Aborted(DegenerateRecoveryError):
+    """Recovery collapsed after phase 1 spent its queries.
+
+    Carries the measurements and the constraint level, so a caller can
+    still account for the queries they cost.
+    """
+
+    def __init__(self, message: str, bundle: MeasurementBundle, lam: float):
+        super().__init__(message)
+        self.bundle = bundle
+        self.lam = lam
 
 
 class RunAborted(RuntimeError):
@@ -427,13 +444,71 @@ def decompose_regret(record: RunRecord) -> tuple:
     return r1, r2, r3
 
 
-def _phase1_trace(env: Environment, sets, plan: SamplingPlan, opt_value: float) -> np.ndarray:
-    """Per-query regret of the measurement stage, in query order."""
-    base_means = mean_value(env.mean, sets.points @ env.A.T)
-    shifted = shifted_points(sets, plan.epsilon)
-    shifted_means = mean_value(env.mean, shifted @ env.A.T)
-    per_point = np.concatenate([base_means, shifted_means])
-    return np.repeat(opt_value - per_point, plan.N)
+def _phase1_trace(bundle: MeasurementBundle, opt_value: float) -> np.ndarray:
+    """Per-query regret of the measurement stage, in query order, from the
+    mean rewards the collection computed."""
+    per_point = np.concatenate([bundle.base_means, bundle.shifted_means.ravel()])
+    return np.repeat(opt_value - per_point, bundle.plan.N)
+
+
+def _sampling_plan(params) -> SamplingPlan:
+    return SamplingPlan(m_X=params.m_X, m_Phi=params.m_Phi, epsilon=params.epsilon, N=params.N)
+
+
+def _constraint_level(env: Environment, plan: SamplingPlan, params) -> float:
+    """The selector's lam: planned (theory), overridden, or scaled from
+    compute_lambda at the plan's effective noise level."""
+    if isinstance(params, TheoryParams):
+        return params.lam
+    if params.lambda_override is not None:
+        return float(params.lambda_override)
+    sigma_eff = env.sigma / math.sqrt(plan.N)
+    return params.lambda_scale * compute_lambda(
+        env.mean.c2,
+        plan.epsilon,
+        env.d,
+        plan.m_X,
+        plan.m_Phi,
+        env.k,
+        sigma_eff,
+        params.delta,
+        params.gamma,
+    )
+
+
+@dataclass
+class Phase1Result:
+    """Phase 1's measurements, its constraint level and the recovery."""
+
+    bundle: MeasurementBundle
+    lam: float
+    recovery: RecoveryResult
+
+
+def run_phase1(env: Environment, params) -> Phase1Result:
+    """Phase 1 on its own: draw the sampling sets, collect the measurements,
+    resolve the constraint level and recover the subspace.
+
+    params is a TheoryParams or PracticalParams.  The draw is seeded from
+    the practical sampling_seed when set, else from the environment seed.
+    Raises DomainError before any query when a probe point leaves the
+    action ball, and Phase1Aborted when the recovery collapses.
+    """
+    if isinstance(params, TheoryParams):
+        seed, solver, c0 = None, None, params.constants.C0
+    else:
+        seed, solver, c0 = params.sampling_seed, params.solver, params.c0
+    plan = _sampling_plan(params)
+    seed1 = derive_seed(env.seed, 1) if seed is None else seed
+    sets = draw_sampling_sets(plan, env.d, np.random.default_rng(seed1))
+    bundle = collect_measurements(env, sets, plan)
+    lam = _constraint_level(env, plan, params)
+    problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
+    try:
+        recovery = recover_subspace(problem, cfg=solver, true_basis=env.A, c0=c0)
+    except DegenerateRecoveryError as exc:
+        raise Phase1Aborted(str(exc), bundle, lam) from exc
+    return Phase1Result(bundle=bundle, lam=lam, recovery=recovery)
 
 
 def run_cablp(
@@ -458,42 +533,27 @@ def run_cablp(
             f"environment is not fresh: {env.query_count} queries already spent"
         )
 
+    n = params.n
+    plan = _sampling_plan(params)
     if mode == "theory":
         if not params.feasible:
             raise BudgetError(
                 f"budget infeasible: plan needs n1 = {params.n1} exploration queries "
                 f"but n = {params.n}; minimal feasible n is about {params.minimal_feasible_n}"
             )
-        n = params.n
-        plan = SamplingPlan(
-            m_X=params.m_X, m_Phi=params.m_Phi, epsilon=params.epsilon, N=params.N
-        )
-        lam = params.lam
         params_echo = params_to_dict(params)
         ucb_scale = None
         m_override = None
         known = None
-        sampling_seed = None
-        solver_cfg = None
-        c0 = params.constants.C0
     else:
-        n = params.n
         known = params.known_subspace
-        plan = SamplingPlan(
-            m_X=params.m_X, m_Phi=params.m_Phi, epsilon=params.epsilon, N=params.N
-        )
-        n1_planned = plan.budget()
-        if known is None and n1_planned >= n:
+        if known is None and plan.budget() >= n:
             raise BudgetError(
-                f"budget infeasible: phase 1 needs {n1_planned} queries but n = {n}"
+                f"budget infeasible: phase 1 needs {plan.budget()} queries but n = {n}"
             )
-        lam = None  # resolved below once sigma_eff is known
         params_echo = params.to_dict()
         ucb_scale = params.ucb_scale
         m_override = params.M
-        sampling_seed = params.sampling_seed
-        solver_cfg = params.solver
-        c0 = params.c0
 
     opt_value, _ = optimal_value(env)
 
@@ -507,30 +567,10 @@ def run_cablp(
     else:
         skipped = False
         n1 = plan.budget()
-        seed1 = derive_seed(env.seed, 1) if sampling_seed is None else sampling_seed
-        sets = draw_sampling_sets(plan, env.d, np.random.default_rng(seed1))
-        bundle = collect_measurements(env, sets, plan)
-        if mode == "practical":
-            if params.lambda_override is not None:
-                lam = float(params.lambda_override)
-            else:
-                sigma_eff = env.sigma / math.sqrt(plan.N)
-                lam = params.lambda_scale * compute_lambda(
-                    env.mean.c2,
-                    plan.epsilon,
-                    env.d,
-                    plan.m_X,
-                    plan.m_Phi,
-                    env.k,
-                    sigma_eff,
-                    params.delta,
-                    params.gamma,
-                )
-        trace1 = _phase1_trace(env, sets, plan, opt_value)
-        problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
         try:
-            recovery = recover_subspace(problem, cfg=solver_cfg, true_basis=env.A, c0=c0)
-        except DegenerateRecoveryError as exc:
+            phase1 = run_phase1(env, params)
+        except Phase1Aborted as exc:
+            trace1 = _phase1_trace(exc.bundle, opt_value)
             partial = RunRecord(
                 mode=mode,
                 seed=env.seed,
@@ -547,12 +587,15 @@ def run_cablp(
                 x_star_value=opt_value,
                 x_star_star_value=None,
                 basis=None,
-                lam=lam,
+                lam=exc.lam,
                 recovery_diagnostics=None,
                 aborted=True,
                 abort_reason=str(exc),
             )
             raise RunAborted(str(exc), partial) from exc
+        trace1 = _phase1_trace(phase1.bundle, opt_value)
+        recovery = phase1.recovery
+        lam = phase1.lam
         basis = recovery.basis
 
     n2 = n - n1

@@ -169,27 +169,17 @@ def _is_tall(sets: SamplingSets) -> bool:
     return sets.m_Phi > sets.d * sets.m_X
 
 
-def _direction_rows(sets: SamplingSets) -> tuple[np.ndarray, np.ndarray]:
-    """``(D, order)`` with ``D[:, order]`` equal to the flat operator F.
-
-    D is a view of the directions, shape ``(m_Phi, m_X * d)``: its columns
-    are F's, point-major instead of dimension-major.
-    """
-    d, m_x = sets.d, sets.m_X
-    rows = sets.directions.reshape(sets.m_Phi, m_x * d)
-    order = np.arange(m_x * d).reshape(m_x, d).T.ravel()
-    return rows, order
-
-
 def _sketch_adjoint(sets: SamplingSets, y: np.ndarray) -> np.ndarray:
     """``Phi*(y)`` as a flat vector in ``X.ravel()`` order.
 
-    A tall sketch reads it off a view of the directions, so the flat
-    operator is never built.
+    A tall sketch sums ``S^T y`` over chunks of sign rows and scales once,
+    so the flat operator is never built.
     """
     if _is_tall(sets):
-        rows, order = _direction_rows(sets)
-        return (rows.T @ y)[order]
+        adjoint = np.zeros(sets.d * sets.m_X)
+        for start, stop, rows in sets.sign_rows(float):
+            adjoint += rows.T @ y[start:stop]
+        return adjoint * sets.scale
     return sets.flat_operator().T @ y
 
 
@@ -199,15 +189,14 @@ def _smooth_part(
     """``(residual, lipschitz)`` for the smooth part ``0.5*||Phi(M) - y||^2``.
 
     ``residual(M) = Phi*(y - Phi(M))`` and ``lipschitz = ||F||_2^2``.  A
-    tall sketch uses the normal equations: with ``G = F^T F`` built once,
-    the residual is ``F^T y - G @ M`` and the constant is the top eigenvalue
-    of G, so no iteration touches an ``m_Phi``-long vector.  Otherwise both
-    come from products with F.
+    tall sketch uses the normal equations: with the exact ``G = F^T F`` of
+    :meth:`SamplingSets.gram`, the residual is ``F^T y - G @ M`` and the
+    constant is the top eigenvalue of G, so no iteration touches an
+    ``m_Phi``-long vector.  Otherwise both come from products with F.
     """
     shape = (sets.d, sets.m_X)
     if _is_tall(sets):
-        rows, order = _direction_rows(sets)
-        gram = (rows.T @ rows)[np.ix_(order, order)]
+        gram = sets.gram()
 
         def residual(mat):
             return (adjoint_y - gram @ mat.ravel()).reshape(shape)
@@ -234,9 +223,9 @@ def solve_dantzig(
     formulations meet at the constraint boundary, so the final iterate is the
     selector solution up to solver tolerance.
 
-    A tall sketch (``m_Phi > d * m_X``) is solved in Gram form and never
-    builds the flat operator; its iterates agree with the flat form to
-    rounding, not bit for bit.
+    A tall sketch (``m_Phi > d * m_X``) is solved in Gram form from the sign
+    chunks and never builds the flat operator or the float directions; its
+    iterates agree with the flat form to rounding, not bit for bit.
     """
     cfg = cfg or SolverConfig()
     sets = problem.sets

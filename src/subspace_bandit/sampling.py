@@ -14,11 +14,26 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import DomainError, Environment, gradient_mean_reward, mean_hess, sample_rewards
+from .envs import (
+    DomainError,
+    Environment,
+    _query_points,
+    check_points,
+    gradient_mean_reward,
+    mean_hess,
+)
 from .util import uniform_sphere
 
 UNIT_NORM_TOL = 1e-12
 PLAN_SLACK = 1e-12
+SKETCH_CHUNK = 256  # probe directions drawn, shifted, queried or summed at once
+# float32 sums of +/-1 terms are exact integers while fewer terms than this add up
+EXACT_FLOAT32_TERMS = 2**24
+
+
+def _chunks(m_phi: int):
+    """(start, stop) ranges of at most SKETCH_CHUNK direction indices."""
+    return ((a, min(a + SKETCH_CHUNK, m_phi)) for a in range(0, m_phi, SKETCH_CHUNK))
 
 
 @dataclass(frozen=True)
@@ -59,15 +74,20 @@ class SamplingPlan:
 class SamplingSets:
     """Realized base points and probe directions.
 
-    points: (m_X, d), unit rows.  directions: (m_Phi, m_X, d) with entries
-    exactly +/- 1/sqrt(m_Phi).  seed records how the draw was seeded when an
-    integer seed was used (None when drawn from a caller-owned generator).
+    points: (m_X, d), unit rows.  signs: (m_Phi, m_X, d) int8 entries +/- 1;
+    the probe directions are signs / sqrt(m_Phi), one byte per entry instead
+    of eight.  Phase 1 works on the signs a chunk of SKETCH_CHUNK directions
+    at a time; the float directions as one array exist only when
+    ``directions`` or ``flat_operator`` (analysis, wide solves) asks for them.
+    seed records how the draw was seeded when an integer seed was used
+    (None when drawn from a caller-owned generator).
     """
 
     points: np.ndarray
-    directions: np.ndarray
+    signs: np.ndarray
     seed: Optional[int] = None
     _flat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def m_X(self) -> int:
@@ -79,16 +99,55 @@ class SamplingSets:
 
     @property
     def m_Phi(self) -> int:
-        return self.directions.shape[0]
+        return self.signs.shape[0]
+
+    @property
+    def scale(self) -> float:
+        """The magnitude 1/sqrt(m_Phi) of every direction entry."""
+        return 1.0 / np.sqrt(self.m_Phi)
+
+    @property
+    def directions(self) -> np.ndarray:
+        """(m_Phi, m_X, d) float directions, built afresh and read-only."""
+        out = self.signs * self.scale
+        out.flags.writeable = False
+        return out
 
     def flat_operator(self) -> np.ndarray:
         """The (m_Phi, d * m_X) matrix F with Phi(X) = F @ X.ravel()."""
         if self._flat is None:
-            m_phi = self.m_Phi
-            self._flat = np.ascontiguousarray(
-                self.directions.transpose(0, 2, 1).reshape(m_phi, self.d * self.m_X)
-            )
+            flat_signs = self.signs.transpose(0, 2, 1).reshape(self.m_Phi, self.d * self.m_X)
+            self._flat = flat_signs * self.scale
         return self._flat
+
+    def sign_rows(self, dtype):
+        """Yield ``(start, stop, S)`` per chunk, with ``S * scale == F[start:stop]``.
+
+        S holds the chunk's signs as ``dtype``, columns in F's order, so
+        sums over the rows of F never need more than one chunk of floats.
+        """
+        width = self.d * self.m_X
+        for start, stop in _chunks(self.m_Phi):
+            block = self.signs[start:stop].transpose(0, 2, 1).astype(dtype, order="C")
+            yield start, stop, block.reshape(stop - start, width)
+
+    def gram(self) -> np.ndarray:
+        """G = F^T F as the integer S^T S / m_Phi, correctly rounded.  Cached.
+
+        S^T S is summed chunk by chunk in float32, which is exact while
+        m_Phi < EXACT_FLOAT32_TERMS (float64 beyond), so G does not depend on
+        the chunk size; the one rounding is the final division.
+        """
+        if self._gram is None:
+            dtype = np.float32 if self.m_Phi < EXACT_FLOAT32_TERMS else np.float64
+            width = self.d * self.m_X
+            counts = np.zeros((width, width), dtype=dtype)
+            for _, _, rows in self.sign_rows(dtype):
+                counts += rows.T @ rows
+            gram = counts.astype(float)
+            gram /= self.m_Phi
+            self._gram = gram
+        return self._gram
 
 
 def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
@@ -105,9 +164,11 @@ def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
         seed = int(rng)
         rng = np.random.default_rng(seed)
     points = uniform_sphere(rng, plan.m_X, d)
-    signs = rng.integers(0, 2, size=(plan.m_Phi, plan.m_X, d)).astype(float) * 2.0 - 1.0
-    directions = signs / np.sqrt(plan.m_Phi)
-    return SamplingSets(points=points, directions=directions, seed=seed)
+    signs = np.empty((plan.m_Phi, plan.m_X, d), dtype=np.int8)
+    for start, stop in _chunks(plan.m_Phi):
+        # chunked draws continue one stream: the same bits as a single draw
+        signs[start:stop] = 2 * rng.integers(0, 2, size=(stop - start, plan.m_X, d)) - 1
+    return SamplingSets(points=points, signs=signs, seed=seed)
 
 
 def apply_operator(sets: SamplingSets, X: np.ndarray) -> np.ndarray:
@@ -128,7 +189,12 @@ def apply_adjoint(sets: SamplingSets, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeasurementBundle:
-    """One collection's outputs: the measurement vector plus bookkeeping."""
+    """One collection's outputs: the measurement vector plus bookkeeping.
+
+    averaged_* are the per-point averages of the N noisy rewards, *_means
+    the noise-free mean rewards the queries computed; shifted arrays are
+    (m_Phi, m_X), base arrays (m_X,).
+    """
 
     y: np.ndarray
     sets: SamplingSets
@@ -136,41 +202,68 @@ class MeasurementBundle:
     budget_used: int
     averaged_base: np.ndarray
     averaged_shifted: np.ndarray
+    base_means: np.ndarray
+    shifted_means: np.ndarray
+
+
+def _shifted_block(sets: SamplingSets, step: float, start: int, stop: int) -> np.ndarray:
+    """Shifted points of directions start..stop-1, rows grouped by direction.
+
+    step is epsilon * sets.scale, so sign * step equals epsilon * phi
+    bit for bit.
+    """
+    return (sets.points + sets.signs[start:stop] * step).reshape(-1, sets.d)
 
 
 def shifted_points(sets: SamplingSets, epsilon: float) -> np.ndarray:
     """All shifted query points, shape (m_Phi * m_X, d), grouped by direction
     index i (rows i * m_X + j hold x_j + epsilon * phi_{i,j})."""
-    pts = sets.points[None, :, :] + epsilon * sets.directions
-    return pts.reshape(-1, sets.d)
+    return _shifted_block(sets, epsilon * sets.scale, 0, sets.m_Phi)
 
 
 def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPlan) -> MeasurementBundle:
     """Query the environment at base and shifted points and form y.
 
     Every distinct point is queried N times and averaged.  Base points are
-    queried first, then shifted points grouped by direction index.  All
-    domain checks happen before the first query, so an infeasible plan costs
-    no budget.
+    queried first, then shifted points grouped by direction index.  Shifted
+    points exist SKETCH_CHUNK directions at a time, in two passes: the
+    first builds every chunk and checks it against the action ball, the
+    second rebuilds each chunk and queries it.  So all domain checks happen
+    before the first query, and an infeasible plan costs no budget and
+    draws no noise.  The result equals one query of all points at once bit
+    for bit.
     """
     if sets.d != env.d:
         raise ValueError(f"sets have d = {sets.d} but environment has d = {env.d}")
+    if (sets.m_Phi, sets.m_X) != (plan.m_Phi, plan.m_X):
+        raise ValueError(
+            f"sets have (m_Phi, m_X) = {(sets.m_Phi, sets.m_X)} but the plan has "
+            f"{(plan.m_Phi, plan.m_X)}"
+        )
     reach = plan.step_reach(env.d)
     if reach > env.nu + PLAN_SLACK:
         raise DomainError(
             f"step size infeasible: epsilon * sqrt(d / m_Phi) = {reach:.6g} exceeds nu = {env.nu:.6g}"
         )
-    shifted = shifted_points(sets, plan.epsilon)
-    worst = float(np.max(np.linalg.norm(shifted, axis=1)))
+    step = plan.epsilon * sets.scale
+    chunks = list(_chunks(plan.m_Phi))
+    worst = max(
+        float(np.max(np.linalg.norm(_shifted_block(sets, step, a, b), axis=1))) for a, b in chunks
+    )
     if worst > 1.0 + env.nu + PLAN_SLACK:
         raise DomainError(
             f"shifted point outside the action ball: max norm {worst:.12g} > {1.0 + env.nu:.12g}"
         )
+    check_points(env, sets.points)
 
     start = env.query_count
-    averaged_base = sample_rewards(env, sets.points, repeats=plan.N)
-    flat_shifted = sample_rewards(env, shifted, repeats=plan.N)
-    averaged_shifted = flat_shifted.reshape(plan.m_Phi, plan.m_X)
+    base_means, averaged_base = _query_points(env, sets.points, plan.N)
+    shifted_means = np.empty((plan.m_Phi, plan.m_X))
+    averaged_shifted = np.empty((plan.m_Phi, plan.m_X))
+    for a, b in chunks:
+        means, averages = _query_points(env, _shifted_block(sets, step, a, b), plan.N)
+        shifted_means[a:b] = means.reshape(b - a, plan.m_X)
+        averaged_shifted[a:b] = averages.reshape(b - a, plan.m_X)
     used = env.query_count - start
     expected = plan.budget()
     if used != expected:
@@ -184,6 +277,8 @@ def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPla
         budget_used=used,
         averaged_base=averaged_base,
         averaged_shifted=averaged_shifted,
+        base_means=base_means,
+        shifted_means=shifted_means,
     )
 
 
@@ -270,7 +365,7 @@ def bundle_from_json(data: dict) -> MeasurementBundle:
 
     The sampling sets are regenerated from the recorded seed (the draw is
     deterministic), so this only works for bundles drawn from an integer
-    seed.  Averaged per-point rewards are not serialized.
+    seed.  Per-point averages and means are not serialized.
     """
     if data.get("seed") is None:
         raise ValueError("bundle was not drawn from an integer seed; cannot regenerate sets")
@@ -286,4 +381,6 @@ def bundle_from_json(data: dict) -> MeasurementBundle:
         budget_used=int(data["budget_used"]),
         averaged_base=np.array([]),
         averaged_shifted=np.array([]),
+        base_means=np.array([]),
+        shifted_means=np.array([]),
     )

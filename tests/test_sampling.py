@@ -1,13 +1,25 @@
 """Sampling-operator tests: set construction, adjointness, measurement
-consistency, noise scaling, and isometry ratios."""
+consistency, noise scaling, isometry ratios, and the chunked phase 1."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subspace_bandit.envs import DomainError, make_environment
+from subspace_bandit import pipeline, sampling
+from subspace_bandit.envs import (
+    FAMILIES,
+    DomainError,
+    make_environment,
+    mean_value,
+    optimal_value,
+    sample_rewards,
+)
+from subspace_bandit.pipeline import PracticalParams, run_cablp, run_phase1
 from subspace_bandit.sampling import (
     MeasurementBundle,
     SamplingPlan,
+    SamplingSets,
     apply_adjoint,
     apply_operator,
     bundle_from_json,
@@ -21,6 +33,7 @@ from subspace_bandit.sampling import (
     second_order_residual,
     shifted_points,
 )
+from subspace_bandit.util import uniform_sphere
 
 SEED = 42
 
@@ -196,6 +209,10 @@ class TestCollection:
         sets = draw_sampling_sets(plan, d=env.d + 1, rng=SEED)
         with pytest.raises(ValueError, match="environment has d"):
             collect_measurements(env, sets, plan)
+        other = draw_sampling_sets(SamplingPlan(m_X=4, m_Phi=6, epsilon=0.05), env.d, rng=SEED)
+        with pytest.raises(ValueError, match="the plan has"):
+            collect_measurements(env, other, plan)
+        assert env.query_count == 0
 
 
 class TestSerialization:
@@ -223,3 +240,155 @@ class TestSerialization:
         assert data["seed"] is None
         with pytest.raises(ValueError, match="integer seed"):
             bundle_from_json(data)
+
+
+# ---------- chunked phase 1 ----------
+
+CHUNK = 4
+# below, at, above and at a multiple of the chunk
+CHUNK_M_PHI = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK]
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(sampling, "SKETCH_CHUNK", CHUNK)
+
+
+def _reference_draw(plan, d, seed):
+    """The one-shot draw: every direction as one float array."""
+    rng = np.random.default_rng(seed)
+    points = uniform_sphere(rng, plan.m_X, d)
+    bits = rng.integers(0, 2, (plan.m_Phi, plan.m_X, d))
+    return points, (bits * 2.0 - 1.0) / np.sqrt(plan.m_Phi), rng
+
+
+def _reference_collection(env, sets, plan):
+    """Every shifted point at once, queried in one sample_rewards call."""
+    shifted = (sets.points[None, :, :] + plan.epsilon * sets.directions).reshape(-1, env.d)
+    base = sample_rewards(env, sets.points, repeats=plan.N)
+    flat = sample_rewards(env, shifted, repeats=plan.N).reshape(plan.m_Phi, plan.m_X)
+    y = (flat - base[None, :]).sum(axis=1) / plan.epsilon
+    return y, base, flat, shifted
+
+
+def _integer_gram(sets):
+    flat_signs = sets.signs.transpose(0, 2, 1).reshape(sets.m_Phi, -1).astype(np.int64)
+    return (flat_signs.T @ flat_signs) / sets.m_Phi
+
+
+@pytest.mark.usefixtures("small_chunk")
+class TestChunkedPhaseOne:
+    """Chunked draw and collection against one-shot references kept here."""
+
+    # m_X * d = 15 is odd, so chunks do not split the draw on word boundaries
+    M_X, D = 3, 5
+
+    @pytest.mark.parametrize("m_phi", CHUNK_M_PHI)
+    def test_draw_matches_one_shot(self, m_phi):
+        plan = SamplingPlan(m_X=self.M_X, m_Phi=m_phi, epsilon=0.1)
+        sets = draw_sampling_sets(plan, self.D, np.random.default_rng(SEED))
+        points, directions, rng = _reference_draw(plan, self.D, SEED)
+        assert sets.signs.dtype == np.int8
+        np.testing.assert_array_equal(sets.points, points)
+        assert np.array_equal(sets.directions, directions)
+        assert not sets.directions.flags.writeable
+        assert np.array_equal(sets.flat_operator(), directions.transpose(0, 2, 1).reshape(m_phi, -1))
+
+    @pytest.mark.parametrize("m_phi", CHUNK_M_PHI)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    @pytest.mark.parametrize("big_n", [1, 3])
+    def test_collection_matches_unchunked_reference(self, m_phi, family, sigma, big_n):
+        plan = SamplingPlan(m_X=self.M_X, m_Phi=m_phi, epsilon=0.1, N=big_n)
+
+        def env():
+            return make_environment(d=self.D, k=2, family=family, sigma=sigma, nu=0.5, seed=SEED)
+
+        env_chunked, env_ref = env(), env()
+        sets = draw_sampling_sets(plan, self.D, rng=SEED)
+        bundle = collect_measurements(env_chunked, sets, plan)
+        y, base, flat, shifted = _reference_collection(env_ref, sets, plan)
+        assert np.array_equal(bundle.y, y)
+        assert np.array_equal(bundle.averaged_base, base)
+        assert np.array_equal(bundle.averaged_shifted, flat)
+        assert env_chunked.query_count == env_ref.query_count == plan.budget()
+        assert env_chunked.rng.standard_normal() == env_ref.rng.standard_normal()
+
+        # the phase-1 trace from the collection's means equals recomputing them
+        opt, _ = optimal_value(env_ref)
+        means = np.concatenate(
+            [mean_value(env_ref.mean, sets.points @ env_ref.A.T),
+             mean_value(env_ref.mean, shifted @ env_ref.A.T)]
+        )
+        assert np.array_equal(pipeline._phase1_trace(bundle, opt), np.repeat(opt - means, big_n))
+
+    def test_point_outside_ball_in_last_chunk_queries_nothing(self):
+        """Pass 1 checks every chunk before pass 2 queries the first one."""
+        m_phi, nu, eps = 3 * CHUNK - 1, 0.5, 0.5
+        env = make_environment(d=self.D, k=2, family="norm-squared", sigma=0.2, nu=nu, seed=SEED)
+        plan = SamplingPlan(m_X=self.M_X, m_Phi=m_phi, epsilon=eps)
+        drawn = draw_sampling_sets(plan, self.D, rng=SEED)
+        points, signs = drawn.points.copy(), drawn.signs.copy()
+        # base point 0 sits at 1.35 e_1 inside the ball; stepping back along
+        # e_1 keeps it inside, stepping forward (only the last direction) leaves
+        points[0] = 0.0
+        points[0, 0] = 1.35
+        signs[:, 0, 0] = -1
+        signs[-1, 0, 0] = 1
+        sets = SamplingSets(points=points, signs=signs)
+        norms = np.linalg.norm(shifted_points(sets, eps), axis=1)
+        outside = np.flatnonzero(norms > 1.0 + nu)
+        assert list(outside) == [(m_phi - 1) * self.M_X]
+        state = env.rng.bit_generator.state
+        with pytest.raises(DomainError, match="shifted point outside the action ball"):
+            collect_measurements(env, sets, plan)
+        assert env.query_count == 0
+        assert env.rng.bit_generator.state == state
+
+
+class TestGram:
+    """The tall solve's exact Gram matrix and phase 1's memory."""
+
+    @pytest.mark.parametrize("m_phi", [41, 300])
+    def test_gram_is_the_exact_integer_gram(self, m_phi, monkeypatch):
+        plan = SamplingPlan(m_X=4, m_Phi=m_phi, epsilon=0.1)
+        grams = []
+        for chunk in (7, 256):
+            monkeypatch.setattr(sampling, "SKETCH_CHUNK", chunk)
+            sets = draw_sampling_sets(plan, 9, rng=SEED)
+            grams.append(sets.gram())
+            assert np.array_equal(grams[-1], _integer_gram(sets))
+        assert np.array_equal(grams[0], grams[1])
+
+    def test_float64_sums_beyond_the_float32_limit(self, monkeypatch):
+        monkeypatch.setattr(sampling, "EXACT_FLOAT32_TERMS", 16)
+        sets = draw_sampling_sets(SamplingPlan(m_X=3, m_Phi=40, epsilon=0.1), 5, rng=SEED)
+        assert np.array_equal(sets.gram(), _integer_gram(sets))
+
+    def test_tall_run_never_builds_float_directions(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("float directions built")
+
+        monkeypatch.setattr(SamplingSets, "directions", property(forbidden))
+        monkeypatch.setattr(SamplingSets, "flat_operator", forbidden)
+        env = make_environment(d=10, k=2, family="centered-quadratic", nu=0.1, seed=SEED)
+        params = PracticalParams(n=6000, m_X=6, m_Phi=300, epsilon=0.1, lambda_override=0.02)
+        record = run_cablp(env, params)
+        assert record.recovery_diagnostics["feasible"]
+        assert env.query_count == params.n
+
+    def test_phase1_memory_stays_below_a_third_of_the_directions(self):
+        """Draw, collection and tall solve never hold the float directions."""
+        d, m_x, m_phi = 50, 2, 15_000
+        direction_bytes = m_phi * m_x * d * 8  # 12 MB as float64
+        env = make_environment(d=d, k=2, family="centered-quadratic", nu=0.1, seed=SEED)
+        params = PracticalParams(n=1, m_X=m_x, m_Phi=m_phi, epsilon=0.1, lambda_override=0.02)
+        tracemalloc.start()
+        try:
+            phase1 = run_phase1(env, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert phase1.recovery.info.feasible
+        assert m_phi > d * m_x  # the tall (Gram) path
+        assert peak < direction_bytes / 3, f"peak {peak / 1e6:.1f} MB"
