@@ -142,7 +142,11 @@ def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     """Accelerated proximal descent for tau*||M||_* + 0.5*||Phi(M) - y||^2.
 
     ``residual(M)`` is the dual residual ``Phi*(y - Phi(M))``, the negative
-    gradient of the smooth part.
+    gradient of the smooth part.  The momentum restarts (``t = 1``) whenever
+    the prox step ``z -> M_new`` points against the last move
+    ``M_cur -> M_new``, the gradient restart of O'Donoghue & Candes (2015),
+    which stops the oscillation that momentum otherwise causes near the
+    solution.
     """
     m_cur = start.copy()
     z = start.copy()
@@ -152,6 +156,8 @@ def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     converged = False
     for iters in range(1, max_iters + 1):
         m_new = _svt(z + step * residual(z), tau * step)
+        if np.vdot(z - m_new, m_new - m_cur) > 0.0:
+            t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = m_new + ((t - 1.0) / t_new) * (m_new - m_cur)
         change = np.linalg.norm(m_new - m_cur)
@@ -192,7 +198,13 @@ def _smooth_part(
     tall sketch uses the normal equations: with the exact ``G = F^T F`` of
     :meth:`SamplingSets.gram`, the residual is ``F^T y - G @ M`` and the
     constant is the top eigenvalue of G, so no iteration touches an
-    ``m_Phi``-long vector.  Otherwise both come from products with F.
+    ``m_Phi``-long vector.  Otherwise the residual comes from products with
+    F and the constant from the top eigenvalue of the small Gram ``F F^T``
+    (``m_Phi <= d * m_X``), not from an SVD of F.  That eigenvalue is padded
+    by ``n * eps * trace(F F^T)`` with ``n = d * m_X``: forming ``F F^T``
+    errs by at most about ``n * eps / 2 * ||F||_F^2`` in norm and
+    ``eigvalsh`` by a small multiple of ``m_Phi * eps * ||F||_2^2``, so the
+    step ``1 / lipschitz`` stays at or below ``1 / ||F||_2^2``.
     """
     shape = (sets.d, sets.m_X)
     if _is_tall(sets):
@@ -208,7 +220,9 @@ def _smooth_part(
     def residual(mat):
         return (flat_op.T @ (y - flat_op @ mat.ravel())).reshape(shape)
 
-    return residual, float(np.linalg.norm(flat_op, 2)) ** 2
+    small_gram = flat_op @ flat_op.T
+    pad = flat_op.shape[1] * np.finfo(float).eps * float(np.trace(small_gram))
+    return residual, float(np.linalg.eigvalsh(small_gram)[-1]) + pad
 
 
 def solve_dantzig(
