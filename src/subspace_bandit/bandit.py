@@ -18,6 +18,15 @@ from .envs import Environment, check_points, mean_value, optimal_value
 
 GRID_SLACK = 1e-9
 NOISE_CHUNK = 1024  # noise values run_phase2 draws per rng call
+# run_phase2's certified windows: theta is the CERT_RANK-th largest index
+# among the arms not just pulled; a window lasts while 2 log t is at most its
+# value CERT_WINDOW rounds after it opened; a window that certifies fewer
+# than CERT_MIN_ROUNDS rounds doubles the wait before the next one, from
+# CERT_MIN_ROUNDS up to CERT_MAX_WAIT full rounds
+CERT_RANK = 4
+CERT_WINDOW = 64
+CERT_MIN_ROUNDS = 16
+CERT_MAX_WAIT = 256
 
 
 class BudgetError(RuntimeError):
@@ -96,8 +105,8 @@ class Ucb1State:
 def fresh_ucb_state(n_arms: int, scale: float) -> Ucb1State:
     if n_arms < 1:
         raise ValueError(f"need at least one arm, got {n_arms}")
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     return Ucb1State(
         counts=np.zeros(n_arms, dtype=np.int64),
         means=np.zeros(n_arms, dtype=float),
@@ -111,7 +120,10 @@ def ucb1_select(state: Ucb1State) -> int:
 
     Index of arm a is means[a] + scale * sqrt(2 log t / counts[a]); ties go
     to the lowest index (numpy argmax keeps the first maximum).  run_phase2
-    inlines this rule with the same operation order.
+    computes the same index with the same operation order (divide, sqrt,
+    times scale, plus mean): over the whole grid with numpy, or over a
+    certified window's candidates in Python floats, which round each step
+    the same way.
     """
     unpulled = np.flatnonzero(state.counts == 0)
     if unpulled.size:
@@ -123,7 +135,8 @@ def ucb1_select(state: Ucb1State) -> int:
 def ucb1_update(state: Ucb1State, arm: int, reward: float) -> Ucb1State:
     """Numerically stable running-mean update; mutates and returns the state.
 
-    run_phase2 inlines this update with the same operation order.
+    run_phase2 inlines this update with the same operation order, in Python
+    floats, so its means equal this function's bit for bit.
     """
     if not 0 <= arm < state.n_arms:
         raise ValueError(f"arm {arm} out of range [0, {state.n_arms})")
@@ -153,6 +166,7 @@ class Phase2Result:
     state: Ucb1State
     opt_value: float
     scale: float
+    certified_rounds: int = 0  # rounds decided inside a certified window
 
     @property
     def cumulative_regret(self) -> float:
@@ -178,6 +192,22 @@ def run_phase2(
     the action ball once, the n2 queries are charged at once, each arm's
     mean is computed once, and the noise comes NOISE_CHUNK values per rng
     call, the same stream as one standard_normal() per round.
+
+    Most rounds need not evaluate the whole index vector.  After a round t
+    that did and pulled arm w, theta is the CERT_RANK-th largest index among
+    the other arms.  Until an arm is pulled its counts and mean are frozen,
+    and its index can only grow with 2 log t (each rounded step is monotone),
+    so CERT_RANK arms keep an index >= theta until CERT_RANK of them are
+    pulled.  A window then opens: with L = 2 log(t + CERT_WINDOW), its
+    candidates are the arms whose index at L, with the stats after round t,
+    is >= theta.  Each round whose own 2 log t is <= L evaluates only the
+    candidates, in ascending order, keeping the first maximum.  If that
+    maximum is >= theta, every other arm is frozen and strictly below theta,
+    so the candidate is numpy's first argmax over the grid: the round is
+    certified.  Otherwise (or once 2 log t > L) the window closes and the
+    round evaluates the full vector.  No step assumes libm's log is
+    monotone; an out-of-order log only closes a window early.  The indices
+    are finite because sigma, nu and the scale are finite.
     """
     cfg = cfg or Phase2Config()
     a_hat = np.asarray(a_hat, dtype=float)
@@ -209,34 +239,87 @@ def run_phase2(
 
     counts = [0] * n_arms
     means = [0.0] * n_arms
-    counts_f = np.zeros(n_arms)  # float mirror of counts for the index
+    counts_f = np.zeros(n_arms)  # float mirror of counts for the full index
+    means_a = state.means  # mirror of means for the full index
     index = np.empty(n_arms)
+    upper = np.empty(n_arms)
     arm_ids = np.empty(n2, dtype=np.int64)
     rewards = np.empty(n2)
-    means_a = state.means
-    log, divide, sqrt, multiply, add = math.log, np.divide, np.sqrt, np.multiply, np.add
+    arm_means_a = np.array(arm_means)
+    rank = min(CERT_RANK, n_arms - 1)
+    window = []  # candidates of the open window, ascending; empty when closed
+    first = wait = backoff = certified = 0
+    theta = two_log_last = 0.0
+    log, sqrt = math.log, math.sqrt
+    divide, root, multiply, add = np.divide, np.sqrt, np.multiply, np.add
     for start in range(0, n2, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, n2)
-        noise = (env.sigma * env.rng.standard_normal(stop - start)).tolist()
-        for t, z in zip(range(start, stop), noise):
-            if t < n_arms:
-                arm = t
-            else:
-                divide(2.0 * log(t), counts_f, out=index)
-                sqrt(index, out=index)
-                multiply(index, scale, out=index)
-                add(index, means_a, out=index)
-                arm = int(index.argmax())
+        noise = env.sigma * env.rng.standard_normal(stop - start)
+        chunk = []
+        for t, z in zip(range(start, stop), noise.tolist()):
+            if window:
+                two_log_t = 2.0 * log(t)
+                best, arm = -math.inf, -1
+                if two_log_t <= two_log_last:
+                    for a in window:
+                        value = sqrt(two_log_t / counts[a]) * scale + means[a]
+                        if value > best:
+                            best, arm = value, a
+                if best >= theta:
+                    certified += 1
+                else:  # close the window: refresh the mirrors, maybe back off
+                    for a in window:
+                        counts_f[a] = counts[a]
+                        means_a[a] = means[a]
+                    if t - first < CERT_MIN_ROUNDS:
+                        backoff = min(2 * backoff or CERT_MIN_ROUNDS, CERT_MAX_WAIT)
+                        wait = backoff
+                    else:
+                        backoff = 0
+                    window = []
+            if not window:
+                if t < n_arms:
+                    arm = t
+                else:
+                    divide(2.0 * log(t), counts_f, out=index)
+                    root(index, out=index)
+                    multiply(index, scale, out=index)
+                    add(index, means_a, out=index)
+                    arm = int(index.argmax())
             reward = arm_means[arm] + z
             count = counts[arm] + 1
             mean = means[arm]
             mean += (reward - mean) / count
             counts[arm] = count
             means[arm] = mean
+            chunk.append(arm)
+            if window:
+                continue
             counts_f[arm] = count
             means_a[arm] = mean
-            arm_ids[t] = arm
-            rewards[t] = reward
+            if wait:
+                wait -= 1
+                continue
+            if not n_arms <= t < n2 - 1:
+                continue
+            # open a window; a grid has at least 3 arms, so rank >= 1 here.
+            # theta ranks the other arms; argmax pages in no code that
+            # np.partition would (about 0.25 MB of resident memory)
+            index[arm] = -math.inf
+            for _ in range(rank):
+                top = index.argmax()
+                theta = float(index[top])
+                index[top] = -math.inf
+            first = t + 1
+            two_log_last = 2.0 * log(t + CERT_WINDOW)
+            divide(two_log_last, counts_f, out=upper)
+            root(upper, out=upper)
+            multiply(upper, scale, out=upper)
+            add(upper, means_a, out=upper)
+            window = np.flatnonzero(upper >= theta).tolist()
+        arm_ids[start:stop] = chunk
+        rewards[start:stop] = arm_means_a[arm_ids[start:stop]] + noise
+    means_a[:] = means
     state.counts[:] = counts
     state.t = n2
     arm_true_means = mean_value(env.mean, grid.arms @ env.A.T)
@@ -250,4 +333,5 @@ def run_phase2(
         state=state,
         opt_value=opt_value,
         scale=scale,
+        certified_rounds=certified,
     )

@@ -8,6 +8,7 @@ on the k-dimensional ball of radius 1 + nu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,8 +75,8 @@ def mean_spec(family: str, k: int, nu: float, params: Optional[dict] = None) -> 
         and gaussian-bump: {"center": (k,)} with norm <= 1; gaussian-bump
         additionally {"width": s > 0}.
     """
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     params = dict(params or {})
     radius = 1.0 + nu
 
@@ -272,8 +273,8 @@ def make_environment(
 ) -> Environment:
     """Construct an environment; A is either an explicit k x d matrix or the
     string "random_orthonormal" (rows drawn from a seed-derived generator)."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     spec = mean_spec(family, k, nu, params)
     ss = np.random.SeedSequence(int(seed))
     a_seq, reward_seq, aux_seq = ss.spawn(3)

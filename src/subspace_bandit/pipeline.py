@@ -378,6 +378,11 @@ class PracticalParams:
     sampling_seed: Optional[int] = None
     solver: Optional[SolverConfig] = None
 
+    def __post_init__(self):
+        scale = self.ucb_scale
+        if scale is not None and not (math.isfinite(scale) and scale >= 0):
+            raise ValueError(f"ucb_scale must be finite and >= 0, got {scale}")
+
     def to_dict(self) -> dict:
         out = {
             field.name: getattr(self, field.name)

@@ -65,7 +65,12 @@ def _json_ready(obj):
 
 
 def dump_json(obj, path) -> None:
-    """Write obj as strict JSON (non-finite floats as null), indented."""
+    """Write obj as strict JSON (non-finite floats as null) on one line.
+
+    json.dumps without indent runs the C encoder; json.dump and any indent
+    run the pure-Python one, several times slower on a long regret trace.
+    """
+    text = json.dumps(_json_ready(obj), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_ready(obj), fh, indent=2, allow_nan=False)
+        fh.write(text)
         fh.write("\n")

@@ -175,6 +175,11 @@ class TestUcb1:
         assert state.means[0] == pytest.approx(rewards.mean(), abs=1e-12)
         assert state.counts.sum() == state.t == 1000
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+    def test_scale_must_be_finite_and_nonnegative(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            fresh_ucb_state(3, scale)
+
     def test_update_rejects_bad_arm(self):
         state = fresh_ucb_state(2, 1.0)
         with pytest.raises(ValueError):
@@ -259,6 +264,13 @@ class TestRunPhase2:
             run_phase2(env, env.A, n2=100, cfg=Phase2Config(budget_cap=40))
         assert env.query_count == 0
         assert env.rng.standard_normal() == quad_env(SEED + 7).rng.standard_normal()
+
+    def test_nan_scale_raises_before_any_query(self):
+        env = quad_env(SEED + 9, sigma=0.1)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            run_phase2(env, env.A, n2=100, cfg=Phase2Config(ucb_scale=float("nan")))
+        assert env.query_count == 0
+        assert env.rng.standard_normal() == quad_env(SEED + 9, sigma=0.1).rng.standard_normal()
 
     def test_default_scale_combines_noise_and_range(self):
         env = quad_env(SEED + 8, sigma=0.25)
@@ -359,6 +371,14 @@ def assert_matches_reference(family, k, sigma, n2, cfg, seed):
     assert got.state.t == state.t == n2
     assert env.query_count == ref_env.query_count == n2
     assert env.rng.standard_normal() == ref_env.rng.standard_normal()
+    return got
+
+
+def tiny_windows(monkeypatch, rank, window, min_rounds, max_wait):
+    monkeypatch.setattr(bandit, "CERT_RANK", rank)
+    monkeypatch.setattr(bandit, "CERT_WINDOW", window)
+    monkeypatch.setattr(bandit, "CERT_MIN_ROUNDS", min_rounds)
+    monkeypatch.setattr(bandit, "CERT_MAX_WAIT", max_wait)
 
 
 class TestPhase2MatchesReference:
@@ -383,6 +403,49 @@ class TestPhase2MatchesReference:
         cfg = Phase2Config(ucb_scale=0.5)
         assert_matches_reference(family, 2, 0.1, chunk, cfg, SEED + 200)
         assert_matches_reference(family, 2, 0.1, chunk + 300, cfg, SEED + 200)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_long_horizon_in_windows(self, sigma):
+        """20000 rounds at the library's window constants.  At sigma = 0 the
+        mirror-image arms +y and -y have equal means, so equal counts give
+        equal indices and the lowest-index rule decides inside windows."""
+        env = family_env("norm-squared", 1, sigma, SEED + 400)
+        means = [float(mean_value(env.mean, env.A @ x))
+                 for x in build_arm_grid(rotated_basis(env, 0.05), choose_M(20000, 1), env.nu).arms]
+        if sigma == 0.0:
+            assert means == means[::-1]
+        cfg = Phase2Config(ucb_scale=0.75)
+        got = assert_matches_reference("norm-squared", 1, sigma, 20000, cfg, SEED + 400)
+        assert got.certified_rounds > 20000 // 2
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tiny_windows_open_certify_fail_and_back_off(self, family, k, monkeypatch):
+        """Rank 2, windows of 8 rounds, back-off from 4 to 16 rounds: many
+        windows per run, closed early by a failed certificate or by 2 log t."""
+        tiny_windows(monkeypatch, rank=2, window=8, min_rounds=4, max_wait=16)
+        for sigma, n2 in ((0.0, 700), (0.2, 1500)):
+            got = assert_matches_reference(family, k, sigma, n2, Phase2Config(), SEED + 500 + k)
+            assert 0 < got.certified_rounds < n2 - got.grid.n_arms
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("sigma, ucb_scale", [(0.0, 0.0), (0.2, None)])
+    def test_window_of_rank_rounds_always_certifies(self, family, k, rank, sigma, ucb_scale, monkeypatch):
+        """A window of CERT_RANK rounds certifies every round: the CERT_RANK
+        arms at or above theta are frozen, their index only grows, and each
+        round pulls at most one of them.  So after the sweep the rounds run
+        full, then `rank` certified, and so on.  With ucb_scale = 0 at sigma =
+        0 each index is its arm's mean; on norm-squared the best arm's mirror
+        ties with it, so best == theta and the certificate must admit ties."""
+        tiny_windows(monkeypatch, rank=rank, window=rank, min_rounds=1, max_wait=1)
+        n2 = 600
+        got = assert_matches_reference(
+            family, k, sigma, n2, Phase2Config(ucb_scale=ucb_scale), SEED + 600 + k
+        )
+        rest = n2 - got.grid.n_arms
+        assert got.certified_rounds == rest - math.ceil(rest / (rank + 1))
 
     def test_grid_outside_ball_raises_before_any_query(self):
         """Rows 4e-9 too long pass the orthonormality check, but the outer

@@ -146,6 +146,12 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unknown family"):
             mean_spec("cubic", 1, 0.1)
 
+    @pytest.mark.parametrize("name", ["sigma", "nu"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_noise_and_margin_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_environment(d=4, k=1, family="linear", **{name: value})
+
 
 class TestEnvironmentQueries:
     """Budget accounting, noise behaviour, domain enforcement, determinism."""

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subspace_bandit import harness
 from subspace_bandit.cli import main
 from subspace_bandit.util import dump_json
 from subspace_bandit.harness import (
@@ -267,7 +269,7 @@ class TestPlot:
 
     def test_chart_has_markers_and_fit_annotation(self, tmp_path):
         path = emit_plot_data(fake_summary(), str(tmp_path))
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith("<svg")
         assert text.count("<circle") == 3
         assert "fitted slope 0.700" in text
@@ -277,7 +279,7 @@ class TestPlot:
         import re
 
         path = emit_plot_data(fake_summary(), str(tmp_path))
-        text = open(path).read()
+        text = Path(path).read_text()
         cx = [float(v) for v in re.findall(r'<circle cx="([0-9.]+)"', text)]
         cy = [float(v) for v in re.findall(r'cy="([0-9.]+)"', text)]
         assert all(70.0 <= v <= 640.0 - 30.0 for v in cx)
@@ -361,6 +363,27 @@ class TestCli:
         assert all(c[key] is None for c in failed for key in ("R_total", "R1", "R2", "R3", "subspace_err"))
         assert main(["plot", str(out / "summary.json")]) == 0
         assert (out / "plot.svg").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"environment": {"family": "norm-squared", "d": 6, "k": 1, "sigma": float("nan")}},
+            {"environment": {"family": "norm-squared", "d": 6, "k": 1, "nu": float("inf")}},
+            {"practical": {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "ucb_scale": float("nan")}},
+            {"practical": {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "ucb_scale": -1.0}},
+        ],
+        ids=["sigma-nan", "nu-inf", "ucb_scale-nan", "ucb_scale-negative"],
+    )
+    def test_non_finite_or_negative_input_is_config_error_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, overrides
+    ):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran on a bad config")
+
+        monkeypatch.setattr(harness, "run_cablp", no_cell)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_seed_and_horizon_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -272,6 +272,11 @@ def practical(n=20000, **kw):
 
 
 class TestRunPractical:
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+    def test_ucb_scale_checked_when_params_are_built(self, scale):
+        with pytest.raises(ValueError, match="ucb_scale must be finite"):
+            practical(ucb_scale=scale)
+
     def test_noiseless_linear_run_end_to_end(self):
         """Regression values for the flagship noiseless run: near-exact
         subspace, and late-run per-round regret within 5% of the reward range."""
