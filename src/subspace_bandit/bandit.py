@@ -151,7 +151,7 @@ class Phase2Config:
     """Execution knobs; every default tracks the known-horizon run."""
 
     ucb_scale: Optional[float] = None  # None: sigma + 2 * C2
-    M: Optional[int] = None  # None: choose_M(n2, k)
+    M: Optional[int] = None  # None: choose_M(n2, k), or 1 when n2 = 1
     opt_value: Optional[float] = None  # None: optimal_value on the environment
     budget_cap: Optional[int] = None
 
@@ -186,7 +186,8 @@ def run_phase2(
 ) -> Phase2Result:
     """Play exactly n2 rounds of UCB-1 on the embedded arm grid.
 
-    The horizon is known, so one grid sized by choose_M(n2, k) suffices.
+    The horizon is known, so one grid sized by choose_M(n2, k) suffices
+    (M = 1 when n2 = 1).
     The result is bit-identical to n2 rounds of ucb1_select, sample_reward
     and ucb1_update, without a call per round: the grid is checked against
     the action ball once, the n2 queries are charged at once, each arm's
@@ -228,7 +229,12 @@ def run_phase2(
     else:
         opt_value = float(cfg.opt_value)
 
-    M = choose_M(n2, a_hat.shape[0]) if cfg.M is None else int(cfg.M)
+    if cfg.M is not None:
+        M = int(cfg.M)
+    elif n2 == 1:
+        M = 1  # one round has nothing to balance, and choose_M needs n2 >= 2
+    else:
+        M = choose_M(n2, a_hat.shape[0])
     grid = build_arm_grid(a_hat, M, env.nu)
     n_arms = grid.n_arms
     state = fresh_ucb_state(n_arms, scale)

@@ -27,11 +27,13 @@ from .pipeline import (
     RunAborted,
     StepSizeError,
     TheoryConstants,
+    TheoryParams,
     params_to_dict,
     plan_parameters,
     record_to_dict,
     run_cablp,
     run_phase1,
+    sampling_plan,
 )
 from .recovery import result_to_dict
 from .util import derive_seed, dump_json
@@ -174,6 +176,15 @@ def _cell_environment(config: ExperimentConfig, n: int, seed: int) -> Environmen
     return environment_from_descriptor(desc)
 
 
+def _theory_plan(config: ExperimentConfig, env: Environment, n: int) -> TheoryParams:
+    """The theory-mode plan for horizon n on one cell's environment."""
+    return plan_parameters(
+        n=n, d=env.d, k=env.k, sigma=env.sigma, c2=env.mean.c2,
+        alpha=float(config.theory["alpha"]), nu=env.nu,
+        constants=TheoryConstants(**config.theory.get("constants", {})),
+    )
+
+
 def _run_cell(config: ExperimentConfig, n: int, seed: int):
     """Run one cell; returns (CellResult, RunRecord or None)."""
     env = _cell_environment(config, n, seed)
@@ -183,23 +194,17 @@ def _run_cell(config: ExperimentConfig, n: int, seed: int):
         return CellResult(n, seed, status, nan, nan, nan, nan, nan, n1, reason=str(exc))
 
     if config.mode == "theory":
-        constants = TheoryConstants(**config.theory.get("constants", {}))
         try:
-            params = plan_parameters(
-                n=n, d=env.d, k=env.k, sigma=env.sigma, c2=env.mean.c2,
-                alpha=float(config.theory["alpha"]), nu=env.nu, constants=constants,
-            )
+            params = _theory_plan(config, env, n)
         except StepSizeError as exc:
             return failed("infeasible", nan, exc), None
         n1_known = float(params.n1)
     else:
         params = PracticalParams(n=n, **config.practical)
-        if params.known_subspace is not None:
-            n1_known = 0.0
-        else:
-            n1_known = float(params.N * params.m_X * (params.m_Phi + 1))
+        skipped = params.known_subspace is not None
+        n1_known = 0.0 if skipped else float(sampling_plan(params).budget())
     try:
-        record = run_cablp(env, params, mode=config.mode)
+        record = run_cablp(env, params)
     except BudgetError as exc:
         return failed("infeasible", n1_known, exc), None
     except DomainError as exc:
@@ -442,9 +447,8 @@ def recovery_report(config: ExperimentConfig) -> dict:
     if missing:
         raise ValueError(f"recover needs practical overrides: {sorted(missing)}")
     env = _cell_environment(config, config.horizons[0], config.seeds[0])
-    pp = PracticalParams(n=1, **{k: v for k, v in config.practical.items() if k != "n"})
     try:
-        phase1 = run_phase1(env, pp)
+        phase1 = run_phase1(env, PracticalParams(n=1, **config.practical))
     except DomainError as exc:
         return {"status": "error", "reason": str(exc), "env_seed": env.seed}
     out = result_to_dict(phase1.recovery)
@@ -471,9 +475,4 @@ def plan_report(config: ExperimentConfig, n: int) -> dict:
     if "alpha" not in config.theory:
         raise ValueError("plan needs theory.alpha in the config")
     env = _cell_environment(config, n, config.seeds[0])
-    constants = TheoryConstants(**config.theory.get("constants", {}))
-    params = plan_parameters(
-        n=n, d=env.d, k=env.k, sigma=env.sigma, c2=env.mean.c2,
-        alpha=float(config.theory["alpha"]), nu=env.nu, constants=constants,
-    )
-    return params_to_dict(params)
+    return params_to_dict(_theory_plan(config, env, n))

@@ -28,7 +28,6 @@ from .recovery import (
     DantzigProblem,
     DegenerateRecoveryError,
     RecoveryResult,
-    SolverConfig,
     compute_lambda,
     recover_subspace,
     subspace_error,
@@ -191,8 +190,8 @@ def epsilon_interval(
     return lo, hi
 
 
-def choose_epsilon(interval: tuple, domain_cap: float, method: str = "midpoint") -> float:
-    """Pick a step inside the admissible interval, capped by the domain margin.
+def choose_epsilon(interval: tuple, domain_cap: float) -> float:
+    """Pick the interval's midpoint as the step, capped by the domain margin.
 
     The cap is where probe shifts start leaving the action ball; when it cuts
     the interval down to nothing, no step size works and we refuse.
@@ -207,13 +206,7 @@ def choose_epsilon(interval: tuple, domain_cap: float, method: str = "midpoint")
             "step-size infeasible: increase nu or m_Phi "
             f"(domain cap {domain_cap:.6g} <= interval floor {lo:.6g})"
         )
-    if method == "midpoint":
-        pick = 0.5 * (lo + hi)
-    elif method == "geometric":
-        pick = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-    else:
-        raise ValueError(f'method must be "midpoint" or "geometric", got {method!r}')
-    return min(pick, domain_cap)
+    return min(0.5 * (lo + hi), domain_cap)
 
 
 def resampling_factor(
@@ -260,7 +253,7 @@ def _plan_core(n, d, k, sigma, c2, alpha, nu, constants) -> TheoryParams:
     lam = compute_lambda(
         c2, eps, d, m_x, m_phi, k, sigma_eff, constants.delta, constants.gamma
     )
-    n1 = big_n * m_x * (m_phi + 1)
+    n1 = SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=eps, N=big_n).budget()
     return TheoryParams(
         n=int(n),
         d=int(d),
@@ -375,8 +368,6 @@ class PracticalParams:
     ucb_scale: Optional[float] = None
     M: Optional[int] = None
     known_subspace: Optional[np.ndarray] = None
-    sampling_seed: Optional[int] = None
-    solver: Optional[SolverConfig] = None
 
     def __post_init__(self):
         scale = self.ucb_scale
@@ -387,7 +378,7 @@ class PracticalParams:
         out = {
             field.name: getattr(self, field.name)
             for field in dataclasses.fields(self)
-            if field.name not in ("known_subspace", "solver")
+            if field.name != "known_subspace"
         }
         if self.known_subspace is not None:
             out["known_subspace"] = np.asarray(self.known_subspace).tolist()
@@ -456,7 +447,8 @@ def _phase1_trace(bundle: MeasurementBundle, opt_value: float) -> np.ndarray:
     return np.repeat(opt_value - per_point, bundle.plan.N)
 
 
-def _sampling_plan(params) -> SamplingPlan:
+def sampling_plan(params) -> SamplingPlan:
+    """Phase 1's sizes and step from a TheoryParams or PracticalParams."""
     return SamplingPlan(m_X=params.m_X, m_Phi=params.m_Phi, epsilon=params.epsilon, N=params.N)
 
 
@@ -495,51 +487,39 @@ def run_phase1(env: Environment, params) -> Phase1Result:
     resolve the constraint level and recover the subspace.
 
     params is a TheoryParams or PracticalParams.  The draw is seeded from
-    the practical sampling_seed when set, else from the environment seed.
-    Raises DomainError before any query when a probe point leaves the
-    action ball, and Phase1Aborted when the recovery collapses.
+    the environment seed.  Raises DomainError before any query when a probe
+    point leaves the action ball, and Phase1Aborted when the recovery
+    collapses.
     """
-    if isinstance(params, TheoryParams):
-        seed, solver, c0 = None, None, params.constants.C0
-    else:
-        seed, solver, c0 = params.sampling_seed, params.solver, params.c0
-    plan = _sampling_plan(params)
-    seed1 = derive_seed(env.seed, 1) if seed is None else seed
-    sets = draw_sampling_sets(plan, env.d, np.random.default_rng(seed1))
+    c0 = params.constants.C0 if isinstance(params, TheoryParams) else params.c0
+    plan = sampling_plan(params)
+    sets = draw_sampling_sets(plan, env.d, np.random.default_rng(derive_seed(env.seed, 1)))
     bundle = collect_measurements(env, sets, plan)
     lam = _constraint_level(env, plan, params)
     problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
     try:
-        recovery = recover_subspace(problem, cfg=solver, true_basis=env.A, c0=c0)
+        recovery = recover_subspace(problem, true_basis=env.A, c0=c0)
     except DegenerateRecoveryError as exc:
         raise Phase1Aborted(str(exc), bundle, lam) from exc
     return Phase1Result(bundle=bundle, lam=lam, recovery=recovery)
 
 
-def run_cablp(
-    env: Environment,
-    params,
-    mode: Optional[str] = None,
-) -> RunRecord:
+def run_cablp(env: Environment, params) -> RunRecord:
     """Run the two-phase scheme end to end and account for every query.
 
     params is a TheoryParams (theory mode) or PracticalParams (practical
-    mode); mode can be stated explicitly for clarity and is validated
-    against the params type.  Raises BudgetError before spending anything
-    when the plan cannot fit, and RunAborted (with the partial record
-    attached) when recovery collapses after phase 1.
+    mode).  Raises BudgetError before spending anything when the plan
+    cannot fit, and RunAborted (with the partial record attached) when
+    recovery collapses after phase 1.
     """
-    inferred = "theory" if isinstance(params, TheoryParams) else "practical"
-    if mode is not None and mode != inferred:
-        raise ValueError(f"mode {mode!r} does not match params type ({inferred})")
-    mode = inferred
+    mode = "theory" if isinstance(params, TheoryParams) else "practical"
     if env.query_count != 0:
         raise ValueError(
             f"environment is not fresh: {env.query_count} queries already spent"
         )
 
     n = params.n
-    plan = _sampling_plan(params)
+    plan = sampling_plan(params)
     if mode == "theory":
         if not params.feasible:
             raise BudgetError(

@@ -22,6 +22,15 @@ import numpy as np
 from .sampling import SamplingSets
 
 RANK_FLOOR = 1e-12
+# solve_dantzig's fixed settings: FISTA steps per subproblem and its
+# relative iterate-change stop, the relative slack of the feasibility test,
+# the continuation's per-round shrink of the penalty weight, and the most
+# continuation rounds
+MAX_ITERS = 5000
+REL_TOL = 1e-7
+FEAS_TOL = 1e-6
+TAU_SHRINK = 0.3
+MAX_OUTER = 40
 
 
 class DegenerateRecoveryError(RuntimeError):
@@ -60,36 +69,6 @@ def ds_error_bound(lam: float, k: int, c0: float = 4.0) -> float:
     return 2.0 * math.sqrt(c0 * k) * lam
 
 
-def operator_norm(
-    mat: np.ndarray,
-    max_steps: int = 50,
-    tol: float = 1e-8,
-    v0: Optional[np.ndarray] = None,
-) -> tuple[float, np.ndarray]:
-    """Largest singular value by power iteration on ``mat.T @ mat``.
-
-    Returns ``(sigma1, v)`` where ``v`` is the right singular vector, usable
-    as a warm start for the next call on a nearby matrix.
-    """
-    n = mat.shape[1]
-    if v0 is not None and v0.shape == (n,):
-        v = v0.astype(float, copy=True)
-    else:
-        v = np.ones(n) / math.sqrt(n)
-    sigma = 0.0
-    for _ in range(max_steps):
-        w = mat.T @ (mat @ v)
-        norm = np.linalg.norm(w)
-        if norm <= 0.0:
-            return 0.0, v
-        v_new = w / norm
-        sigma_new = math.sqrt(norm)
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
-            return sigma_new, v_new
-        sigma, v = sigma_new, v_new
-    return sigma, v
-
-
 @dataclass(frozen=True)
 class DantzigProblem:
     """One selector instance: sketch targets, sampling sets, level, target rank."""
@@ -105,17 +84,6 @@ class DantzigProblem:
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         object.__setattr__(self, "lam", float(self.lam))
-
-
-@dataclass
-class SolverConfig:
-    max_iters: int = 5000
-    rel_tol: float = 1e-7
-    feas_tol: float = 1e-6
-    tau_shrink: float = 0.3
-    max_outer: int = 40
-    power_steps: int = 50
-    power_tol: float = 1e-8
 
 
 @dataclass
@@ -225,15 +193,14 @@ def _smooth_part(
     return residual, float(np.linalg.eigvalsh(small_gram)[-1]) + pad
 
 
-def solve_dantzig(
-    problem: DantzigProblem, cfg: Optional[SolverConfig] = None
-) -> tuple[np.ndarray, SolveInfo]:
+def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     """Solve the selector by continuation over the nuclear-norm penalty weight.
 
     Each penalized subproblem is solved by FISTA with singular value
     thresholding and warm starts; the weight is driven down geometrically
-    until the dual residual ``||Phi*(y - Phi(M))||_op`` sits at or below
-    ``lam`` (within ``feas_tol`` relative).  The penalized and constrained
+    to just under ``lam``, and the loop stops once the exact spectral norm
+    of the dual residual ``Phi*(y - Phi(M))`` sits at or below ``lam``
+    (within ``FEAS_TOL`` relative).  The penalized and constrained
     formulations meet at the constraint boundary, so the final iterate is the
     selector solution up to solver tolerance.
 
@@ -241,7 +208,6 @@ def solve_dantzig(
     chunks and never builds the flat operator or the float directions; its
     iterates agree with the flat form to rounding, not bit for bit.
     """
-    cfg = cfg or SolverConfig()
     sets = problem.sets
     y = np.asarray(problem.y, dtype=float)
     if y.shape != (sets.m_Phi,):
@@ -269,7 +235,7 @@ def solve_dantzig(
     # aim slightly inside the constraint so inexact subproblem solves still
     # land feasible
     tau = 0.9 * dual0_norm
-    tau_floor = max(problem.lam * (1.0 - 10.0 * cfg.feas_tol), 0.0)
+    tau_floor = max(problem.lam * (1.0 - 10.0 * FEAS_TOL), 0.0)
     if tau <= tau_floor:
         tau = tau_floor
 
@@ -277,27 +243,18 @@ def solve_dantzig(
     total_iters = 0
     outer = 0
     sub_converged = False
-    cur_tol = cfg.rel_tol
-    power_v: Optional[np.ndarray] = None
-    while outer < cfg.max_outer:
+    cur_tol = REL_TOL
+    while outer < MAX_OUTER:
         outer += 1
         m_cur, iters, sub_converged = _fista(
-            residual, tau, lipschitz, m_cur, cfg.max_iters, cur_tol
+            residual, tau, lipschitz, m_cur, MAX_ITERS, cur_tol
         )
         total_iters += iters
-        dual = residual(m_cur)
-        dual_norm, power_v = operator_norm(
-            dual, max_steps=cfg.power_steps, tol=cfg.power_tol, v0=power_v
-        )
         at_floor = tau <= tau_floor * (1.0 + 1e-12)
-        if dual_norm <= problem.lam * (1.0 + cfg.feas_tol) and at_floor:
-            # the break is decisive, so confirm the power-iteration estimate
-            # with the exact norm; an undershoot means one more grind round
-            dual_norm = float(np.linalg.norm(dual, 2))
-            if dual_norm <= problem.lam * (1.0 + cfg.feas_tol):
-                break
+        if at_floor and np.linalg.norm(residual(m_cur), 2) <= problem.lam * (1.0 + FEAS_TOL):
+            break
         if not at_floor:
-            tau = max(tau * cfg.tau_shrink, tau_floor)
+            tau = max(tau * TAU_SHRINK, tau_floor)
         else:
             # stalled at the target weight with the dual residual still above
             # the constraint: the iterate-change stop fired too early, so
@@ -305,7 +262,7 @@ def solve_dantzig(
             cur_tol = max(cur_tol * 1e-2, 1e-15)
 
     residual_norm = float(np.linalg.norm(residual(m_cur), 2))
-    feasible = bool(residual_norm <= problem.lam * (1.0 + cfg.feas_tol))
+    feasible = bool(residual_norm <= problem.lam * (1.0 + FEAS_TOL))
     info = SolveInfo(
         iterations=total_iters,
         outer_rounds=outer,
@@ -377,12 +334,11 @@ class RecoveryResult:
 
 def recover_subspace(
     problem: DantzigProblem,
-    cfg: Optional[SolverConfig] = None,
     true_basis: Optional[np.ndarray] = None,
     c0: float = 4.0,
 ) -> RecoveryResult:
     """Solve, truncate to rank k, and extract the subspace estimate."""
-    estimate, info = solve_dantzig(problem, cfg)
+    estimate, info = solve_dantzig(problem)
     est_k = truncate_rank_k(estimate, problem.k)
     spectrum = singular_values(estimate)
     basis = extract_subspace(est_k, problem.k)

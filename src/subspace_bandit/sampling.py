@@ -79,13 +79,10 @@ class SamplingSets:
     of eight.  Phase 1 works on the signs a chunk of SKETCH_CHUNK directions
     at a time; the float directions as one array exist only when
     ``directions`` or ``flat_operator`` (analysis, wide solves) asks for them.
-    seed records how the draw was seeded when an integer seed was used
-    (None when drawn from a caller-owned generator).
     """
 
     points: np.ndarray
     signs: np.ndarray
-    seed: Optional[int] = None
     _flat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -153,22 +150,19 @@ class SamplingSets:
 def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
     """Draw base points (uniform on S^{d-1}) and Rademacher probe directions.
 
-    rng may be an integer seed (recorded on the result) or a numpy Generator.
-    Points are drawn before directions, so the layout is reproducible from the
-    seed alone.
+    rng may be an integer seed or a numpy Generator.  Points are drawn before
+    directions, so the layout is reproducible from the seed alone.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    seed = None
     if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(int(rng))
     points = uniform_sphere(rng, plan.m_X, d)
     signs = np.empty((plan.m_Phi, plan.m_X, d), dtype=np.int8)
     for start, stop in _chunks(plan.m_Phi):
         # chunked draws continue one stream: the same bits as a single draw
         signs[start:stop] = 2 * rng.integers(0, 2, size=(stop - start, plan.m_X, d)) - 1
-    return SamplingSets(points=points, signs=signs, seed=seed)
+    return SamplingSets(points=points, signs=signs)
 
 
 def apply_operator(sets: SamplingSets, X: np.ndarray) -> np.ndarray:
@@ -191,17 +185,14 @@ def apply_adjoint(sets: SamplingSets, v: np.ndarray) -> np.ndarray:
 class MeasurementBundle:
     """One collection's outputs: the measurement vector plus bookkeeping.
 
-    averaged_* are the per-point averages of the N noisy rewards, *_means
-    the noise-free mean rewards the queries computed; shifted arrays are
-    (m_Phi, m_X), base arrays (m_X,).
+    *_means are the noise-free mean rewards the queries computed:
+    shifted_means is (m_Phi, m_X), base_means (m_X,).
     """
 
     y: np.ndarray
     sets: SamplingSets
     plan: SamplingPlan
     budget_used: int
-    averaged_base: np.ndarray
-    averaged_shifted: np.ndarray
     base_means: np.ndarray
     shifted_means: np.ndarray
 
@@ -224,14 +215,16 @@ def shifted_points(sets: SamplingSets, epsilon: float) -> np.ndarray:
 def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPlan) -> MeasurementBundle:
     """Query the environment at base and shifted points and form y.
 
-    Every distinct point is queried N times and averaged.  Base points are
+    Every distinct point is queried N times and averaged; y_i sums, over
+    the base points j, the averaged reward at x_j + epsilon * phi_{i,j}
+    minus the one at x_j, divided by epsilon.  Base points are
     queried first, then shifted points grouped by direction index.  Shifted
     points exist SKETCH_CHUNK directions at a time, in two passes: the
     first builds every chunk and checks it against the action ball, the
     second rebuilds each chunk and queries it.  So all domain checks happen
     before the first query, and an infeasible plan costs no budget and
-    draws no noise.  The result equals one query of all points at once bit
-    for bit.
+    draws no noise.  Each y_i is formed with its chunk, and the result
+    equals one query of all points at once bit for bit.
     """
     if sets.d != env.d:
         raise ValueError(f"sets have d = {sets.d} but environment has d = {env.d}")
@@ -259,24 +252,20 @@ def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPla
     start = env.query_count
     base_means, averaged_base = _query_points(env, sets.points, plan.N)
     shifted_means = np.empty((plan.m_Phi, plan.m_X))
-    averaged_shifted = np.empty((plan.m_Phi, plan.m_X))
+    y = np.empty(plan.m_Phi)
     for a, b in chunks:
         means, averages = _query_points(env, _shifted_block(sets, step, a, b), plan.N)
         shifted_means[a:b] = means.reshape(b - a, plan.m_X)
-        averaged_shifted[a:b] = averages.reshape(b - a, plan.m_X)
+        y[a:b] = (averages.reshape(b - a, plan.m_X) - averaged_base).sum(axis=1) / plan.epsilon
     used = env.query_count - start
     expected = plan.budget()
     if used != expected:
         raise RuntimeError(f"budget accounting broken: used {used}, expected {expected}")
-
-    y = (averaged_shifted - averaged_base[None, :]).sum(axis=1) / plan.epsilon
     return MeasurementBundle(
         y=y,
         sets=sets,
         plan=plan,
         budget_used=used,
-        averaged_base=averaged_base,
-        averaged_shifted=averaged_shifted,
         base_means=base_means,
         shifted_means=shifted_means,
     )
@@ -339,48 +328,3 @@ def rip_ratio_sample(sets: SamplingSets, k: int, trials: int, rng) -> tuple:
         lo = min(lo, ratio)
         hi = max(hi, ratio)
     return lo, hi
-
-
-# ---------- serialization ----------
-
-
-def bundle_to_json(bundle: MeasurementBundle) -> dict:
-    """JSON-ready form: measurement vector, plan, draw seed, budget, and d."""
-    return {
-        "y": bundle.y.tolist(),
-        "plan": {
-            "m_X": bundle.plan.m_X,
-            "m_Phi": bundle.plan.m_Phi,
-            "epsilon": bundle.plan.epsilon,
-            "N": bundle.plan.N,
-        },
-        "seed": bundle.sets.seed,
-        "d": bundle.sets.d,
-        "budget_used": bundle.budget_used,
-    }
-
-
-def bundle_from_json(data: dict) -> MeasurementBundle:
-    """Rebuild a bundle from its JSON form.
-
-    The sampling sets are regenerated from the recorded seed (the draw is
-    deterministic), so this only works for bundles drawn from an integer
-    seed.  Per-point averages and means are not serialized.
-    """
-    if data.get("seed") is None:
-        raise ValueError("bundle was not drawn from an integer seed; cannot regenerate sets")
-    plan = SamplingPlan(**data["plan"])
-    sets = draw_sampling_sets(plan, int(data["d"]), int(data["seed"]))
-    y = np.asarray(data["y"], dtype=float)
-    if y.shape != (plan.m_Phi,):
-        raise ValueError(f"y has shape {y.shape}, expected {(plan.m_Phi,)}")
-    return MeasurementBundle(
-        y=y,
-        sets=sets,
-        plan=plan,
-        budget_used=int(data["budget_used"]),
-        averaged_base=np.array([]),
-        averaged_shifted=np.array([]),
-        base_means=np.array([]),
-        shifted_means=np.array([]),
-    )

@@ -225,6 +225,14 @@ class TestRunPhase2:
         assert np.all(result.state.counts == 1)
         assert env.query_count == 5
 
+    def test_single_round_uses_the_coarsest_grid(self):
+        # choose_M needs n2 >= 2; one round plays the first arm of the M = 1 grid
+        env = quad_env(SEED + 8)
+        result = run_phase2(env, env.A, n2=1)
+        assert result.grid.M == 1
+        np.testing.assert_array_equal(result.arm_ids, [0])
+        assert env.query_count == 1
+
     def test_budget_is_exact(self):
         env = quad_env(SEED + 3, sigma=0.1)
         run_phase2(env, env.A, n2=137, cfg=Phase2Config(M=3))

@@ -291,17 +291,29 @@ class TestPlot:
 # ---------- CLI ----------
 
 
+CLI_PRACTICAL = {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "lambda_scale": 1e-3, "ucb_scale": 1.0}
+# one valid JSON value per practical override, for a d = 6, k = 1 environment
+VALID_PRACTICAL = {
+    "m_X": 6,
+    "m_Phi": 30,
+    "epsilon": 0.02,
+    "N": 2,
+    "delta": 0.2,
+    "gamma": 3.5,
+    "c0": 2.0,
+    "lambda_scale": 1e-2,
+    "lambda_override": 0.05,
+    "ucb_scale": 0.5,
+    "M": 3,
+    "known_subspace": [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]],
+}
+
+
 def write_config(tmp_path, **overrides):
     data = dict(
         environment={"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1},
         mode="practical",
-        practical={
-            "m_X": 8,
-            "m_Phi": 40,
-            "epsilon": 0.05,
-            "lambda_scale": 1e-3,
-            "ucb_scale": 1.0,
-        },
+        practical=dict(CLI_PRACTICAL),
         horizons=[900],
         seeds=[1],
     )
@@ -384,6 +396,42 @@ class TestCli:
         cfg = write_config(tmp_path, **overrides)
         assert main(["sweep", "--config", cfg]) == 1
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "horizon, extra",
+        [(8 * 41 + 1, {}), (1, {"known_subspace": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]})],
+        ids=["one-round-after-phase-1", "known-subspace-one-round"],
+    )
+    def test_cell_with_one_phase2_round_is_ok(self, tmp_path, capsys, horizon, extra):
+        practical = dict(CLI_PRACTICAL, **extra)
+        cfg = write_config(tmp_path, horizons=[horizon, 900], practical=practical)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        cell = json.loads((out / "summary.json").read_text())["cells"][0]
+        assert (cell["n"], cell["status"]) == (horizon, "ok")
+        record = json.loads((out / f"run-n{horizon}-seed1.json").read_text())
+        n1 = 0 if extra else 8 * 41
+        assert (record["phase1_rounds"], record["phase2_rounds"]) == (n1, horizon - n1)
+        assert len(record["regret_trace"]) == horizon
+        total = record["total_regret"]
+        assert abs(record["R1"] + record["R2"] + record["R3"] - total) <= 1e-8 * max(1.0, abs(total))
+
+    @pytest.mark.parametrize("key", sorted(harness._PRACTICAL_KEYS))
+    def test_every_practical_key_runs_a_sweep(self, tmp_path, capsys, key):
+        practical = dict(CLI_PRACTICAL, **{key: VALID_PRACTICAL[key]})
+        cfg = write_config(tmp_path, practical=practical)
+        assert main(["sweep", "--config", cfg]) in (0, 2)
+        capsys.readouterr()
+
+    def test_every_practical_key_has_a_case(self):
+        assert set(VALID_PRACTICAL) == harness._PRACTICAL_KEYS
+
+    def test_solver_override_is_a_config_error(self, tmp_path, capsys):
+        practical = dict(CLI_PRACTICAL, solver={"max_iters": 10})
+        cfg = write_config(tmp_path, practical=practical)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert "unknown practical override" in capsys.readouterr().err
 
     def test_seed_and_horizon_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -231,13 +231,6 @@ class TestChooseEpsilon:
         with pytest.raises(StepSizeError):
             choose_epsilon((0.2, 0.3), 0.2)
 
-    def test_geometric_option(self):
-        assert choose_epsilon((0.1, 0.4), 1.0, method="geometric") == pytest.approx(0.2)
-        # degenerate floor: geometric mean undefined, midpoint fallback
-        assert choose_epsilon((0.0, 0.4), 1.0, method="geometric") == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            choose_epsilon((0.1, 0.4), 1.0, method="harmonic")
-
 
 class TestR3Bound:
     def test_zero_error_gives_zero(self):
@@ -332,11 +325,6 @@ class TestRunPractical:
         with pytest.raises(ValueError, match="not fresh"):
             run_cablp(env, practical(n=7000, lambda_scale=1e-3))
 
-    def test_mode_mismatch_is_rejected(self):
-        env = linear_env(SEED + 5)
-        with pytest.raises(ValueError, match="mode"):
-            run_cablp(env, practical(), mode="theory")
-
     def test_known_subspace_skips_phase_one(self):
         env = linear_env(SEED + 6)
         record = run_cablp(env, practical(n=4000, known_subspace=env.A))
@@ -391,7 +379,7 @@ class TestRunPractical:
         params = plan_parameters(n=100, d=5, k=1, sigma=0.0, c2=env.mean.c2, alpha=0.5, nu=0.1)
         assert isinstance(params, TheoryParams) and not params.feasible
         with pytest.raises(BudgetError, match="budget infeasible"):
-            run_cablp(env, params, mode="theory")
+            run_cablp(env, params)
         assert env.query_count == 0
 
     def test_record_serializes_and_csv_writes(self):

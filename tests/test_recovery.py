@@ -10,11 +10,9 @@ from subspace_bandit.envs import make_environment
 from subspace_bandit.recovery import (
     DantzigProblem,
     DegenerateRecoveryError,
-    SolverConfig,
     compute_lambda,
     ds_error_bound,
     extract_subspace,
-    operator_norm,
     recover_subspace,
     singular_values,
     solve_dantzig,
@@ -148,18 +146,6 @@ class TestTruncation:
         rng = np.random.default_rng(SEED + 2)
         mat = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 16))
         np.testing.assert_allclose(truncate_rank_k(mat, 2), mat, atol=1e-10)
-
-    def test_operator_norm_matches_svd(self):
-        rng = np.random.default_rng(SEED + 3)
-        for _ in range(20):
-            mat = rng.standard_normal((8, 13))
-            sigma, vec = operator_norm(mat, max_steps=200, tol=1e-12)
-            assert sigma == pytest.approx(np.linalg.norm(mat, 2), rel=1e-8)
-            assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-10)
-
-    def test_operator_norm_zero_matrix(self):
-        sigma, _ = operator_norm(np.zeros((4, 6)))
-        assert sigma == 0.0
 
 
 class TestSubspaceExtraction:
