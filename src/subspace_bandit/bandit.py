@@ -18,15 +18,9 @@ from .envs import Environment, check_points, mean_value, optimal_value
 
 GRID_SLACK = 1e-9
 NOISE_CHUNK = 1024  # noise values run_phase2 draws per rng call
-# run_phase2's certified windows: theta is the CERT_RANK-th largest index
-# among the arms not just pulled; a window lasts while 2 log t is at most its
-# value CERT_WINDOW rounds after it opened; a window that certifies fewer
-# than CERT_MIN_ROUNDS rounds doubles the wait before the next one, from
-# CERT_MIN_ROUNDS up to CERT_MAX_WAIT full rounds
-CERT_RANK = 4
-CERT_WINDOW = 64
-CERT_MIN_ROUNDS = 16
-CERT_MAX_WAIT = 256
+# run_phase2 bounds every arm's index once per block of BLOCK rounds (at most
+# n_arms - 1, so each round of a block has an unpulled arm)
+BLOCK = 32
 
 
 class BudgetError(RuntimeError):
@@ -61,13 +55,8 @@ class ArmGrid:
         return self.arms.shape[0]
 
 
-def build_arm_grid(a_hat: np.ndarray, M: int, nu: float) -> ArmGrid:
-    """Step-1/M lattice over [-1-nu, 1+nu]^k, kept inside the radius-(1+nu) ball.
-
-    Points are enumerated lexicographically (first coordinate slowest), so arm
-    indices are reproducible.  The embedding through the orthonormal basis
-    preserves norms, hence every arm stays inside the action ball.
-    """
+def check_basis(a_hat: np.ndarray) -> np.ndarray:
+    """a_hat as a float (k, d) matrix with orthonormal rows and k <= d."""
     a_hat = np.asarray(a_hat, dtype=float)
     if a_hat.ndim != 2:
         raise ValueError(f"basis must be a matrix, got shape {a_hat.shape}")
@@ -75,8 +64,20 @@ def build_arm_grid(a_hat: np.ndarray, M: int, nu: float) -> ArmGrid:
     if k > d:
         raise ValueError(f"need k <= d, got shape {a_hat.shape}")
     gram_dev = np.linalg.norm(a_hat @ a_hat.T - np.eye(k))
-    if gram_dev > 1e-8:
+    if not gram_dev <= 1e-8:
         raise ValueError(f"rows are not orthonormal: ||AA^T - I||_F = {gram_dev:.3e}")
+    return a_hat
+
+
+def build_arm_grid(a_hat: np.ndarray, M: int, nu: float) -> ArmGrid:
+    """Step-1/M lattice over [-1-nu, 1+nu]^k, kept inside the radius-(1+nu) ball.
+
+    Points are enumerated lexicographically (first coordinate slowest), so arm
+    indices are reproducible.  The embedding through the orthonormal basis
+    preserves norms, hence every arm stays inside the action ball.
+    """
+    a_hat = check_basis(a_hat)
+    k = a_hat.shape[0]
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     radius = 1.0 + nu
@@ -121,9 +122,8 @@ def ucb1_select(state: Ucb1State) -> int:
     Index of arm a is means[a] + scale * sqrt(2 log t / counts[a]); ties go
     to the lowest index (numpy argmax keeps the first maximum).  run_phase2
     computes the same index with the same operation order (divide, sqrt,
-    times scale, plus mean): over the whole grid with numpy, or over a
-    certified window's candidates in Python floats, which round each step
-    the same way.
+    times scale, plus mean) in Python floats, which round each step the
+    same way, for the few arms its block bounds cannot rule out.
     """
     unpulled = np.flatnonzero(state.counts == 0)
     if unpulled.size:
@@ -166,7 +166,6 @@ class Phase2Result:
     state: Ucb1State
     opt_value: float
     scale: float
-    certified_rounds: int = 0  # rounds decided inside a certified window
 
     @property
     def cumulative_regret(self) -> float:
@@ -194,20 +193,21 @@ def run_phase2(
     mean is computed once, and the noise comes NOISE_CHUNK values per rng
     call, the same stream as one standard_normal() per round.
 
-    Most rounds need not evaluate the whole index vector.  After a round t
-    that did and pulled arm w, theta is the CERT_RANK-th largest index among
-    the other arms.  Until an arm is pulled its counts and mean are frozen,
-    and its index can only grow with 2 log t (each rounded step is monotone),
-    so CERT_RANK arms keep an index >= theta until CERT_RANK of them are
-    pulled.  A window then opens: with L = 2 log(t + CERT_WINDOW), its
-    candidates are the arms whose index at L, with the stats after round t,
-    is >= theta.  Each round whose own 2 log t is <= L evaluates only the
-    candidates, in ascending order, keeping the first maximum.  If that
-    maximum is >= theta, every other arm is frozen and strictly below theta,
-    so the candidate is numpy's first argmax over the grid: the round is
-    certified.  Otherwise (or once 2 log t > L) the window closes and the
-    round evaluates the full vector.  No step assumes libm's log is
-    monotone; an out-of-order log only closes a window early.  The indices
+    After the sweep, rounds run in blocks of BLOCK (at most n_arms - 1).  A
+    block opens with one numpy pass: each arm's index at hi, the largest
+    2 log t among the block's rounds, and the arms sorted by that bound.
+    An arm not pulled in the block is frozen, and each rounded step of its
+    index (divide, sqrt, times scale, plus mean) is monotone, so its index
+    in any round of the block is at most its bound.  A round walks the
+    sorted arms, skipping those pulled in the block: it evaluates the
+    first, then each later one whose bound is >= the running best, and
+    stops at the first below it, as every arm after that is strictly below
+    the best.  An arm pulled in the block has a new bound at hi after each
+    pull; those arms are checked only when the largest of these bounds
+    reaches the best, and each is evaluated only if its own does.  Each
+    evaluation is exact, in Python floats with numpy's operation order,
+    and ties go to the lowest index, so the winner is numpy's first argmax
+    over the grid.  No step assumes libm's log is monotone.  The indices
     are finite because sigma, nu and the scale are finite.
     """
     cfg = cfg or Phase2Config()
@@ -245,53 +245,65 @@ def run_phase2(
 
     counts = [0] * n_arms
     means = [0.0] * n_arms
-    counts_f = np.zeros(n_arms)  # float mirror of counts for the full index
-    means_a = state.means  # mirror of means for the full index
-    index = np.empty(n_arms)
+    counts_f = np.zeros(n_arms)  # float mirror of counts, refreshed per block
+    means_a = state.means  # mirror of means, refreshed per block
     upper = np.empty(n_arms)
     arm_ids = np.empty(n2, dtype=np.int64)
     rewards = np.empty(n2)
     arm_means_a = np.array(arm_means)
-    rank = min(CERT_RANK, n_arms - 1)
-    window = []  # candidates of the open window, ascending; empty when closed
-    first = wait = backoff = certified = 0
-    theta = two_log_last = 0.0
-    log, sqrt = math.log, math.sqrt
-    divide, root, multiply, add = np.divide, np.sqrt, np.multiply, np.add
+    log, sqrt, ninf = math.log, math.sqrt, -math.inf
+    block = min(BLOCK, n_arms - 1)
+    first = end = n_arms  # the current block's rounds are first..end-1
+    pulled = list(range(n_arms))  # arms pulled since the mirrors were refreshed
+    # each arm's index at hi: from the block's numpy pass until the arm is
+    # pulled, then from its stats after its last pull; pulled_max is the
+    # largest post-pull bound of the block, walk holds the unpulled arms
+    # by descending bound
+    bounds = [0.0] * n_arms
+    hi, pulled_max = 0.0, ninf
     for start in range(0, n2, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, n2)
         noise = env.sigma * env.rng.standard_normal(stop - start)
         chunk = []
         for t, z in zip(range(start, stop), noise.tolist()):
-            if window:
-                two_log_t = 2.0 * log(t)
-                best, arm = -math.inf, -1
-                if two_log_t <= two_log_last:
-                    for a in window:
-                        value = sqrt(two_log_t / counts[a]) * scale + means[a]
-                        if value > best:
-                            best, arm = value, a
-                if best >= theta:
-                    certified += 1
-                else:  # close the window: refresh the mirrors, maybe back off
-                    for a in window:
+            if t < n_arms:
+                arm = t
+            else:
+                if t == end:  # open a block: refresh the mirrors, bound every arm
+                    for a in pulled:
                         counts_f[a] = counts[a]
                         means_a[a] = means[a]
-                    if t - first < CERT_MIN_ROUNDS:
-                        backoff = min(2 * backoff or CERT_MIN_ROUNDS, CERT_MAX_WAIT)
-                        wait = backoff
-                    else:
-                        backoff = 0
-                    window = []
-            if not window:
-                if t < n_arms:
-                    arm = t
-                else:
-                    divide(2.0 * log(t), counts_f, out=index)
-                    root(index, out=index)
-                    multiply(index, scale, out=index)
-                    add(index, means_a, out=index)
-                    arm = int(index.argmax())
+                    pulled = []
+                    pulled_max = ninf
+                    first, end = t, min(t + block, n2)
+                    two_logs = [2.0 * log(s) for s in range(first, end)]
+                    hi = max(two_logs)
+                    np.divide(hi, counts_f, out=upper)
+                    np.sqrt(upper, out=upper)
+                    np.multiply(upper, scale, out=upper)
+                    np.add(upper, means_a, out=upper)
+                    bounds = upper.tolist()
+                    walk = upper.argsort().tolist()
+                    walk.reverse()
+                two_log_t = two_logs[t - first]
+                best, arm = ninf, -1
+                for a in walk:
+                    if bounds[a] < best:
+                        break
+                    value = sqrt(two_log_t / counts[a]) * scale + means[a]
+                    if value >= best and (value > best or a < arm):
+                        best, arm = value, a
+                walked = arm
+                if pulled_max >= best:
+                    for a in pulled:
+                        if bounds[a] < best:
+                            continue
+                        value = sqrt(two_log_t / counts[a]) * scale + means[a]
+                        if value >= best and (value > best or a < arm):
+                            best, arm = value, a
+                if arm == walked:
+                    walk.remove(arm)
+                    pulled.append(arm)
             reward = arm_means[arm] + z
             count = counts[arm] + 1
             mean = means[arm]
@@ -299,30 +311,9 @@ def run_phase2(
             counts[arm] = count
             means[arm] = mean
             chunk.append(arm)
-            if window:
-                continue
-            counts_f[arm] = count
-            means_a[arm] = mean
-            if wait:
-                wait -= 1
-                continue
-            if not n_arms <= t < n2 - 1:
-                continue
-            # open a window; a grid has at least 3 arms, so rank >= 1 here.
-            # theta ranks the other arms; argmax pages in no code that
-            # np.partition would (about 0.25 MB of resident memory)
-            index[arm] = -math.inf
-            for _ in range(rank):
-                top = index.argmax()
-                theta = float(index[top])
-                index[top] = -math.inf
-            first = t + 1
-            two_log_last = 2.0 * log(t + CERT_WINDOW)
-            divide(two_log_last, counts_f, out=upper)
-            root(upper, out=upper)
-            multiply(upper, scale, out=upper)
-            add(upper, means_a, out=upper)
-            window = np.flatnonzero(upper >= theta).tolist()
+            bound = bounds[arm] = sqrt(hi / count) * scale + mean
+            if bound > pulled_max:
+                pulled_max = bound
         arm_ids[start:stop] = chunk
         rewards[start:stop] = arm_means_a[arm_ids[start:stop]] + noise
     means_a[:] = means
@@ -339,5 +330,4 @@ def run_phase2(
         state=state,
         opt_value=opt_value,
         scale=scale,
-        certified_rounds=certified,
     )

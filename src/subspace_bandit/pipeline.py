@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bandit import BudgetError, Phase2Config, run_phase2
+from .bandit import BudgetError, Phase2Config, check_basis, run_phase2
 from .envs import (
     Environment,
     best_on_subspace,
@@ -370,9 +370,22 @@ class PracticalParams:
     known_subspace: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        scale = self.ucb_scale
-        if scale is not None and not (math.isfinite(scale) and scale >= 0):
-            raise ValueError(f"ucb_scale must be finite and >= 0, got {scale}")
+        """Reject, before any query, each value a later stage rejects or
+        cannot use; every message names its key."""
+        sampling_plan(self)  # checks m_X, m_Phi, epsilon and N
+        if not (math.isfinite(self.c0) and self.c0 > 0):
+            raise ValueError(f"c0 must be finite and > 0, got {self.c0}")
+        for key in ("delta", "gamma", "lambda_scale", "lambda_override", "ucb_scale"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        if self.M is not None and not self.M >= 1:
+            raise ValueError(f"M must be >= 1, got {self.M}")
+        if self.known_subspace is not None:
+            try:
+                check_basis(self.known_subspace)
+            except ValueError as exc:
+                raise ValueError(f"known_subspace: {exc}") from None
 
     def to_dict(self) -> dict:
         out = {

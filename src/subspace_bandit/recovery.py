@@ -97,13 +97,16 @@ class SolveInfo:
 
 
 def _svt(mat: np.ndarray, thresh: float) -> np.ndarray:
-    """Singular value soft-thresholding, the prox of ``thresh * ||.||_*``."""
+    """Singular value soft-thresholding, the prox of ``thresh * ||.||_*``.
+
+    The singular values come sorted, so the ones left positive are a prefix.
+    """
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    s = np.maximum(s - thresh, 0.0)
-    keep = s > 0.0
-    if not np.any(keep):
+    s -= thresh
+    r = int(np.count_nonzero(s > 0.0))
+    if r == 0:
         return np.zeros_like(mat)
-    return (u[:, keep] * s[keep]) @ vt[keep]
+    return (u[:, :r] * s[:r]) @ vt[:r]
 
 
 def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
@@ -120,16 +123,21 @@ def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     z = start.copy()
     t = 1.0
     step = 1.0 / lipschitz
+    thresh = tau * step
     iters = 0
     converged = False
     for iters in range(1, max_iters + 1):
-        m_new = _svt(z + step * residual(z), tau * step)
-        if np.vdot(z - m_new, m_new - m_cur) > 0.0:
+        m_new = _svt(z + step * residual(z), thresh)
+        move = m_new - m_cur
+        if np.vdot(z - m_new, move) > 0.0:
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = m_new + ((t - 1.0) / t_new) * (m_new - m_cur)
-        change = np.linalg.norm(m_new - m_cur)
-        scale = max(1.0, np.linalg.norm(m_new))
+        z = m_new + ((t - 1.0) / t_new) * move
+        # the Frobenius norms exactly as np.linalg.norm computes them
+        flat = move.ravel()
+        change = math.sqrt(flat.dot(flat))
+        flat = m_new.ravel()
+        scale = max(1.0, math.sqrt(flat.dot(flat)))
         m_cur = m_new
         t = t_new
         if change <= rel_tol * scale:

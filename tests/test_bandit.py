@@ -337,9 +337,9 @@ FAMILY_PARAMS = {
 }
 
 
-def family_env(family, k, sigma, seed):
+def family_env(family, k, sigma, seed, d=8):
     return make_environment(
-        d=8, k=k, family=family, sigma=sigma, nu=0.1, seed=seed,
+        d=d, k=k, family=family, sigma=sigma, nu=0.1, seed=seed,
         params=FAMILY_PARAMS[family](k),
     )
 
@@ -363,9 +363,9 @@ def reference_phase2(env, a_hat, n2, cfg):
     return arm_ids, rewards, regrets, grid.lattice_points[arm_ids], state
 
 
-def assert_matches_reference(family, k, sigma, n2, cfg, seed):
-    env = family_env(family, k, sigma, seed)
-    ref_env = family_env(family, k, sigma, seed)
+def assert_matches_reference(family, k, sigma, n2, cfg, seed, d=8):
+    env = family_env(family, k, sigma, seed, d)
+    ref_env = family_env(family, k, sigma, seed, d)
     a_hat = rotated_basis(env, 0.05)
     got = run_phase2(env, a_hat, n2, cfg)
     arm_ids, rewards, regrets, y_coords, state = reference_phase2(ref_env, a_hat, n2, cfg)
@@ -380,13 +380,6 @@ def assert_matches_reference(family, k, sigma, n2, cfg, seed):
     assert env.query_count == ref_env.query_count == n2
     assert env.rng.standard_normal() == ref_env.rng.standard_normal()
     return got
-
-
-def tiny_windows(monkeypatch, rank, window, min_rounds, max_wait):
-    monkeypatch.setattr(bandit, "CERT_RANK", rank)
-    monkeypatch.setattr(bandit, "CERT_WINDOW", window)
-    monkeypatch.setattr(bandit, "CERT_MIN_ROUNDS", min_rounds)
-    monkeypatch.setattr(bandit, "CERT_MAX_WAIT", max_wait)
 
 
 class TestPhase2MatchesReference:
@@ -413,47 +406,67 @@ class TestPhase2MatchesReference:
         assert_matches_reference(family, 2, 0.1, chunk + 300, cfg, SEED + 200)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
-    def test_long_horizon_in_windows(self, sigma):
-        """20000 rounds at the library's window constants.  At sigma = 0 the
-        mirror-image arms +y and -y have equal means, so equal counts give
-        equal indices and the lowest-index rule decides inside windows."""
+    def test_long_horizon_in_blocks(self, sigma):
+        """20000 rounds on 29 arms: over 700 blocks of 28 rounds.  At sigma = 0
+        the mirror-image arms +y and -y have equal means, so equal counts give
+        equal indices and the lowest-index rule decides inside blocks."""
         env = family_env("norm-squared", 1, sigma, SEED + 400)
         means = [float(mean_value(env.mean, env.A @ x))
                  for x in build_arm_grid(rotated_basis(env, 0.05), choose_M(20000, 1), env.nu).arms]
         if sigma == 0.0:
             assert means == means[::-1]
         cfg = Phase2Config(ucb_scale=0.75)
-        got = assert_matches_reference("norm-squared", 1, sigma, 20000, cfg, SEED + 400)
-        assert got.certified_rounds > 20000 // 2
+        assert_matches_reference("norm-squared", 1, sigma, 20000, cfg, SEED + 400)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_tiny_windows_open_certify_fail_and_back_off(self, family, k, monkeypatch):
-        """Rank 2, windows of 8 rounds, back-off from 4 to 16 rounds: many
-        windows per run, closed early by a failed certificate or by 2 log t."""
-        tiny_windows(monkeypatch, rank=2, window=8, min_rounds=4, max_wait=16)
+    @pytest.mark.parametrize("block", [1, 2, 3, 10**6])
+    def test_block_lengths(self, family, k, block, monkeypatch):
+        """Blocks of one round (no arm is pulled before a block's only round),
+        two and three rounds, and a BLOCK above the arm count, which the
+        cap of n_arms - 1 cuts down."""
+        monkeypatch.setattr(bandit, "BLOCK", block)
         for sigma, n2 in ((0.0, 700), (0.2, 1500)):
-            got = assert_matches_reference(family, k, sigma, n2, Phase2Config(), SEED + 500 + k)
-            assert 0 < got.certified_rounds < n2 - got.grid.n_arms
+            assert_matches_reference(family, k, sigma, n2, Phase2Config(), SEED + 500 + k)
 
-    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("rank", [1, 3])
-    @pytest.mark.parametrize("sigma, ucb_scale", [(0.0, 0.0), (0.2, None)])
-    def test_window_of_rank_rounds_always_certifies(self, family, k, rank, sigma, ucb_scale, monkeypatch):
-        """A window of CERT_RANK rounds certifies every round: the CERT_RANK
-        arms at or above theta are frozen, their index only grows, and each
-        round pulls at most one of them.  So after the sweep the rounds run
-        full, then `rank` certified, and so on.  With ucb_scale = 0 at sigma =
-        0 each index is its arm's mean; on norm-squared the best arm's mirror
-        ties with it, so best == theta and the certificate must admit ties."""
-        tiny_windows(monkeypatch, rank=rank, window=rank, min_rounds=1, max_wait=1)
-        n2 = 600
-        got = assert_matches_reference(
-            family, k, sigma, n2, Phase2Config(ucb_scale=ucb_scale), SEED + 600 + k
-        )
-        rest = n2 - got.grid.n_arms
-        assert got.certified_rounds == rest - math.ceil(rest / (rank + 1))
+    @pytest.mark.parametrize("block", [3, 32])
+    def test_mirror_ties_go_to_the_lowest_index(self, block, monkeypatch):
+        """ucb_scale = 0 at sigma = 0: each index is its arm's mean, and on
+        norm-squared the best arm ties exactly with its mirror image, in every
+        round after the sweep.  The lower index of the pair must win them all."""
+        monkeypatch.setattr(bandit, "BLOCK", block)
+        cfg = Phase2Config(M=4, ucb_scale=0.0)
+        got = assert_matches_reference("norm-squared", 1, 0.0, 300, cfg, SEED + 700)
+        means = got.state.means
+        n_arms = got.grid.n_arms
+        best = np.flatnonzero(means == means.max())
+        assert best.size == 2 and best[0] + best[1] == n_arms - 1
+        assert np.all(got.arm_ids[n_arms:] == best[0])
+
+    def test_arm_wins_again_within_its_block(self):
+        """A small scale concentrates play: the leading arm is pulled again
+        inside the block that first pulled it, so it must be re-evaluated
+        although the walk no longer holds it."""
+        cfg = Phase2Config(ucb_scale=0.05)
+        got = assert_matches_reference("centered-quadratic", 2, 0.05, 3000, cfg, SEED + 800)
+        n_arms = got.grid.n_arms
+        block = min(bandit.BLOCK, n_arms - 1)
+        ids = got.arm_ids[n_arms:].tolist()
+        repeats = [
+            i for i in range(0, len(ids), block)
+            if len(set(ids[i:i + block])) < len(ids[i:i + block])
+        ]
+        assert len(repeats) > len(ids) // block // 2
+
+    def test_theory_shape_round_robin(self):
+        """The theory plan's grid: linear, d = 6, k = 1, sigma = 0, M = 204,
+        449 arms and the default scale, where the winner changes almost
+        every round."""
+        cfg = Phase2Config(M=204)
+        got = assert_matches_reference("linear", 1, 0.0, 2000, cfg, SEED + 900, d=6)
+        assert got.grid.n_arms == 449
+        changes = np.count_nonzero(np.diff(got.arm_ids[449:]))
+        assert changes > 0.9 * (2000 - 449 - 1)
 
     def test_grid_outside_ball_raises_before_any_query(self):
         """Rows 4e-9 too long pass the orthonormality check, but the outer

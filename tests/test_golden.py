@@ -31,6 +31,13 @@ CELLS = {
         dict(d=6, k=2, family="centered-quadratic", sigma=0.05, nu=0.1, seed=9),
         dict(n=3000, m_X=8, m_Phi=40, epsilon=0.05, ucb_scale=0.5),
     ),
+    # the sweep-k3 benchmark cell at n = 12000: a tall sketch (m_Phi = 200 >
+    # d * m_X = 144), then 9588 rounds on 365 arms, where the UCB winner
+    # changes almost every round
+    "k3-round-robin": (
+        dict(d=12, k=3, family="centered-quadratic", sigma=0.001, nu=0.1, seed=3),
+        dict(n=12000, m_X=12, m_Phi=200, epsilon=0.1, lambda_override=0.08, ucb_scale=0.75),
+    ),
 }
 
 # name: (phase1_rounds, FISTA iterations, outer rounds, subspace_err, total regret)
@@ -38,6 +45,7 @@ GOLDEN = {
     "quickstart-wide": (30300, 192, 3, "0x1.0f056bcc4f4bdp-2", "0x1.50f231fcf4b4cp+15"),
     "small-tall": (164, 145, 9, "0x1.c4ee10b0a45efp-13", "0x1.b5d28fe3ac756p+10"),
     "known-subspace": (0, None, None, "0x0.0p+0", "0x1.a110000000000p+8"),
+    "k3-round-robin": (2412, 153, 4, "0x1.815d649fbdeabp-3", "0x1.0f0d65262b2d0p+12"),
 }
 
 

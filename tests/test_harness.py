@@ -398,6 +398,39 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("delta", -2.0),
+            ("delta", float("nan")),
+            ("gamma", float("nan")),
+            ("gamma", -1.0),
+            ("c0", -1.0),
+            ("lambda_scale", -1.0),
+            ("lambda_override", -1.0),
+            ("lambda_override", float("inf")),
+            ("M", 0),
+            ("known_subspace", [[2.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
+        ],
+    )
+    def test_bad_practical_value_is_config_error_before_any_query(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        """Each value fails a later stage, most after phase 1 has spent its
+        queries, or (gamma = nan) runs the cell on a NaN constraint level."""
+        envs = []
+        make = harness._cell_environment
+
+        def spy(*args, **kwargs):
+            envs.append(make(*args, **kwargs))
+            return envs[-1]
+
+        monkeypatch.setattr(harness, "_cell_environment", spy)
+        cfg = write_config(tmp_path, practical=dict(CLI_PRACTICAL, **{key: value}))
+        assert main(["sweep", "--config", cfg]) == 1
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert all(env.query_count == 0 for env in envs)
+
+    @pytest.mark.parametrize(
         "horizon, extra",
         [(8 * 41 + 1, {}), (1, {"known_subspace": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]})],
         ids=["one-round-after-phase-1", "known-subspace-one-round"],
