@@ -239,8 +239,10 @@ def run_phase2(
     n_arms = grid.n_arms
     state = fresh_ucb_state(n_arms, scale)
     check_points(env, grid.arms)
-    # each arm's mean exactly as sample_reward computes it at that arm
-    arm_means = [float(mean_value(env.mean, env.A @ x)) for x in grid.arms]
+    # each arm's mean exactly as sample_reward computes it: A @ x per arm (a
+    # matrix product rounds differently), then one mean_value over the rows
+    arm_means_a = mean_value(env.mean, np.array([env.A @ x for x in grid.arms]))
+    arm_means = arm_means_a.tolist()
     env.query_count += n2
 
     counts = [0] * n_arms
@@ -250,7 +252,6 @@ def run_phase2(
     upper = np.empty(n_arms)
     arm_ids = np.empty(n2, dtype=np.int64)
     rewards = np.empty(n2)
-    arm_means_a = np.array(arm_means)
     log, sqrt, ninf = math.log, math.sqrt, -math.inf
     block = min(BLOCK, n_arms - 1)
     first = end = n_arms  # the current block's rounds are first..end-1

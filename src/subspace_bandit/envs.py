@@ -116,12 +116,18 @@ def mean_spec(family: str, k: int, nu: float, params: Optional[dict] = None) -> 
 
 
 def mean_value(spec: MeanRewardSpec, u: np.ndarray):
-    """Evaluate g at u, shape (k,) or batched (n, k)."""
+    """Evaluate g at u, shape (k,) or batched (n, k).
+
+    Each row of a batch is evaluated exactly as that row on its own, so
+    batched means equal the per-point ones bit for bit.
+    """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
     U = np.atleast_2d(u)
     if spec.family == "linear":
-        out = U @ spec.params["weight"]
+        # one vector product per row: a matrix-vector product rounds rows
+        # differently from a single row's product
+        out = np.matmul(U[:, None, :], spec.params["weight"])[:, 0]
     elif spec.family == "norm-squared":
         out = np.einsum("ij,ij->i", U, U)
     elif spec.family == "centered-quadratic":

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bandit import BudgetError
+from .bandit import BudgetError, check_basis
 from .envs import DomainError, Environment, environment_from_descriptor, estimate_conditioning
 from .pipeline import (
     PracticalParams,
@@ -90,6 +90,16 @@ class ExperimentConfig:
         unknown = set(self.practical) - _PRACTICAL_KEYS
         if unknown:
             raise ValueError(f"unknown practical override(s): {sorted(unknown)}")
+        if self.practical.get("known_subspace") is not None:
+            try:
+                width = check_basis(self.practical["known_subspace"]).shape[1]
+            except ValueError as exc:
+                raise ValueError(f"known_subspace: {exc}") from None
+            if width != self.environment["d"]:
+                raise ValueError(
+                    f"known_subspace: basis has {width} columns but the "
+                    f"environment has d = {self.environment['d']}"
+                )
         if self.mode == "theory" and "alpha" not in self.theory:
             raise ValueError("theory mode needs theory.alpha in the config")
         unknown = set(self.theory.get("constants", {})) - _CONSTANT_KEYS

@@ -629,6 +629,8 @@ def run_cablp(env: Environment, params) -> RunRecord:
             "converged": recovery.info.converged,
             "feasible": recovery.info.feasible,
             "residual_norm": recovery.info.residual_norm,
+            "lipschitz": recovery.info.lipschitz,
+            "backtracks": recovery.info.backtracks,
             "spectrum": recovery.spectrum.tolist(),
             "error_bound": recovery.error_bound,
         },

@@ -19,18 +19,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import SamplingSets
+from .sampling import SamplingSets, _chunks
 
 RANK_FLOOR = 1e-12
 # solve_dantzig's fixed settings: FISTA steps per subproblem and its
 # relative iterate-change stop, the relative slack of the feasibility test,
-# the continuation's per-round shrink of the penalty weight, and the most
-# continuation rounds
+# the continuation's per-round shrink of the penalty weight, the most
+# continuation rounds, and the step test's rounding allowance (_prox_step)
 MAX_ITERS = 5000
 REL_TOL = 1e-7
 FEAS_TOL = 1e-6
 TAU_SHRINK = 0.3
 MAX_OUTER = 40
+STEP_ROUNDING = 1e-12
 
 
 class DegenerateRecoveryError(RuntimeError):
@@ -94,6 +95,8 @@ class SolveInfo:
     feasible: bool
     residual_norm: float
     tau_final: float
+    lipschitz: float  # the final FISTA curvature bound L; the step is 1/L
+    backtracks: int  # prox steps redone because L was too small
 
 
 def _svt(mat: np.ndarray, thresh: float) -> np.ndarray:
@@ -109,41 +112,69 @@ def _svt(mat: np.ndarray, thresh: float) -> np.ndarray:
     return (u[:, :r] * s[:r]) @ vt[:r]
 
 
+def _prox_step(residual, z, r_z, tau, lipschitz):
+    """The prox step ``z -> p`` with step 1/L, where ``r_z = residual(z)``.
+
+    Accepted when ``<d, r_z - r_p> = ||Phi(d)||^2 <= L ||d||^2`` for
+    ``d = p - z`` (Beck & Teboulle 2009; exact for this quadratic), up to a
+    rounding allowance; else L rises to ``max(1.05 L, curvature)`` and the
+    step is redone.  Returns ``(p, r_p, L, backtracks)``.
+    """
+    backtracks = 0
+    while True:
+        step = 1.0 / lipschitz
+        p = _svt(z + step * r_z, tau * step)
+        r_p = residual(p)
+        d = (p - z).ravel()
+        d_sq = d.dot(d)
+        curvature = d.dot((r_z - r_p).ravel())
+        excess = curvature - lipschitz * d_sq
+        if excess <= 0.0 or excess <= STEP_ROUNDING * math.sqrt(d_sq) * (
+            np.linalg.norm(r_z) + np.linalg.norm(r_p) + lipschitz * np.linalg.norm(p)
+        ):
+            return p, r_p, lipschitz, backtracks
+        lipschitz = max(1.05 * lipschitz, float(curvature / d_sq))
+        backtracks += 1
+
+
 def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     """Accelerated proximal descent for tau*||M||_* + 0.5*||Phi(M) - y||^2.
 
     ``residual(M)`` is the dual residual ``Phi*(y - Phi(M))``, the negative
-    gradient of the smooth part.  The momentum restarts (``t = 1``) whenever
+    gradient of the smooth part, evaluated once per accepted
+    :func:`_prox_step`; being affine, it is extrapolated to the momentum
+    point z alongside z.  The momentum restarts (``t = 1``) whenever
     the prox step ``z -> M_new`` points against the last move
     ``M_cur -> M_new``, the gradient restart of O'Donoghue & Candes (2015),
     which stops the oscillation that momentum otherwise causes near the
-    solution.
+    solution.  Returns ``(M, iterations, converged, L, backtracks)``.
     """
-    m_cur = start.copy()
-    z = start.copy()
+    m_cur = z = start.copy()
+    r_cur = r_z = residual(m_cur)
     t = 1.0
-    step = 1.0 / lipschitz
-    thresh = tau * step
-    iters = 0
+    iters = backtracks = 0
     converged = False
     for iters in range(1, max_iters + 1):
-        m_new = _svt(z + step * residual(z), thresh)
+        m_new, r_new, lipschitz, redone = _prox_step(residual, z, r_z, tau, lipschitz)
+        backtracks += redone
         move = m_new - m_cur
         if np.vdot(z - m_new, move) > 0.0:
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = m_new + ((t - 1.0) / t_new) * move
+        beta = (t - 1.0) / t_new
+        z = m_new + beta * move
+        r_z = r_new + beta * (r_new - r_cur)
         # the Frobenius norms exactly as np.linalg.norm computes them
         flat = move.ravel()
         change = math.sqrt(flat.dot(flat))
         flat = m_new.ravel()
         scale = max(1.0, math.sqrt(flat.dot(flat)))
-        m_cur = m_new
+        m_cur, r_cur = m_new, r_new
         t = t_new
         if change <= rel_tol * scale:
             converged = True
             break
-    return m_cur, iters, converged
+    return m_cur, iters, converged, lipschitz, backtracks
 
 
 def _is_tall(sets: SamplingSets) -> bool:
@@ -159,28 +190,22 @@ def _sketch_adjoint(sets: SamplingSets, y: np.ndarray) -> np.ndarray:
     """
     if _is_tall(sets):
         adjoint = np.zeros(sets.d * sets.m_X)
-        for start, stop, rows in sets.sign_rows(float):
-            adjoint += rows.T @ y[start:stop]
+        for start, stop in _chunks(sets.m_Phi):
+            rows = sets.signs[start:stop].transpose(0, 2, 1).reshape(stop - start, -1)
+            adjoint += rows.astype(float).T @ y[start:stop]
         return adjoint * sets.scale
     return sets.flat_operator().T @ y
 
 
 def _smooth_part(
     sets: SamplingSets, y: np.ndarray, adjoint_y: np.ndarray
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """``(residual, lipschitz)`` for the smooth part ``0.5*||Phi(M) - y||^2``.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The dual residual ``M -> Phi*(y - Phi(M))`` of ``0.5*||Phi(M) - y||^2``.
 
-    ``residual(M) = Phi*(y - Phi(M))`` and ``lipschitz = ||F||_2^2``.  A
-    tall sketch uses the normal equations: with the exact ``G = F^T F`` of
-    :meth:`SamplingSets.gram`, the residual is ``F^T y - G @ M`` and the
-    constant is the top eigenvalue of G, so no iteration touches an
-    ``m_Phi``-long vector.  Otherwise the residual comes from products with
-    F and the constant from the top eigenvalue of the small Gram ``F F^T``
-    (``m_Phi <= d * m_X``), not from an SVD of F.  That eigenvalue is padded
-    by ``n * eps * trace(F F^T)`` with ``n = d * m_X``: forming ``F F^T``
-    errs by at most about ``n * eps / 2 * ||F||_F^2`` in norm and
-    ``eigvalsh`` by a small multiple of ``m_Phi * eps * ||F||_2^2``, so the
-    step ``1 / lipschitz`` stays at or below ``1 / ||F||_2^2``.
+    A tall sketch uses the normal equations: with the exact ``G = F^T F`` of
+    :meth:`SamplingSets.gram`, the residual is ``F^T y - G @ M``, so no
+    iteration touches an ``m_Phi``-long vector.  Otherwise it comes from
+    products with F.
     """
     shape = (sets.d, sets.m_X)
     if _is_tall(sets):
@@ -189,16 +214,14 @@ def _smooth_part(
         def residual(mat):
             return (adjoint_y - gram @ mat.ravel()).reshape(shape)
 
-        return residual, float(np.linalg.eigvalsh(gram)[-1])
+        return residual
 
     flat_op = sets.flat_operator()
 
     def residual(mat):
         return (flat_op.T @ (y - flat_op @ mat.ravel())).reshape(shape)
 
-    small_gram = flat_op @ flat_op.T
-    pad = flat_op.shape[1] * np.finfo(float).eps * float(np.trace(small_gram))
-    return residual, float(np.linalg.eigvalsh(small_gram)[-1]) + pad
+    return residual
 
 
 def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
@@ -211,6 +234,10 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     (within ``FEAS_TOL`` relative).  The penalized and constrained
     formulations meet at the constraint boundary, so the final iterate is the
     selector solution up to solver tolerance.
+
+    No eigenvalue is computed: FISTA's L starts at the Marchenko-Pastur edge
+    ``(1 + sqrt(d * m_X / m_Phi))^2``, where ``||F||_2^2`` concentrates (Bai
+    & Yin 1993), only rises, and carries over between continuation rounds.
 
     A tall sketch (``m_Phi > d * m_X``) is solved in Gram form from the sign
     chunks and never builds the flat operator or the float directions; its
@@ -225,19 +252,16 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     adjoint_y = _sketch_adjoint(sets, y)
     dual0 = adjoint_y.reshape(shape)
     dual0_norm = float(np.linalg.norm(dual0, 2))
+    lipschitz = (1.0 + math.sqrt(sets.d * sets.m_X / sets.m_Phi)) ** 2
     if problem.lam >= dual0_norm:
         # zero is already feasible, and it has minimal nuclear norm
         info = SolveInfo(
-            iterations=0,
-            outer_rounds=0,
-            converged=True,
-            feasible=True,
-            residual_norm=dual0_norm,
-            tau_final=problem.lam,
+            iterations=0, outer_rounds=0, converged=True, feasible=True,
+            residual_norm=dual0_norm, tau_final=problem.lam, lipschitz=lipschitz, backtracks=0,
         )
         return np.zeros(shape), info
 
-    residual, lipschitz = _smooth_part(sets, y, adjoint_y)
+    residual = _smooth_part(sets, y, adjoint_y)
 
     # continuation: start just under the level where zero is optimal, and
     # aim slightly inside the constraint so inexact subproblem solves still
@@ -248,16 +272,16 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
         tau = tau_floor
 
     m_cur = np.zeros(shape)
-    total_iters = 0
-    outer = 0
+    total_iters = backtracks = outer = 0
     sub_converged = False
     cur_tol = REL_TOL
     while outer < MAX_OUTER:
         outer += 1
-        m_cur, iters, sub_converged = _fista(
+        m_cur, iters, sub_converged, lipschitz, redone = _fista(
             residual, tau, lipschitz, m_cur, MAX_ITERS, cur_tol
         )
         total_iters += iters
+        backtracks += redone
         at_floor = tau <= tau_floor * (1.0 + 1e-12)
         if at_floor and np.linalg.norm(residual(m_cur), 2) <= problem.lam * (1.0 + FEAS_TOL):
             break
@@ -272,12 +296,9 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     residual_norm = float(np.linalg.norm(residual(m_cur), 2))
     feasible = bool(residual_norm <= problem.lam * (1.0 + FEAS_TOL))
     info = SolveInfo(
-        iterations=total_iters,
-        outer_rounds=outer,
-        converged=bool(sub_converged and feasible),
-        feasible=feasible,
-        residual_norm=residual_norm,
-        tau_final=tau,
+        iterations=total_iters, outer_rounds=outer, converged=bool(sub_converged and feasible),
+        feasible=feasible, residual_norm=residual_norm, tau_final=tau, lipschitz=lipschitz,
+        backtracks=backtracks,
     )
     return m_cur, info
 
@@ -375,6 +396,8 @@ def result_to_dict(result: RecoveryResult) -> dict:
         "converged": result.info.converged,
         "feasible": result.info.feasible,
         "residual_norm": result.info.residual_norm,
+        "lipschitz": result.info.lipschitz,
+        "backtracks": result.info.backtracks,
     }
     if result.subspace_err is not None:
         out["subspace_err"] = result.subspace_err

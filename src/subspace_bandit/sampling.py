@@ -27,6 +27,7 @@ from .util import uniform_sphere
 UNIT_NORM_TOL = 1e-12
 PLAN_SLACK = 1e-12
 SKETCH_CHUNK = 256  # probe directions drawn, shifted, queried or summed at once
+GRAM_BLOCK = 1024  # probe directions per product in SamplingSets.gram
 # float32 sums of +/-1 terms are exact integers while fewer terms than this add up
 EXACT_FLOAT32_TERMS = 2**24
 
@@ -117,30 +118,22 @@ class SamplingSets:
             self._flat = flat_signs * self.scale
         return self._flat
 
-    def sign_rows(self, dtype):
-        """Yield ``(start, stop, S)`` per chunk, with ``S * scale == F[start:stop]``.
-
-        S holds the chunk's signs as ``dtype``, columns in F's order, so
-        sums over the rows of F never need more than one chunk of floats.
-        """
-        width = self.d * self.m_X
-        for start, stop in _chunks(self.m_Phi):
-            block = self.signs[start:stop].transpose(0, 2, 1).astype(dtype, order="C")
-            yield start, stop, block.reshape(stop - start, width)
-
     def gram(self) -> np.ndarray:
         """G = F^T F as the integer S^T S / m_Phi, correctly rounded.  Cached.
 
-        S^T S is summed chunk by chunk in float32, which is exact while
+        Each block of GRAM_BLOCK directions adds ``C @ C.T`` (BLAS syrk) for
+        the contiguous ``C = S_block^T``, summed in float32, which is exact while
         m_Phi < EXACT_FLOAT32_TERMS (float64 beyond), so G does not depend on
-        the chunk size; the one rounding is the final division.
+        the block size; the one rounding is the final division.
         """
         if self._gram is None:
             dtype = np.float32 if self.m_Phi < EXACT_FLOAT32_TERMS else np.float64
             width = self.d * self.m_X
             counts = np.zeros((width, width), dtype=dtype)
-            for _, _, rows in self.sign_rows(dtype):
-                counts += rows.T @ rows
+            for start in range(0, self.m_Phi, GRAM_BLOCK):
+                block = self.signs[start : start + GRAM_BLOCK].transpose(2, 1, 0)
+                cols = block.astype(dtype, order="C").reshape(width, -1)
+                counts += cols @ cols.T
             gram = counts.astype(float)
             gram /= self.m_Phi
             self._gram = gram
@@ -160,8 +153,12 @@ def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
     points = uniform_sphere(rng, plan.m_X, d)
     signs = np.empty((plan.m_Phi, plan.m_X, d), dtype=np.int8)
     for start, stop in _chunks(plan.m_Phi):
-        # chunked draws continue one stream: the same bits as a single draw
-        signs[start:stop] = 2 * rng.integers(0, 2, size=(stop - start, plan.m_X, d)) - 1
+        # chunked int32 draws continue one stream: the same values, and the
+        # same next draw, as one draw at the default int64
+        draw = rng.integers(0, 2, size=(stop - start, plan.m_X, d), dtype=np.int32)
+        draw *= 2
+        draw -= 1
+        signs[start:stop] = draw
     return SamplingSets(points=points, signs=signs)
 
 

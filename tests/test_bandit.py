@@ -398,6 +398,13 @@ class TestPhase2MatchesReference:
         assert_matches_reference(family, k, sigma, 3 * 64 + 17, Phase2Config(), seed)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_sweep_shape(self, family):
+        """d = 12, k = 3, where the other cases have d = 8: the arm means
+        come from one batch over the per-arm products ``A @ x`` and must
+        still equal sample_reward's bit for bit."""
+        assert_matches_reference(family, 3, 0.1, 800, Phase2Config(M=4), SEED + 300, d=12)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     def test_library_chunk(self, family):
         """The default chunk size, on one chunk and across a chunk boundary."""
         chunk = bandit.NOISE_CHUNK

@@ -134,6 +134,18 @@ class TestFamilies:
             H = mean_hess(spec, u)
             assert np.max(np.abs(H)) <= spec.c2 + 1e-12, f"hessian exceeds c2 for {family}"
 
+    # weights whose products round, unlike the fixtures' powers of two
+    @pytest.mark.parametrize(
+        "family,k,params", FAMILY_CASES + [("linear", 3, {"weight": np.array([0.6, 0.3, -0.7])})]
+    )
+    def test_batch_equals_each_point_bit_for_bit(self, family, k, params):
+        """Phase 2 evaluates its arm means in one batch and must match
+        sample_reward's one-point values exactly."""
+        spec = mean_spec(family, k, 0.1, params)
+        U = np.random.default_rng(SEED + 3).uniform(-0.7, 0.7, size=(500, k))
+        batch = mean_value(spec, U)
+        assert batch.tolist() == [mean_value(spec, u) for u in U]
+
     def test_norm_squared_c2_value(self):
         spec = mean_spec("norm-squared", 2, 0.1)
         assert spec.c2 == pytest.approx(max(2 * 1.1, 2.0, 1.1**2))

@@ -4,13 +4,23 @@ Each cell pins phase 1's query count, the solver's FISTA iterations and
 outer continuation rounds, and ``subspace_err`` and total regret as
 ``float.hex()``, so any change to the numbers a seeded run produces shows
 here, not only a change beyond some tolerance.  Bit-exact pins hold for
-one numpy/BLAS build and thread count; they were recorded with numpy's
-bundled OpenBLAS on two threads.  On one thread the wide path's ``F @ F.T``
-rounds differently, and the quickstart's subspace_err moves by about 20 ulp.
+one numpy/BLAS build; they were recorded with numpy's bundled OpenBLAS.
+They hold on one BLAS thread as on two: the solver's step no longer comes
+from an eigendecomposition of a float Gram matrix, whose rounding followed
+the thread count, and all four cells were checked at both.  The quickstart
+cell, the one that used to move, is run again on one thread in a fresh
+process.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subspace_bandit
 from subspace_bandit import pipeline
 from subspace_bandit.envs import make_environment
 from subspace_bandit.pipeline import PracticalParams, run_cablp
@@ -42,10 +52,10 @@ CELLS = {
 
 # name: (phase1_rounds, FISTA iterations, outer rounds, subspace_err, total regret)
 GOLDEN = {
-    "quickstart-wide": (30300, 192, 3, "0x1.0f056bcc4f4bdp-2", "0x1.50f231fcf4b4cp+15"),
-    "small-tall": (164, 145, 9, "0x1.c4ee10b0a45efp-13", "0x1.b5d28fe3ac756p+10"),
+    "quickstart-wide": (30300, 199, 3, "0x1.0f0557b1acc9dp-2", "0x1.50f5c4dc0e733p+15"),
+    "small-tall": (164, 171, 9, "0x1.c4ee0269640a7p-13", "0x1.b5d28fe3ac698p+10"),
     "known-subspace": (0, None, None, "0x0.0p+0", "0x1.a110000000000p+8"),
-    "k3-round-robin": (2412, 153, 4, "0x1.815d649fbdeabp-3", "0x1.0f0d65262b2d0p+12"),
+    "k3-round-robin": (2412, 155, 4, "0x1.815d361384cf9p-3", "0x1.0f0d657c26562p+12"),
 }
 
 
@@ -78,3 +88,26 @@ def test_seeded_run_matches_golden(name, monkeypatch):
     assert got == GOLDEN[name]
     assert len(solves) == (0 if name == "known-subspace" else 1)
     assert record.phase1_rounds + record.phase2_rounds == params["n"]
+
+
+ONE_THREAD_RUN = """
+import json, sys
+from subspace_bandit.envs import make_environment
+from subspace_bandit.pipeline import PracticalParams, run_cablp
+env_args, params = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+record = run_cablp(make_environment(**env_args), PracticalParams(**params))
+print(record.phase1_rounds, record.recovery_diagnostics["iterations"],
+      float(record.subspace_err).hex(), float(record.total_regret).hex())
+"""
+
+
+def test_quickstart_pin_holds_on_one_blas_thread():
+    env_args, params = CELLS["quickstart-wide"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(Path(subspace_bandit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", ONE_THREAD_RUN, json.dumps(env_args), json.dumps(params)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    rounds, iterations, _, err, regret = GOLDEN["quickstart-wide"]
+    assert out == [str(rounds), str(iterations), err, regret]

@@ -64,6 +64,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown practical"):
             small_config(practical={"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "stride": 2})
 
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_known_subspace_width_must_match_d(self, width):
+        """Checked when the config loads, naming the key, not in the first
+        cell against the environment it builds."""
+        practical = dict(small_config().practical, known_subspace=[[1.0] + [0.0] * (width - 1)])
+        with pytest.raises(ValueError, match=rf"known_subspace: basis has {width} columns .* d = 6"):
+            small_config(practical=practical)
+
     def test_theory_mode_needs_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             small_config(mode="theory")
@@ -410,6 +418,8 @@ class TestCli:
             ("lambda_override", float("inf")),
             ("M", 0),
             ("known_subspace", [[2.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
+            ("known_subspace", [[1.0, 0.0, 0.0, 0.0, 0.0]]),
+            ("known_subspace", [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0]]),
         ],
     )
     def test_bad_practical_value_is_config_error_before_any_query(

@@ -330,7 +330,7 @@ class TestGramForm:
         if tall:
             monkeypatch.setattr(SamplingSets, "flat_operator", _forbidden_flat_operator)
         adjoint_y = recovery._sketch_adjoint(sets, y)
-        residual, lipschitz = recovery._smooth_part(sets, y, adjoint_y)
+        residual = recovery._smooth_part(sets, y, adjoint_y)
         grad = -residual(mat)
         monkeypatch.undo()
 
@@ -345,13 +345,6 @@ class TestGramForm:
             else:
                 # the flat path keeps the flat arithmetic bit for bit
                 np.testing.assert_array_equal(got, want)
-        norm_sq = np.linalg.norm(flat, 2) ** 2
-        if tall:
-            assert abs(lipschitz - norm_sq) <= 1e-12 * norm_sq
-        else:
-            # the flat path pads its eigvalsh estimate upward, by far less
-            # than anything that would slow the solve
-            assert norm_sq <= lipschitz <= norm_sq * (1.0 + 1e-10)
 
     # lam_rel = 2 takes the zero-is-feasible exit, 1e-3 the full solve
     @pytest.mark.parametrize("lam_rel, iterates", [(1e-3, True), (2.0, False)])
@@ -367,8 +360,9 @@ class TestGramForm:
 def plain_fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     """FISTA without restarts (Beck & Teboulle), the reference for ``_fista``.
 
-    The same prox step and stopping rule as the library loop; only the
-    momentum schedule differs: ``t`` grows without ever being reset.
+    The same prox step and stopping rule as the library loop, with the fixed
+    step ``1 / lipschitz``: no backtracking, and ``t`` grows without ever
+    being reset.  Returns what ``_fista`` returns, with no backtracks.
     """
     m_cur = start.copy()
     z = start.copy()
@@ -387,7 +381,7 @@ def plain_fista(residual, tau, lipschitz, start, max_iters, rel_tol):
         if change <= rel_tol * scale:
             converged = True
             break
-    return m_cur, iters, converged
+    return m_cur, iters, converged, lipschitz, 0
 
 
 class TestRestartMatchesReference:
@@ -409,8 +403,8 @@ class TestRestartMatchesReference:
             return weights * (target - mat)
 
         start = np.zeros((1, 2))
-        est, iters, converged = recovery._fista(residual, 0.0, 1.0, start, 2000, 1e-10)
-        _, ref_iters, ref_converged = plain_fista(residual, 0.0, 1.0, start, 2000, 1e-10)
+        est, iters, converged, _, _ = recovery._fista(residual, 0.0, 1.0, start, 2000, 1e-10)
+        _, ref_iters, ref_converged, _, _ = plain_fista(residual, 0.0, 1.0, start, 2000, 1e-10)
         assert converged and iters < 1000, iters
         assert not ref_converged and ref_iters == 2000
         np.testing.assert_allclose(est, target, atol=1e-7)
@@ -418,7 +412,8 @@ class TestRestartMatchesReference:
     @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
     @pytest.mark.parametrize("lam_rel, noise", [(1e-3, 0.0), (0.1, 0.05)])
     def test_planted_solve_against_plain_fista(self, label, lam_rel, noise, monkeypatch):
-        """Same continuation, inner loop swapped for the reference.
+        """Same continuation, inner loop swapped for the reference, which
+        steps by the exact ``1 / ||F||_2^2``.
 
         Both solves stop on the same feasibility test, so their rank-1
         subspaces agree to solver tolerance: within 1e-5 in projector
@@ -432,13 +427,107 @@ class TestRestartMatchesReference:
             dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
             problem = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
         est, info = solve_dantzig(problem)
-        monkeypatch.setattr(recovery, "_fista", plain_fista)
+        norm_sq = np.linalg.norm(problem.sets.flat_operator(), 2) ** 2
+
+        def fixed_step(residual, tau, _, *rest):
+            return plain_fista(residual, tau, norm_sq, *rest)
+
+        monkeypatch.setattr(recovery, "_fista", fixed_step)
         ref, ref_info = solve_dantzig(problem)
         assert info.feasible and ref_info.feasible
         assert info.iterations < ref_info.iterations, (info, ref_info)
         basis = extract_subspace(truncate_rank_k(est, 1), 1)
         ref_basis = extract_subspace(truncate_rank_k(ref, 1), 1)
         assert subspace_error(basis, ref_basis) <= 1e-5
+
+
+def noisy_planted_problem(label, seed):
+    rng = np.random.default_rng(seed)
+    problem, _, _ = planted_problem(rng, m_phi=SKETCH_ROWS[label], lam_rel=0.1)
+    noisy = problem.y + 0.05 * rng.standard_normal(problem.y.size)
+    dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
+    return DantzigProblem(noisy, problem.sets, 0.1 * dual0, 1)
+
+
+def scale_first_round(monkeypatch, factor):
+    """Scale the L that solve_dantzig hands to its first FISTA round.
+
+    Returns the list of the L each round was handed, before scaling."""
+    fista = recovery._fista
+    handed = []
+
+    def scaled(residual, tau, lipschitz, *rest):
+        handed.append(lipschitz)
+        if len(handed) == 1:
+            lipschitz *= factor
+        return fista(residual, tau, lipschitz, *rest)
+
+    monkeypatch.setattr(recovery, "_fista", scaled)
+    return handed
+
+
+def rank_one_basis(mat):
+    return extract_subspace(truncate_rank_k(mat, 1), 1)
+
+
+class TestStepRule:
+    """FISTA steps by 1/L: L starts at the sketch's spectral edge, and the
+    backtracking test raises it wherever a step shows more curvature."""
+
+    @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
+    def test_start_at_the_edge_and_never_fall(self, label, monkeypatch):
+        problem = noisy_planted_problem(label, SEED + 26)
+        sets = problem.sets
+        handed = scale_first_round(monkeypatch, 1.0)
+        _, info = solve_dantzig(problem)
+        assert info.feasible and len(handed) == info.outer_rounds > 1
+        assert handed[0] == (1.0 + math.sqrt(sets.d * sets.m_X / sets.m_Phi)) ** 2
+        assert handed == sorted(handed) and info.lipschitz >= handed[-1]
+        # the edge is within a few percent of ||F||_2^2 here
+        norm_sq = np.linalg.norm(sets.flat_operator(), 2) ** 2
+        assert 0.9 < handed[0] / norm_sq < 1.1
+
+    @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
+    def test_too_small_start_backtracks_to_the_same_solution(self, label, monkeypatch):
+        """From 0.01 times the edge, the first steps overshoot.  The test
+        raises L, every accepted step satisfies it on the exact curvature
+        ``||F d||^2`` (within the stated rounding allowance), and the solve
+        lands where the default one does."""
+        problem = noisy_planted_problem(label, SEED + 27)
+        ref, ref_info = solve_dantzig(problem)
+        steps = []
+        prox_step = recovery._prox_step
+
+        def spy(residual, z, r_z, tau, lipschitz):
+            out = prox_step(residual, z, r_z, tau, lipschitz)
+            steps.append((z, r_z, out))
+            return out
+
+        monkeypatch.setattr(recovery, "_prox_step", spy)
+        handed = scale_first_round(monkeypatch, 0.01)
+        est, info = solve_dantzig(problem)
+        assert info.feasible and ref_info.feasible
+        assert ref_info.backtracks == 0
+        assert info.backtracks == sum(out[3] for _, _, out in steps) >= 1
+        assert info.lipschitz > 0.01 * handed[0]
+        assert subspace_error(rank_one_basis(est), rank_one_basis(ref)) <= 1e-5
+        flat = problem.sets.flat_operator()
+        for z, r_z, (p, r_p, lipschitz, _) in steps:
+            d = (p - z).ravel()
+            fd = flat @ d
+            norms = np.linalg.norm(r_z) + np.linalg.norm(r_p) + lipschitz * np.linalg.norm(p)
+            allowance = recovery.STEP_ROUNDING * np.linalg.norm(d) * norms
+            assert fd @ fd <= lipschitz * (d @ d) * (1.0 + 1e-9) + allowance
+
+    @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
+    def test_too_large_start_stays_feasible(self, label, monkeypatch):
+        """From 100 times the edge, every step is short: none is redone, L
+        never falls, and the solve still reaches the constraint."""
+        problem = noisy_planted_problem(label, SEED + 28)
+        handed = scale_first_round(monkeypatch, 100.0)
+        _, info = solve_dantzig(problem)
+        assert info.feasible
+        assert info.backtracks == 0 and info.lipschitz == 100.0 * handed[0]
 
 
 # ---------- end to end against the environment ----------

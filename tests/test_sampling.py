@@ -245,6 +245,25 @@ def _integer_gram(sets):
     return (flat_signs.T @ flat_signs) / sets.m_Phi
 
 
+# (m_Phi, m_X, d): one part-filled chunk, and six chunks of the library's
+# SKETCH_CHUNK with a part-filled last one
+@pytest.mark.parametrize("shape", [(7, 3, 5), (5 * 256 + 11, 4, 6)])
+def test_int32_draw_matches_the_int64_draw(shape):
+    """The signs equal 2 * bits - 1 for the default (int64) draw of the bits,
+    and the generator is left where that draw leaves it."""
+    m_phi, m_x, d = shape
+    rng = np.random.default_rng(SEED)
+    sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng)
+    ref_rng = np.random.default_rng(SEED)
+    uniform_sphere(ref_rng, m_x, d)
+    bits = ref_rng.integers(0, 2, (m_phi, m_x, d))
+    assert bits.dtype == np.int64
+    assert sets.signs.dtype == np.int8
+    np.testing.assert_array_equal(sets.signs, 2 * bits - 1)
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+    assert rng.random() == ref_rng.random()
+
+
 @pytest.mark.usefixtures("small_chunk")
 class TestChunkedPhaseOne:
     """Chunked draw and collection against one-shot references kept here."""
@@ -316,16 +335,16 @@ class TestChunkedPhaseOne:
 class TestGram:
     """The tall solve's exact Gram matrix and phase 1's memory."""
 
-    @pytest.mark.parametrize("m_phi", [41, 300])
+    # one block and part of one, one less than, exactly, one more than and
+    # just past two GRAM_BLOCKs of 1024 directions
+    @pytest.mark.parametrize("m_phi", [41, 300, 1023, 1024, 1025, 2049])
     def test_gram_is_the_exact_integer_gram(self, m_phi, monkeypatch):
-        plan = SamplingPlan(m_X=4, m_Phi=m_phi, epsilon=0.1)
-        grams = []
-        for chunk in (7, 256):
-            monkeypatch.setattr(sampling, "SKETCH_CHUNK", chunk)
-            sets = draw_sampling_sets(plan, 9, rng=SEED)
-            grams.append(sets.gram())
-            assert np.array_equal(grams[-1], _integer_gram(sets))
-        assert np.array_equal(grams[0], grams[1])
+        sets = draw_sampling_sets(SamplingPlan(m_X=4, m_Phi=m_phi, epsilon=0.1), 9, rng=SEED)
+        reference = _integer_gram(sets)
+        assert np.array_equal(sets.gram(), reference)
+        # the sums are exact, so the block size cannot change G
+        monkeypatch.setattr(sampling, "GRAM_BLOCK", 7)
+        assert np.array_equal(SamplingSets(points=sets.points, signs=sets.signs).gram(), reference)
 
     def test_float64_sums_beyond_the_float32_limit(self, monkeypatch):
         monkeypatch.setattr(sampling, "EXACT_FLOAT32_TERMS", 16)
