@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import Environment, check_points, mean_value, optimal_value
+from .envs import Environment, check_points, check_row_orthonormal, mean_value, optimal_value
 
 GRID_SLACK = 1e-9
+BASIS_TOL = 1e-8  # ||AA^T - I||_F allowed for a basis that phase 2 lays a grid on
 NOISE_CHUNK = 1024  # noise values run_phase2 draws per rng call
 # run_phase2 bounds every arm's index once per block of BLOCK rounds (at most
 # n_arms - 1, so each round of a block has an unpulled arm)
@@ -24,7 +25,7 @@ BLOCK = 32
 
 
 class BudgetError(RuntimeError):
-    """Raised when a phase would exceed the remaining query budget."""
+    """Raised before any query when a run's plan does not fit its budget n."""
 
 
 def choose_M(n2: int, k: int) -> int:
@@ -45,28 +46,12 @@ class ArmGrid:
     """Lattice arms on the recovered subspace, embedded in action space."""
 
     M: int
-    k: int
-    nu: float
     lattice_points: np.ndarray  # (n_arms, k) low-dimensional strategies y_a
     arms: np.ndarray  # (n_arms, d) embedded strategies x_a
 
     @property
     def n_arms(self) -> int:
         return self.arms.shape[0]
-
-
-def check_basis(a_hat: np.ndarray) -> np.ndarray:
-    """a_hat as a float (k, d) matrix with orthonormal rows and k <= d."""
-    a_hat = np.asarray(a_hat, dtype=float)
-    if a_hat.ndim != 2:
-        raise ValueError(f"basis must be a matrix, got shape {a_hat.shape}")
-    k, d = a_hat.shape
-    if k > d:
-        raise ValueError(f"need k <= d, got shape {a_hat.shape}")
-    gram_dev = np.linalg.norm(a_hat @ a_hat.T - np.eye(k))
-    if not gram_dev <= 1e-8:
-        raise ValueError(f"rows are not orthonormal: ||AA^T - I||_F = {gram_dev:.3e}")
-    return a_hat
 
 
 def build_arm_grid(a_hat: np.ndarray, M: int, nu: float) -> ArmGrid:
@@ -76,7 +61,7 @@ def build_arm_grid(a_hat: np.ndarray, M: int, nu: float) -> ArmGrid:
     indices are reproducible.  The embedding through the orthonormal basis
     preserves norms, hence every arm stays inside the action ball.
     """
-    a_hat = check_basis(a_hat)
+    a_hat = check_row_orthonormal(a_hat, BASIS_TOL)
     k = a_hat.shape[0]
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -88,7 +73,7 @@ def build_arm_grid(a_hat: np.ndarray, M: int, nu: float) -> ArmGrid:
     keep = np.linalg.norm(lattice, axis=1) <= radius + GRID_SLACK
     lattice = lattice[keep]
     arms = lattice @ a_hat
-    return ArmGrid(M=M, k=k, nu=float(nu), lattice_points=lattice, arms=arms)
+    return ArmGrid(M=M, lattice_points=lattice, arms=arms)
 
 
 @dataclass
@@ -147,29 +132,13 @@ def ucb1_update(state: Ucb1State, arm: int, reward: float) -> Ucb1State:
 
 
 @dataclass
-class Phase2Config:
-    """Execution knobs; every default tracks the known-horizon run."""
-
-    ucb_scale: Optional[float] = None  # None: sigma + 2 * C2
-    M: Optional[int] = None  # None: choose_M(n2, k), or 1 when n2 = 1
-    opt_value: Optional[float] = None  # None: optimal_value on the environment
-    budget_cap: Optional[int] = None
-
-
-@dataclass
 class Phase2Result:
+    """Each round's arm and regret, the arm grid and the final UCB-1 state."""
+
     arm_ids: np.ndarray
-    rewards: np.ndarray
     regrets: np.ndarray  # per round, against the global optimum
-    y_coords: np.ndarray
     grid: ArmGrid
     state: Ucb1State
-    opt_value: float
-    scale: float
-
-    @property
-    def cumulative_regret(self) -> float:
-        return float(self.regrets.sum())
 
 
 def default_ucb_scale(env: Environment) -> float:
@@ -181,12 +150,16 @@ def run_phase2(
     env: Environment,
     a_hat: np.ndarray,
     n2: int,
-    cfg: Optional[Phase2Config] = None,
+    *,
+    ucb_scale: Optional[float] = None,
+    M: Optional[int] = None,
+    opt_value: Optional[float] = None,
 ) -> Phase2Result:
     """Play exactly n2 rounds of UCB-1 on the embedded arm grid.
 
-    The horizon is known, so one grid sized by choose_M(n2, k) suffices
-    (M = 1 when n2 = 1).
+    Regrets are taken against opt_value (default: optimal_value(env)), and
+    ucb_scale defaults to default_ucb_scale(env).  The horizon is known, so
+    one grid of level M = choose_M(n2, k) suffices (M = 1 when n2 = 1).
     The result is bit-identical to n2 rounds of ucb1_select, sample_reward
     and ucb1_update, without a call per round: the grid is checked against
     the action ball once, the n2 queries are charged at once, each arm's
@@ -210,7 +183,6 @@ def run_phase2(
     over the grid.  No step assumes libm's log is monotone.  The indices
     are finite because sigma, nu and the scale are finite.
     """
-    cfg = cfg or Phase2Config()
     a_hat = np.asarray(a_hat, dtype=float)
     if n2 < 1:
         raise ValueError(f"n2 must be >= 1, got {n2}")
@@ -218,19 +190,11 @@ def run_phase2(
         raise ValueError(
             f"basis shape {a_hat.shape} does not match ambient dimension {env.d}"
         )
-    if cfg.budget_cap is not None and env.query_count + n2 > cfg.budget_cap:
-        raise BudgetError(
-            f"insufficient budget: need {n2} rounds but only "
-            f"{cfg.budget_cap - env.query_count} queries remain"
-        )
-    scale = default_ucb_scale(env) if cfg.ucb_scale is None else float(cfg.ucb_scale)
-    if cfg.opt_value is None:
-        opt_value, _ = optimal_value(env)
-    else:
-        opt_value = float(cfg.opt_value)
+    scale = default_ucb_scale(env) if ucb_scale is None else float(ucb_scale)
+    opt_value = optimal_value(env)[0] if opt_value is None else float(opt_value)
 
-    if cfg.M is not None:
-        M = int(cfg.M)
+    if M is not None:
+        M = int(M)
     elif n2 == 1:
         M = 1  # one round has nothing to balance, and choose_M needs n2 >= 2
     else:
@@ -251,7 +215,6 @@ def run_phase2(
     means_a = state.means  # mirror of means, refreshed per block
     upper = np.empty(n_arms)
     arm_ids = np.empty(n2, dtype=np.int64)
-    rewards = np.empty(n2)
     log, sqrt, ninf = math.log, math.sqrt, -math.inf
     block = min(BLOCK, n_arms - 1)
     first = end = n_arms  # the current block's rounds are first..end-1
@@ -316,19 +279,11 @@ def run_phase2(
             if bound > pulled_max:
                 pulled_max = bound
         arm_ids[start:stop] = chunk
-        rewards[start:stop] = arm_means_a[arm_ids[start:stop]] + noise
     means_a[:] = means
     state.counts[:] = counts
     state.t = n2
     arm_true_means = mean_value(env.mean, grid.arms @ env.A.T)
 
     return Phase2Result(
-        arm_ids=arm_ids,
-        rewards=rewards,
-        regrets=opt_value - arm_true_means[arm_ids],
-        y_coords=grid.lattice_points[arm_ids],
-        grid=grid,
-        state=state,
-        opt_value=opt_value,
-        scale=scale,
+        arm_ids=arm_ids, regrets=opt_value - arm_true_means[arm_ids], grid=grid, state=state
     )

@@ -26,9 +26,7 @@ from .harness import (
     run_experiment,
     SweepSummary,
 )
-from .pipeline import RunAborted, StepSizeError
-from .bandit import BudgetError
-from .recovery import DegenerateRecoveryError
+from .pipeline import StepSizeError
 from .util import dump_json
 
 
@@ -250,9 +248,6 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, OSError, KeyError, StepSizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (BudgetError, RunAborted, DegenerateRecoveryError) as exc:
-        print(f"cell failed: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

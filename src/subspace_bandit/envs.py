@@ -16,7 +16,8 @@ import numpy as np
 
 from .util import uniform_sphere
 
-ROW_ORTHO_TOL = 1e-10
+ROW_ORTHO_TOL = 1e-10  # ||A A^T - I||_F allowed in a LinearParamMatrix
+AS_IS_TOL = 1e-12  # make_row_orthonormal returns a matrix this close unchanged
 # Absolute slack on the domain check; guards against float dust from e.g.
 # x = (1+nu) * unit_vector, never against genuine violations.
 DOMAIN_SLACK = 1e-9
@@ -177,6 +178,23 @@ def mean_hess(spec: MeanRewardSpec, u: np.ndarray) -> np.ndarray:
 # ---------- linear parameter matrix ----------
 
 
+def check_row_orthonormal(A, tol: float) -> np.ndarray:
+    """A as a float (k, d) matrix with k <= d and ||A A^T - I||_F <= tol.
+
+    Raises ValueError otherwise (a NaN deviation fails too).
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
+    k, d = A.shape
+    if k > d:
+        raise ValueError(f"need k <= d, got shape {A.shape}")
+    gram_dev = np.linalg.norm(A @ A.T - np.eye(k))
+    if not gram_dev <= tol:
+        raise ValueError(f"rows are not orthonormal: ||A A^T - I||_F = {gram_dev:.3e} > {tol:g}")
+    return A
+
+
 @dataclass(frozen=True)
 class LinearParamMatrix:
     """A k x d matrix with orthonormal rows (A A^T = I_k)."""
@@ -184,18 +202,7 @@ class LinearParamMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=float)
-        if A.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-        k, d = A.shape
-        if k > d:
-            raise ValueError(f"need k <= d, got shape {A.shape}")
-        gram_dev = np.linalg.norm(A @ A.T - np.eye(k))
-        if gram_dev > ROW_ORTHO_TOL:
-            raise ValueError(
-                f"rows are not orthonormal: ||A A^T - I||_F = {gram_dev:.3e} > {ROW_ORTHO_TOL:g}"
-            )
-        object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "matrix", check_row_orthonormal(self.matrix, ROW_ORTHO_TOL))
 
     @property
     def k(self) -> int:
@@ -223,8 +230,10 @@ def make_row_orthonormal(M: np.ndarray) -> LinearParamMatrix:
     s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= 1e-12 * max(1.0, s[0]):
         raise ValueError(f"rank < k: smallest singular value {s[-1]:.3e} (k = {k})")
-    if np.linalg.norm(M @ M.T - np.eye(k)) <= 1e-12:
-        return LinearParamMatrix(M)
+    try:
+        return LinearParamMatrix(check_row_orthonormal(M, AS_IS_TOL))
+    except ValueError:
+        pass  # not orthonormal yet
     _, _, Vt = np.linalg.svd(M, full_matrices=False)
     Q = Vt[:k]
     for i in range(k):

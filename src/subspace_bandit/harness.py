@@ -15,14 +15,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bandit import BudgetError, check_basis
+from .bandit import BudgetError
 from .envs import DomainError, Environment, environment_from_descriptor, estimate_conditioning
 from .pipeline import (
+    Phase1Aborted,
     PracticalParams,
     RunAborted,
     StepSizeError,
@@ -46,6 +47,7 @@ PLOT_CSV_HEADER = "n,mean_R,se_R,count"
 
 
 _PRACTICAL_KEYS = {f.name for f in fields(PracticalParams)} - {"n"}
+_PRACTICAL_REQUIRED = {f.name for f in fields(PracticalParams) if f.default is MISSING} - {"n"}
 _CONSTANT_KEYS = {f.name for f in fields(TheoryConstants)}
 
 
@@ -55,8 +57,9 @@ class ExperimentConfig:
 
     environment is a descriptor dict (family, d, k, sigma, nu, params);
     any seed it carries is ignored because each cell derives its own.
-    practical holds PracticalParams overrides shared by all cells; theory
-    holds {"alpha": ..., "constants": {...}} for theory-mode planning.
+    practical holds PracticalParams overrides shared by all cells, each
+    checked here in practical mode; theory holds {"alpha": ...,
+    "constants": {...}} for theory-mode planning.
     """
 
     environment: dict
@@ -90,14 +93,14 @@ class ExperimentConfig:
         unknown = set(self.practical) - _PRACTICAL_KEYS
         if unknown:
             raise ValueError(f"unknown practical override(s): {sorted(unknown)}")
-        if self.practical.get("known_subspace") is not None:
-            try:
-                width = check_basis(self.practical["known_subspace"]).shape[1]
-            except ValueError as exc:
-                raise ValueError(f"known_subspace: {exc}") from None
-            if width != self.environment["d"]:
+        if self.mode == "practical":
+            missing = _PRACTICAL_REQUIRED - set(self.practical)
+            if missing:
+                raise ValueError(f"practical config missing key(s): {sorted(missing)}")
+            known = PracticalParams(n=self.horizons[0], **self.practical).known_subspace
+            if known is not None and np.shape(known)[1] != self.environment["d"]:
                 raise ValueError(
-                    f"known_subspace: basis has {width} columns but the "
+                    f"known_subspace: basis has {np.shape(known)[1]} columns but the "
                     f"environment has d = {self.environment['d']}"
                 )
         if self.mode == "theory" and "alpha" not in self.theory:
@@ -341,8 +344,8 @@ def _fmt_pow10(v: float) -> str:
     return f"{10.0**v:.3g}"
 
 
-def emit_plot_data(summary: SweepSummary, out_dir: str, stem: str = "plot") -> str:
-    """Write a log-log regret chart as plain SVG plus its underlying CSV.
+def emit_plot_data(summary: SweepSummary, out_dir: str) -> str:
+    """Write a log-log regret chart as plot.svg plus its numbers as plot_data.csv.
 
     Returns the SVG path.  The chart needs no external tooling: markers,
     error bars, the fitted rate line, and decade ticks are emitted as raw
@@ -430,10 +433,10 @@ def emit_plot_data(summary: SweepSummary, out_dir: str, stem: str = "plot") -> s
         parts.append(f'<circle cx="{cx:.2f}" cy="{py(math.log10(a["mean_R"])):.2f}" r="4" fill="#2266aa"/>')
     parts.append("</svg>")
 
-    svg_path = os.path.join(out_dir, f"{stem}.svg")
+    svg_path = os.path.join(out_dir, "plot.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-    csv_path = os.path.join(out_dir, f"{stem}_data.csv")
+    csv_path = os.path.join(out_dir, "plot_data.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(PLOT_CSV_HEADER + "\n")
         for a in aggs:
@@ -449,11 +452,13 @@ def recovery_report(config: ExperimentConfig) -> dict:
 
     Uses the first configured horizon's cell environment and the practical
     overrides (m_X, m_Phi, epsilon are required), through the same
-    :func:`subspace_bandit.pipeline.run_phase1` as a full run.  A query
-    outside the action ball fails the cell like a sweep does: the report
-    then holds status "error" and the reason instead of the solver output.
+    :func:`subspace_bandit.pipeline.run_phase1` as a full run.  A cell
+    fails like a sweep's: a query outside the action ball gives status
+    "error", and a recovery that collapses after the measurements gives
+    status "aborted" with the queries spent; either report holds the reason
+    instead of the solver output.
     """
-    missing = {"m_X", "m_Phi", "epsilon"} - set(config.practical)
+    missing = _PRACTICAL_REQUIRED - set(config.practical)
     if missing:
         raise ValueError(f"recover needs practical overrides: {sorted(missing)}")
     env = _cell_environment(config, config.horizons[0], config.seeds[0])
@@ -461,6 +466,11 @@ def recovery_report(config: ExperimentConfig) -> dict:
         phase1 = run_phase1(env, PracticalParams(n=1, **config.practical))
     except DomainError as exc:
         return {"status": "error", "reason": str(exc), "env_seed": env.seed}
+    except Phase1Aborted as exc:
+        return {
+            "status": "aborted", "reason": str(exc), "env_seed": env.seed,
+            "queries": exc.bundle.budget_used,
+        }
     out = result_to_dict(phase1.recovery)
     out["status"] = "ok"
     out["queries"] = phase1.bundle.budget_used

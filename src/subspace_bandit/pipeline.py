@@ -13,15 +13,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bandit import BudgetError, Phase2Config, check_basis, run_phase2
+from .bandit import BASIS_TOL, BudgetError, run_phase2
 from .envs import (
     Environment,
     best_on_subspace,
+    check_row_orthonormal,
     optimal_value,
 )
 from .recovery import (
@@ -351,6 +353,11 @@ def params_to_dict(params: TheoryParams) -> dict:
     return out
 
 
+# PracticalParams keys whose values must be integers, and real numbers
+_INTEGER_KEYS = ("m_X", "m_Phi", "N", "M")
+_REAL_KEYS = ("epsilon", "delta", "gamma", "c0", "lambda_scale", "lambda_override", "ucb_scale")
+
+
 @dataclass
 class PracticalParams:
     """Desk-scale run settings: explicit sampling sizes, optional overrides."""
@@ -372,6 +379,16 @@ class PracticalParams:
     def __post_init__(self):
         """Reject, before any query, each value a later stage rejects or
         cannot use; every message names its key."""
+        for key in _INTEGER_KEYS + _REAL_KEYS:
+            value = getattr(self, key)
+            if value is None and key in ("M", "lambda_override", "ucb_scale"):
+                continue
+            integer = key in _INTEGER_KEYS
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integer else numbers.Real
+            ):
+                kind = "an integer" if integer else "a real number"
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
         sampling_plan(self)  # checks m_X, m_Phi, epsilon and N
         if not (math.isfinite(self.c0) and self.c0 > 0):
             raise ValueError(f"c0 must be finite and > 0, got {self.c0}")
@@ -383,7 +400,7 @@ class PracticalParams:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if self.known_subspace is not None:
             try:
-                check_basis(self.known_subspace)
+                check_row_orthonormal(self.known_subspace, BASIS_TOL)
             except ValueError as exc:
                 raise ValueError(f"known_subspace: {exc}") from None
 
@@ -597,8 +614,7 @@ def run_cablp(env: Environment, params) -> RunRecord:
         basis = recovery.basis
 
     n2 = n - n1
-    cfg2 = Phase2Config(ucb_scale=ucb_scale, M=m_override, opt_value=opt_value, budget_cap=n)
-    phase2 = run_phase2(env, basis, n2, cfg2)
+    phase2 = run_phase2(env, basis, n2, ucb_scale=ucb_scale, M=m_override, opt_value=opt_value)
     if env.query_count != n:
         raise RuntimeError(
             f"query accounting is off: spent {env.query_count}, expected {n}"
@@ -641,7 +657,7 @@ def run_cablp(env: Environment, params) -> RunRecord:
     return record
 
 
-def record_to_dict(record: RunRecord, include_trace: bool = True) -> dict:
+def record_to_dict(record: RunRecord) -> dict:
     out = {
         "mode": record.mode,
         "seed": record.seed,
@@ -665,8 +681,7 @@ def record_to_dict(record: RunRecord, include_trace: bool = True) -> dict:
     }
     if record.basis is not None:
         out["basis"] = np.asarray(record.basis).tolist()
-    if include_trace:
-        out["regret_trace"] = np.asarray(record.regret_trace).tolist()
+    out["regret_trace"] = np.asarray(record.regret_trace).tolist()
     return out
 
 

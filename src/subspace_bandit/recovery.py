@@ -94,7 +94,6 @@ class SolveInfo:
     converged: bool
     feasible: bool
     residual_norm: float
-    tau_final: float
     lipschitz: float  # the final FISTA curvature bound L; the step is 1/L
     backtracks: int  # prox steps redone because L was too small
 
@@ -257,7 +256,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
         # zero is already feasible, and it has minimal nuclear norm
         info = SolveInfo(
             iterations=0, outer_rounds=0, converged=True, feasible=True,
-            residual_norm=dual0_norm, tau_final=problem.lam, lipschitz=lipschitz, backtracks=0,
+            residual_norm=dual0_norm, lipschitz=lipschitz, backtracks=0,
         )
         return np.zeros(shape), info
 
@@ -297,8 +296,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     feasible = bool(residual_norm <= problem.lam * (1.0 + FEAS_TOL))
     info = SolveInfo(
         iterations=total_iters, outer_rounds=outer, converged=bool(sub_converged and feasible),
-        feasible=feasible, residual_norm=residual_norm, tau_final=tau, lipschitz=lipschitz,
-        backtracks=backtracks,
+        feasible=feasible, residual_norm=residual_norm, lipschitz=lipschitz, backtracks=backtracks,
     )
     return m_cur, info
 
@@ -349,10 +347,8 @@ def subspace_error(a: np.ndarray, a_hat: np.ndarray) -> float:
 
 @dataclass
 class RecoveryResult:
-    """Everything phase 2 needs, plus solver diagnostics for the record."""
+    """The basis phase 2 runs on, and the solve's diagnostics (not its solution)."""
 
-    estimate: np.ndarray
-    estimate_rank_k: np.ndarray
     basis: np.ndarray
     lam: float
     spectrum: np.ndarray
@@ -373,8 +369,6 @@ def recover_subspace(
     basis = extract_subspace(est_k, problem.k)
     err = None if true_basis is None else subspace_error(true_basis, basis)
     return RecoveryResult(
-        estimate=estimate,
-        estimate_rank_k=est_k,
         basis=basis,
         lam=problem.lam,
         spectrum=spectrum,
@@ -385,7 +379,7 @@ def recover_subspace(
 
 
 def result_to_dict(result: RecoveryResult) -> dict:
-    """JSON-ready summary (drops the dense matrices, keeps the basis)."""
+    """JSON-ready summary: the basis, lambda and every diagnostic."""
     out = {
         "basis": result.basis.tolist(),
         "lambda": result.lam,

@@ -24,7 +24,6 @@ from .envs import (
 )
 from .util import uniform_sphere
 
-UNIT_NORM_TOL = 1e-12
 PLAN_SLACK = 1e-12
 SKETCH_CHUNK = 256  # probe directions drawn, shifted, queried or summed at once
 GRAM_BLOCK = 1024  # probe directions per product in SamplingSets.gram

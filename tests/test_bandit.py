@@ -8,8 +8,6 @@ import pytest
 from subspace_bandit import bandit
 from subspace_bandit.bandit import (
     ArmGrid,
-    BudgetError,
-    Phase2Config,
     build_arm_grid,
     choose_M,
     default_ucb_scale,
@@ -219,8 +217,7 @@ def quad_env(seed, sigma=0.0, d=6, nu=0.0, center=0.5):
 class TestRunPhase2:
     def test_sweep_covers_every_arm_once(self):
         env = quad_env(SEED + 2)
-        cfg = Phase2Config(M=2)
-        result = run_phase2(env, env.A, n2=5, cfg=cfg)
+        result = run_phase2(env, env.A, n2=5, M=2)
         np.testing.assert_array_equal(result.arm_ids, np.arange(5))
         assert np.all(result.state.counts == 1)
         assert env.query_count == 5
@@ -235,21 +232,20 @@ class TestRunPhase2:
 
     def test_budget_is_exact(self):
         env = quad_env(SEED + 3, sigma=0.1)
-        run_phase2(env, env.A, n2=137, cfg=Phase2Config(M=3))
+        run_phase2(env, env.A, n2=137, M=3)
         assert env.query_count == 137
 
     def test_identical_seeds_identical_runs(self):
         first = run_phase2(quad_env(SEED + 4, sigma=0.2), quad_env(SEED + 4).A, 400)
         second = run_phase2(quad_env(SEED + 4, sigma=0.2), quad_env(SEED + 4).A, 400)
         np.testing.assert_array_equal(first.arm_ids, second.arm_ids)
-        np.testing.assert_array_equal(first.rewards, second.rewards)
+        np.testing.assert_array_equal(first.state.means, second.state.means)
 
     def test_noiseless_greedy_locks_onto_optimal_arm(self):
         """sigma=0 and zero exploration scale: after the sweep, only the
         best arm is played (the optimum sits on the grid, so it separates)."""
         env = quad_env(SEED + 5, sigma=0.0, center=0.5)
-        cfg = Phase2Config(M=2, ucb_scale=0.0)
-        result = run_phase2(env, env.A, n2=50, cfg=cfg)
+        result = run_phase2(env, env.A, n2=50, M=2, ucb_scale=0.0)
         n_arms = result.grid.n_arms
         best = int(np.argmax(result.grid.lattice_points.ravel() == 0.5))
         assert np.all(result.arm_ids[n_arms:] == best)
@@ -261,22 +257,15 @@ class TestRunPhase2:
         env = quad_env(SEED + 6, sigma=0.3, nu=0.1)
         basis = rotated_basis(env, 0.07)
         result = run_phase2(env, basis, n2=300)
-        xs = result.y_coords @ basis
+        xs = result.grid.lattice_points[result.arm_ids] @ basis
         np.testing.assert_array_equal(xs, result.grid.arms[result.arm_ids])
         norms = np.linalg.norm(xs, axis=1)
         assert norms.max() <= 1.1 + 1e-9
 
-    def test_budget_error_charges_nothing(self):
-        env = quad_env(SEED + 7)
-        with pytest.raises(BudgetError, match="insufficient budget"):
-            run_phase2(env, env.A, n2=100, cfg=Phase2Config(budget_cap=40))
-        assert env.query_count == 0
-        assert env.rng.standard_normal() == quad_env(SEED + 7).rng.standard_normal()
-
     def test_nan_scale_raises_before_any_query(self):
         env = quad_env(SEED + 9, sigma=0.1)
         with pytest.raises(ValueError, match="scale must be finite"):
-            run_phase2(env, env.A, n2=100, cfg=Phase2Config(ucb_scale=float("nan")))
+            run_phase2(env, env.A, n2=100, ucb_scale=float("nan"))
         assert env.query_count == 0
         assert env.rng.standard_normal() == quad_env(SEED + 9, sigma=0.1).rng.standard_normal()
 
@@ -294,7 +283,7 @@ class TestRunPhase2:
             basis = rotated_basis(env, 0.1)
             opt, _ = optimal_value(env)
             sub_opt, _ = best_on_subspace(env, basis)
-            result = run_phase2(env, basis, n2, cfg=Phase2Config(opt_value=opt))
+            result = run_phase2(env, basis, n2, opt_value=opt)
             r2 = result.regrets.sum() - n2 * (opt - sub_opt)
             totals.append(r2)
             assert r2 >= -n2 * 1e-12, f"trial {trial}: R2 = {r2!r}"
@@ -311,7 +300,7 @@ class TestRunPhase2:
             for trial in range(n_seeds):
                 env = quad_env(SEED + 40 + trial, sigma=0.05, center=0.3)
                 result = run_phase2(env, env.A, n2)
-                total += result.cumulative_regret
+                total += float(result.regrets.sum())
             return total / n_seeds
 
         def rate(n2):
@@ -344,35 +333,31 @@ def family_env(family, k, sigma, seed, d=8):
     )
 
 
-def reference_phase2(env, a_hat, n2, cfg):
+def reference_phase2(env, a_hat, n2, ucb_scale=None, M=None):
     """run_phase2 from the public per-round pieces: one ucb1_select,
     sample_reward and ucb1_update call per round."""
-    scale = default_ucb_scale(env) if cfg.ucb_scale is None else float(cfg.ucb_scale)
-    opt_value = optimal_value(env)[0] if cfg.opt_value is None else float(cfg.opt_value)
-    M = choose_M(n2, a_hat.shape[0]) if cfg.M is None else cfg.M
+    scale = default_ucb_scale(env) if ucb_scale is None else float(ucb_scale)
+    opt_value = optimal_value(env)[0]
+    M = choose_M(n2, a_hat.shape[0]) if M is None else M
     grid = build_arm_grid(a_hat, M, env.nu)
     state = fresh_ucb_state(grid.n_arms, scale)
     arm_ids = np.zeros(n2, dtype=np.int64)
-    rewards = np.zeros(n2)
     for i in range(n2):
         arm = ucb1_select(state)
-        rewards[i] = sample_reward(env, grid.arms[arm])
-        ucb1_update(state, arm, rewards[i])
+        ucb1_update(state, arm, sample_reward(env, grid.arms[arm]))
         arm_ids[i] = arm
     regrets = opt_value - mean_value(env.mean, grid.arms @ env.A.T)[arm_ids]
-    return arm_ids, rewards, regrets, grid.lattice_points[arm_ids], state
+    return arm_ids, regrets, state
 
 
-def assert_matches_reference(family, k, sigma, n2, cfg, seed, d=8):
+def assert_matches_reference(family, k, sigma, n2, seed, d=8, **settings):
     env = family_env(family, k, sigma, seed, d)
     ref_env = family_env(family, k, sigma, seed, d)
     a_hat = rotated_basis(env, 0.05)
-    got = run_phase2(env, a_hat, n2, cfg)
-    arm_ids, rewards, regrets, y_coords, state = reference_phase2(ref_env, a_hat, n2, cfg)
+    got = run_phase2(env, a_hat, n2, **settings)
+    arm_ids, regrets, state = reference_phase2(ref_env, a_hat, n2, **settings)
     np.testing.assert_array_equal(got.arm_ids, arm_ids)
-    np.testing.assert_array_equal(got.rewards, rewards)
     np.testing.assert_array_equal(got.regrets, regrets)
-    np.testing.assert_array_equal(got.y_coords, y_coords)
     np.testing.assert_array_equal(got.state.counts, state.counts)
     np.testing.assert_array_equal(got.state.means, state.means)
     assert got.arm_ids.dtype == arm_ids.dtype and got.state.counts.dtype == state.counts.dtype
@@ -393,24 +378,23 @@ class TestPhase2MatchesReference:
         horizon that ends inside its fourth chunk."""
         monkeypatch.setattr(bandit, "NOISE_CHUNK", 64)
         seed = SEED + 100 + k
-        assert_matches_reference(family, k, sigma, 5, Phase2Config(M=4), seed)
-        assert_matches_reference(family, k, sigma, 64, Phase2Config(), seed)
-        assert_matches_reference(family, k, sigma, 3 * 64 + 17, Phase2Config(), seed)
+        assert_matches_reference(family, k, sigma, 5, seed, M=4)
+        assert_matches_reference(family, k, sigma, 64, seed)
+        assert_matches_reference(family, k, sigma, 3 * 64 + 17, seed)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     def test_sweep_shape(self, family):
         """d = 12, k = 3, where the other cases have d = 8: the arm means
         come from one batch over the per-arm products ``A @ x`` and must
         still equal sample_reward's bit for bit."""
-        assert_matches_reference(family, 3, 0.1, 800, Phase2Config(M=4), SEED + 300, d=12)
+        assert_matches_reference(family, 3, 0.1, 800, SEED + 300, d=12, M=4)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     def test_library_chunk(self, family):
         """The default chunk size, on one chunk and across a chunk boundary."""
         chunk = bandit.NOISE_CHUNK
-        cfg = Phase2Config(ucb_scale=0.5)
-        assert_matches_reference(family, 2, 0.1, chunk, cfg, SEED + 200)
-        assert_matches_reference(family, 2, 0.1, chunk + 300, cfg, SEED + 200)
+        assert_matches_reference(family, 2, 0.1, chunk, SEED + 200, ucb_scale=0.5)
+        assert_matches_reference(family, 2, 0.1, chunk + 300, SEED + 200, ucb_scale=0.5)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     def test_long_horizon_in_blocks(self, sigma):
@@ -422,8 +406,7 @@ class TestPhase2MatchesReference:
                  for x in build_arm_grid(rotated_basis(env, 0.05), choose_M(20000, 1), env.nu).arms]
         if sigma == 0.0:
             assert means == means[::-1]
-        cfg = Phase2Config(ucb_scale=0.75)
-        assert_matches_reference("norm-squared", 1, sigma, 20000, cfg, SEED + 400)
+        assert_matches_reference("norm-squared", 1, sigma, 20000, SEED + 400, ucb_scale=0.75)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -434,7 +417,7 @@ class TestPhase2MatchesReference:
         cap of n_arms - 1 cuts down."""
         monkeypatch.setattr(bandit, "BLOCK", block)
         for sigma, n2 in ((0.0, 700), (0.2, 1500)):
-            assert_matches_reference(family, k, sigma, n2, Phase2Config(), SEED + 500 + k)
+            assert_matches_reference(family, k, sigma, n2, SEED + 500 + k)
 
     @pytest.mark.parametrize("block", [3, 32])
     def test_mirror_ties_go_to_the_lowest_index(self, block, monkeypatch):
@@ -442,8 +425,7 @@ class TestPhase2MatchesReference:
         norm-squared the best arm ties exactly with its mirror image, in every
         round after the sweep.  The lower index of the pair must win them all."""
         monkeypatch.setattr(bandit, "BLOCK", block)
-        cfg = Phase2Config(M=4, ucb_scale=0.0)
-        got = assert_matches_reference("norm-squared", 1, 0.0, 300, cfg, SEED + 700)
+        got = assert_matches_reference("norm-squared", 1, 0.0, 300, SEED + 700, M=4, ucb_scale=0.0)
         means = got.state.means
         n_arms = got.grid.n_arms
         best = np.flatnonzero(means == means.max())
@@ -454,8 +436,9 @@ class TestPhase2MatchesReference:
         """A small scale concentrates play: the leading arm is pulled again
         inside the block that first pulled it, so it must be re-evaluated
         although the walk no longer holds it."""
-        cfg = Phase2Config(ucb_scale=0.05)
-        got = assert_matches_reference("centered-quadratic", 2, 0.05, 3000, cfg, SEED + 800)
+        got = assert_matches_reference(
+            "centered-quadratic", 2, 0.05, 3000, SEED + 800, ucb_scale=0.05
+        )
         n_arms = got.grid.n_arms
         block = min(bandit.BLOCK, n_arms - 1)
         ids = got.arm_ids[n_arms:].tolist()
@@ -469,8 +452,7 @@ class TestPhase2MatchesReference:
         """The theory plan's grid: linear, d = 6, k = 1, sigma = 0, M = 204,
         449 arms and the default scale, where the winner changes almost
         every round."""
-        cfg = Phase2Config(M=204)
-        got = assert_matches_reference("linear", 1, 0.0, 2000, cfg, SEED + 900, d=6)
+        got = assert_matches_reference("linear", 1, 0.0, 2000, SEED + 900, d=6, M=204)
         assert got.grid.n_arms == 449
         changes = np.count_nonzero(np.diff(got.arm_ids[449:]))
         assert changes > 0.9 * (2000 - 449 - 1)
@@ -480,6 +462,6 @@ class TestPhase2MatchesReference:
         arms (at 1 + nu = 11/M) then leave the ball by more than the slack."""
         env = family_env("norm-squared", 1, 0.2, SEED + 301)
         with pytest.raises(DomainError, match="outside the action ball"):
-            run_phase2(env, env.A * (1.0 + 4e-9), 500, Phase2Config(M=10))
+            run_phase2(env, env.A * (1.0 + 4e-9), 500, M=10)
         assert env.query_count == 0
         assert env.rng.standard_normal() == family_env("norm-squared", 1, 0.2, SEED + 301).rng.standard_normal()

@@ -10,7 +10,7 @@ import pytest
 
 from subspace_bandit import harness
 from subspace_bandit.cli import main
-from subspace_bandit.util import dump_json
+from subspace_bandit.util import derive_seed, dump_json
 from subspace_bandit.harness import (
     ExperimentConfig,
     SWEEP_CSV_HEADER,
@@ -417,6 +417,10 @@ class TestCli:
             ("lambda_override", -1.0),
             ("lambda_override", float("inf")),
             ("M", 0),
+            ("M", 2.5),
+            ("m_X", 8.5),
+            ("N", 1.5),
+            ("epsilon", "0.05"),
             ("known_subspace", [[2.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
             ("known_subspace", [[1.0, 0.0, 0.0, 0.0, 0.0]]),
             ("known_subspace", [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0]]),
@@ -426,7 +430,8 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, key, value
     ):
         """Each value fails a later stage, most after phase 1 has spent its
-        queries, or (gamma = nan) runs the cell on a NaN constraint level."""
+        queries, or runs the cell on a NaN constraint level (gamma = nan) or
+        a truncated grid level (M = 2.5)."""
         envs = []
         make = harness._cell_environment
 
@@ -439,6 +444,12 @@ class TestCli:
         assert main(["sweep", "--config", cfg]) == 1
         assert f"config error: {key}" in capsys.readouterr().err
         assert all(env.query_count == 0 for env in envs)
+
+    def test_missing_practical_key_is_config_error(self, tmp_path, capsys):
+        practical = {key: v for key, v in CLI_PRACTICAL.items() if key != "m_X"}
+        cfg = write_config(tmp_path, practical=practical)
+        assert main(["sweep", "--config", cfg]) == 1
+        assert "config error: practical config missing key(s): ['m_X']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "horizon, extra",
@@ -501,6 +512,23 @@ class TestCli:
         assert "config error" not in captured.err
         report = json.loads((out / "recovery.json").read_text())
         assert report["status"] == "error" and "step size infeasible" in report["reason"]
+
+    def test_recover_with_collapsed_recovery_is_an_aborted_cell(self, tmp_path, capsys):
+        """As run and sweep record it: zero gradients leave nothing to recover."""
+        cfg = write_config(
+            tmp_path,
+            environment={"family": "linear", "params": {"weight": [0.0]}, "d": 8, "k": 1},
+            practical={"m_X": 10, "m_Phi": 80, "epsilon": 0.02, "lambda_override": 0.1},
+        )
+        out = tmp_path / "out"
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "cell (n=900, seed=1) failed: aborted (degenerate recovery" in captured.out
+        assert captured.err == ""
+        report = json.loads((out / "recovery.json").read_text())
+        assert report["status"] == "aborted" and "degenerate recovery" in report["reason"]
+        assert report["queries"] == 10 * 81
+        assert report["env_seed"] == derive_seed(1, 900)
 
     def test_conditioning_prints_alpha(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

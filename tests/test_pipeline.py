@@ -391,8 +391,6 @@ class TestRunPractical:
         assert blob["n"] == 7000
         assert len(blob["regret_trace"]) == 7000
         assert blob["params"]["m_X"] == 20
-        slim = record_to_dict(record, include_trace=False)
-        assert "regret_trace" not in slim
 
         buf = io.StringIO()
         write_regret_csv(record, buf)
