@@ -7,7 +7,7 @@ here, not only a change beyond some tolerance.  Bit-exact pins hold for
 one numpy/BLAS build; they were recorded with numpy's bundled OpenBLAS.
 They hold on one BLAS thread as on two: the solver's step no longer comes
 from an eigendecomposition of a float Gram matrix, whose rounding followed
-the thread count, and all four cells were checked at both.  The quickstart
+the thread count, and all five cells were checked at both.  The quickstart
 cell, the one that used to move, is run again on one thread in a fresh
 process.
 """
@@ -23,7 +23,7 @@ import pytest
 import subspace_bandit
 from subspace_bandit import pipeline
 from subspace_bandit.envs import make_environment
-from subspace_bandit.pipeline import PracticalParams, run_cablp
+from subspace_bandit.pipeline import PracticalParams, TheoryConstants, plan_parameters, run_cablp
 
 CELLS = {
     # the README quickstart: a wide sketch, m_Phi = 100 < d * m_X = 300
@@ -48,6 +48,12 @@ CELLS = {
         dict(d=12, k=3, family="centered-quadratic", sigma=0.001, nu=0.1, seed=3),
         dict(n=12000, m_X=12, m_Phi=200, epsilon=0.1, lambda_override=0.08, ucb_scale=0.75),
     ),
+    # a feasible theory plan (m_X = 1, m_Phi = 160675, tall): pins how a plan
+    # runs, its planned lam as the constraint level and C0 as the solver's c0
+    "theory-tall": (
+        dict(d=6, k=1, family="linear", sigma=0.0, nu=0.1, seed=3),
+        dict(n=300_000, alpha=1.0, nu=0.1, constants=dict(delta=0.4, rho=0.9, p=0.9)),
+    ),
 }
 
 # name: (phase1_rounds, FISTA iterations, outer rounds, subspace_err, total regret)
@@ -56,15 +62,29 @@ GOLDEN = {
     "small-tall": (164, 171, 9, "0x1.c4ee0269640a7p-13", "0x1.b5d28fe3ac698p+10"),
     "known-subspace": (0, None, None, "0x0.0p+0", "0x1.a110000000000p+8"),
     "k3-round-robin": (2412, 155, 4, "0x1.815d361384cf9p-3", "0x1.0f0d657c26562p+12"),
+    "theory-tall": (160676, 39, 8, "0x1.88065fc89a1b7p-19", "0x1.c0d7a5788ceaep+17"),
 }
+
+
+def _run_params(name, env):
+    """What run_cablp gets for a cell: a theory plan or practical settings."""
+    params = CELLS[name][1]
+    if name == "theory-tall":
+        plan = plan_parameters(
+            params["n"], env.d, env.k, env.sigma, env.mean.c2, params["alpha"],
+            params["nu"], TheoryConstants(**params["constants"]),
+        )
+        assert (plan.m_X, plan.m_Phi, plan.n1) == (1, 160675, 160676)
+        return plan
+    if name == "known-subspace":
+        params = dict(params, known_subspace=env.A)
+    return PracticalParams(**params)
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_seeded_run_matches_golden(name, monkeypatch):
-    env_args, params = CELLS[name]
-    env = make_environment(**env_args)
-    if name == "known-subspace":
-        params = dict(params, known_subspace=env.A)
+    env = make_environment(**CELLS[name][0])
+    params = _run_params(name, env)
     solves = []
     recover = pipeline.recover_subspace
 
@@ -74,7 +94,7 @@ def test_seeded_run_matches_golden(name, monkeypatch):
         return result
 
     monkeypatch.setattr(pipeline, "recover_subspace", capture)
-    record = run_cablp(env, PracticalParams(**params))
+    record = run_cablp(env, params)
 
     iterations = solves[0].iterations if solves else None
     outer = solves[0].outer_rounds if solves else None
@@ -87,13 +107,13 @@ def test_seeded_run_matches_golden(name, monkeypatch):
     )
     assert got == GOLDEN[name]
     assert len(solves) == (0 if name == "known-subspace" else 1)
-    assert record.phase1_rounds + record.phase2_rounds == params["n"]
+    assert record.phase1_rounds + record.phase2_rounds == params.n
 
 
 ONE_THREAD_RUN = """
 import json, sys
 from subspace_bandit.envs import make_environment
-from subspace_bandit.pipeline import PracticalParams, run_cablp
+from subspace_bandit.pipeline import PracticalParams, TheoryConstants, plan_parameters, run_cablp
 env_args, params = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 record = run_cablp(make_environment(**env_args), PracticalParams(**params))
 print(record.phase1_rounds, record.recovery_diagnostics["iterations"],
