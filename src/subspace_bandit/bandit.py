@@ -24,10 +24,6 @@ NOISE_CHUNK = 1024  # noise values run_phase2 draws per rng call
 BLOCK = 32
 
 
-class BudgetError(RuntimeError):
-    """Raised before any query when a run's plan does not fit its budget n."""
-
-
 def choose_M(n2: int, k: int) -> int:
     """Discretization level balancing approximation and per-arm exploration.
 

@@ -26,7 +26,6 @@ from .harness import (
     run_experiment,
     SweepSummary,
 )
-from .pipeline import StepSizeError
 from .util import dump_json
 
 
@@ -245,7 +244,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, StepSizeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

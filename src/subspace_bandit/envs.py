@@ -536,10 +536,10 @@ def environment_from_descriptor(desc: dict) -> Environment:
         raise ValueError(f"descriptor missing keys: {sorted(missing)}")
     noise_and_margin = {key: float(desc[key]) for key in ("sigma", "nu") if key in desc}
     return make_environment(
-        d=int(desc["d"]),
-        k=int(desc["k"]),
+        d=desc["d"],
+        k=desc["k"],
         family=desc["family"],
-        seed=int(desc["seed"]),
+        seed=desc["seed"],
         A=desc.get("A", "random_orthonormal"),
         params=desc.get("params"),
         **noise_and_margin,

@@ -20,12 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bandit import BudgetError
 from .envs import DomainError, Environment, environment_from_descriptor, estimate_conditioning
 from .pipeline import (
+    BudgetError,
     Phase1Aborted,
     PracticalParams,
-    RunAborted,
     StepSizeError,
     TheoryConstants,
     TheoryParams,
@@ -37,7 +36,7 @@ from .pipeline import (
     sampling_plan,
 )
 from .recovery import result_to_dict
-from .util import derive_seed, dump_json
+from .util import check_number, derive_seed, dump_json
 
 SWEEP_CSV_HEADER = "n,seed,R_total,R1,R2,R3,subspace_err,n1,status"
 PLOT_CSV_HEADER = "n,mean_R,se_R,count"
@@ -76,8 +75,17 @@ class ExperimentConfig:
         for key in ("family", "d", "k"):
             if key not in self.environment:
                 raise ValueError(f"environment descriptor missing {key!r}")
+        for key in ("d", "k", "sigma", "nu"):
+            if key in self.environment:
+                check_number(f"environment.{key}", self.environment[key], integer=key in "dk")
         if self.mode not in ("theory", "practical"):
             raise ValueError(f"mode must be 'theory' or 'practical', got {self.mode!r}")
+        for key in ("horizons", "seeds"):
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {values!r}")
+            for value in values:
+                check_number(key, value, integer=True)
         self.horizons = [int(n) for n in self.horizons]
         if not self.horizons:
             raise ValueError("horizons must be nonempty")
@@ -105,6 +113,8 @@ class ExperimentConfig:
                 )
         if self.mode == "theory" and "alpha" not in self.theory:
             raise ValueError("theory mode needs theory.alpha in the config")
+        if "alpha" in self.theory:
+            check_number("theory.alpha", self.theory["alpha"], integer=False)
         unknown = set(self.theory.get("constants", {})) - _CONSTANT_KEYS
         if unknown:
             raise ValueError(f"unknown theory constant(s): {sorted(unknown)}")
@@ -198,33 +208,36 @@ def _theory_plan(config: ExperimentConfig, env: Environment, n: int) -> TheoryPa
     )
 
 
+def _cell_params(config: ExperimentConfig, env: Environment, n: int):
+    """One cell's settings: the theory plan for horizon n, or the practical
+    overrides.  Raises StepSizeError when a plan has no workable step."""
+    if config.mode == "theory":
+        return _theory_plan(config, env, n)
+    return PracticalParams(n=n, **config.practical)
+
+
 def _run_cell(config: ExperimentConfig, n: int, seed: int):
     """Run one cell; returns (CellResult, RunRecord or None)."""
     env = _cell_environment(config, n, seed)
     nan = float("nan")
 
-    def failed(status, n1, exc):
-        return CellResult(n, seed, status, nan, nan, nan, nan, nan, n1, reason=str(exc))
+    def failed(status, n1, reason):
+        return CellResult(n, seed, status, nan, nan, nan, nan, nan, n1, reason=str(reason))
 
-    if config.mode == "theory":
-        try:
-            params = _theory_plan(config, env, n)
-        except StepSizeError as exc:
-            return failed("infeasible", nan, exc), None
-        n1_known = float(params.n1)
-    else:
-        params = PracticalParams(n=n, **config.practical)
-        skipped = params.known_subspace is not None
-        n1_known = 0.0 if skipped else float(sampling_plan(params).budget())
+    try:
+        params = _cell_params(config, env, n)
+    except StepSizeError as exc:
+        return failed("infeasible", nan, exc), None
+    skipped = getattr(params, "known_subspace", None) is not None
+    n1_known = 0.0 if skipped else float(sampling_plan(params).budget())
     try:
         record = run_cablp(env, params)
     except BudgetError as exc:
         return failed("infeasible", n1_known, exc), None
     except DomainError as exc:
         return failed("error", n1_known, exc), None
-    except RunAborted as exc:
-        partial = exc.record
-        return failed("aborted", float(partial.phase1_rounds), exc), partial
+    if record.aborted:
+        return failed("aborted", float(record.phase1_rounds), record.abort_reason), record
     cell = CellResult(
         n=n,
         seed=seed,
@@ -450,20 +463,23 @@ def emit_plot_data(summary: SweepSummary, out_dir: str) -> str:
 def recovery_report(config: ExperimentConfig) -> dict:
     """Phase 1 alone: measure, solve, and report the recovered subspace.
 
-    Uses the first configured horizon's cell environment and the practical
-    overrides (m_X, m_Phi, epsilon are required), through the same
-    :func:`subspace_bandit.pipeline.run_phase1` as a full run.  A cell
-    fails like a sweep's: a query outside the action ball gives status
-    "error", and a recovery that collapses after the measurements gives
-    status "aborted" with the queries spent; either report holds the reason
-    instead of the solver output.
+    Runs the first cell's settings (the theory plan or the practical
+    overrides) through the same :func:`subspace_bandit.pipeline.run_phase1`
+    as a full run, without the check that phase 1 fits the horizon.  A cell
+    fails like a sweep's, with status "infeasible" (no workable step size),
+    "error" (a query outside the action ball) or "aborted" (a recovery that
+    collapses after the measurements, with the queries spent); the report
+    then holds the reason instead of the solver output.
     """
-    missing = _PRACTICAL_REQUIRED - set(config.practical)
-    if missing:
-        raise ValueError(f"recover needs practical overrides: {sorted(missing)}")
     env = _cell_environment(config, config.horizons[0], config.seeds[0])
     try:
-        phase1 = run_phase1(env, PracticalParams(n=1, **config.practical))
+        params = _cell_params(config, env, config.horizons[0])
+    except StepSizeError as exc:
+        return {"status": "infeasible", "reason": str(exc), "env_seed": env.seed}
+    if config.mode == "theory":
+        params = params.as_practical()
+    try:
+        phase1 = run_phase1(env, params)
     except DomainError as exc:
         return {"status": "error", "reason": str(exc), "env_seed": env.seed}
     except Phase1Aborted as exc:

@@ -2,10 +2,11 @@
 
 Theory mode evaluates every planning formula (exploration fraction, sampling
 sizes, resampling factor, step-size interval) from the declared problem
-inputs; practical mode takes explicit sampling sizes instead.  Both modes
-share one execution path: collect sketches, recover the subspace, run the
-grid bandit on it, and decompose the regret trace into the three
-contributions (phase-1 exploration, on-subspace bandit, subspace offset).
+inputs; practical mode takes explicit sampling sizes instead.  A theory plan
+runs as the practical settings it implies, so both modes share one execution
+path: collect sketches, recover the subspace, run the grid bandit on it, and
+decompose the regret trace into the three contributions (phase-1
+exploration, on-subspace bandit, subspace offset).
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bandit import BASIS_TOL, BudgetError, run_phase2
+from .bandit import BASIS_TOL, run_phase2
 from .envs import (
     Environment,
     best_on_subspace,
@@ -40,7 +40,7 @@ from .sampling import (
     collect_measurements,
     draw_sampling_sets,
 )
-from .util import derive_seed
+from .util import check_number, derive_seed
 
 GAMMA_FLOOR = 2.0 * math.sqrt(math.log(12.0))
 GAMMA_DEFAULT = GAMMA_FLOOR + 0.1
@@ -50,6 +50,10 @@ MAX_PLANNABLE_N = 2**60
 
 class StepSizeError(ValueError):
     """The admissible step-size interval misses the domain cap."""
+
+
+class BudgetError(RuntimeError):
+    """Raised before any query when a run's plan does not fit its budget n."""
 
 
 class Phase1Aborted(DegenerateRecoveryError):
@@ -63,14 +67,6 @@ class Phase1Aborted(DegenerateRecoveryError):
         super().__init__(message)
         self.bundle = bundle
         self.lam = lam
-
-
-class RunAborted(RuntimeError):
-    """Recovery collapsed mid-run; carries the partial record."""
-
-    def __init__(self, message: str, record: "RunRecord"):
-        super().__init__(message)
-        self.record = record
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,15 @@ class TheoryParams:
     n1: int
     feasible: bool
     minimal_feasible_n: Optional[int] = None
+
+    def as_practical(self) -> "PracticalParams":
+        """The settings this plan runs as: its sizes, step and constraint
+        level, with the constants phase 1 reads."""
+        return PracticalParams(
+            n=self.n, m_X=self.m_X, m_Phi=self.m_Phi, epsilon=self.epsilon, N=self.N,
+            delta=self.constants.delta, gamma=self.constants.gamma, c0=self.constants.C0,
+            lambda_override=self.lam,
+        )
 
 
 def q_of_delta(delta: float) -> float:
@@ -348,9 +353,7 @@ def _minimal_feasible_n(d, k, sigma, c2, alpha, nu, constants) -> Optional[int]:
 
 def params_to_dict(params: TheoryParams) -> dict:
     """Flat JSON echo of inputs, constants, and every derived value."""
-    out = dataclasses.asdict(params)
-    out["constants"] = dataclasses.asdict(params.constants)
-    return out
+    return dataclasses.asdict(params)
 
 
 # PracticalParams keys whose values must be integers, and real numbers
@@ -383,12 +386,7 @@ class PracticalParams:
             value = getattr(self, key)
             if value is None and key in ("M", "lambda_override", "ucb_scale"):
                 continue
-            integer = key in _INTEGER_KEYS
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral if integer else numbers.Real
-            ):
-                kind = "an integer" if integer else "a real number"
-                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            check_number(key, value, integer=key in _INTEGER_KEYS)
         sampling_plan(self)  # checks m_X, m_Phi, epsilon and N
         if not (math.isfinite(self.c0) and self.c0 > 0):
             raise ValueError(f"c0 must be finite and > 0, got {self.c0}")
@@ -417,28 +415,29 @@ class PracticalParams:
 
 @dataclass
 class RunRecord:
-    """Everything one end-to-end run produced."""
+    """Everything one end-to-end run produced; an aborted run stops after
+    phase 1, and the fields phase 2 fills stay None."""
 
     mode: str
     seed: int
     n: int
     phase1_rounds: int
-    phase2_rounds: int
     params: dict
     regret_trace: np.ndarray
-    R1: Optional[float]
-    R2: Optional[float]
-    R3: Optional[float]
-    subspace_err: Optional[float]
-    r3_bound_value: Optional[float]
     x_star_value: float
-    x_star_star_value: Optional[float]
-    basis: Optional[np.ndarray]
-    lam: Optional[float]
-    recovery_diagnostics: Optional[dict]
     skipped_phase1: bool = False
+    lam: Optional[float] = None
+    recovery_diagnostics: Optional[dict] = None
     aborted: bool = False
     abort_reason: Optional[str] = None
+    R1: Optional[float] = None
+    phase2_rounds: int = 0
+    R2: Optional[float] = None
+    R3: Optional[float] = None
+    subspace_err: Optional[float] = None
+    r3_bound_value: Optional[float] = None
+    x_star_star_value: Optional[float] = None
+    basis: Optional[np.ndarray] = None
 
     @property
     def total_regret(self) -> float:
@@ -482,11 +481,9 @@ def sampling_plan(params) -> SamplingPlan:
     return SamplingPlan(m_X=params.m_X, m_Phi=params.m_Phi, epsilon=params.epsilon, N=params.N)
 
 
-def _constraint_level(env: Environment, plan: SamplingPlan, params) -> float:
-    """The selector's lam: planned (theory), overridden, or scaled from
+def _constraint_level(env: Environment, plan: SamplingPlan, params: PracticalParams) -> float:
+    """The selector's lam: overridden (a theory plan's own), or scaled from
     compute_lambda at the plan's effective noise level."""
-    if isinstance(params, TheoryParams):
-        return params.lam
     if params.lambda_override is not None:
         return float(params.lambda_override)
     sigma_eff = env.sigma / math.sqrt(plan.N)
@@ -505,142 +502,88 @@ def _constraint_level(env: Environment, plan: SamplingPlan, params) -> float:
 
 @dataclass
 class Phase1Result:
-    """Phase 1's measurements, its constraint level and the recovery."""
+    """Phase 1's measurements and the recovery (which holds lam)."""
 
     bundle: MeasurementBundle
-    lam: float
     recovery: RecoveryResult
 
 
-def run_phase1(env: Environment, params) -> Phase1Result:
+def run_phase1(env: Environment, params: PracticalParams) -> Phase1Result:
     """Phase 1 on its own: draw the sampling sets, collect the measurements,
     resolve the constraint level and recover the subspace.
 
-    params is a TheoryParams or PracticalParams.  The draw is seeded from
-    the environment seed.  Raises DomainError before any query when a probe
-    point leaves the action ball, and Phase1Aborted when the recovery
-    collapses.
+    The draw is seeded from the environment seed.  Raises DomainError
+    before any query when a probe point leaves the action ball, and
+    Phase1Aborted when the recovery collapses.
     """
-    c0 = params.constants.C0 if isinstance(params, TheoryParams) else params.c0
     plan = sampling_plan(params)
     sets = draw_sampling_sets(plan, env.d, np.random.default_rng(derive_seed(env.seed, 1)))
     bundle = collect_measurements(env, sets, plan)
     lam = _constraint_level(env, plan, params)
     problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
     try:
-        recovery = recover_subspace(problem, true_basis=env.A, c0=c0)
+        recovery = recover_subspace(problem, true_basis=env.A, c0=params.c0)
     except DegenerateRecoveryError as exc:
         raise Phase1Aborted(str(exc), bundle, lam) from exc
-    return Phase1Result(bundle=bundle, lam=lam, recovery=recovery)
+    return Phase1Result(bundle=bundle, recovery=recovery)
 
 
 def run_cablp(env: Environment, params) -> RunRecord:
     """Run the two-phase scheme end to end and account for every query.
 
-    params is a TheoryParams (theory mode) or PracticalParams (practical
-    mode).  Raises BudgetError before spending anything when the plan
-    cannot fit, and RunAborted (with the partial record attached) when
-    recovery collapses after phase 1.
+    params is a PracticalParams, or a TheoryParams, which runs as the
+    PracticalParams it implies.  Raises BudgetError before spending anything
+    when the plan cannot fit.  When recovery collapses after phase 1, returns
+    the record of that phase with aborted set.
     """
-    mode = "theory" if isinstance(params, TheoryParams) else "practical"
     if env.query_count != 0:
         raise ValueError(
             f"environment is not fresh: {env.query_count} queries already spent"
         )
-
-    n = params.n
-    plan = sampling_plan(params)
-    if mode == "theory":
+    if isinstance(params, TheoryParams):
         if not params.feasible:
             raise BudgetError(
                 f"budget infeasible: plan needs n1 = {params.n1} exploration queries "
                 f"but n = {params.n}; minimal feasible n is about {params.minimal_feasible_n}"
             )
-        params_echo = params_to_dict(params)
-        ucb_scale = None
-        m_override = None
-        known = None
+        mode, params_echo, params = "theory", params_to_dict(params), params.as_practical()
     else:
-        known = params.known_subspace
-        if known is None and plan.budget() >= n:
-            raise BudgetError(
-                f"budget infeasible: phase 1 needs {plan.budget()} queries but n = {n}"
-            )
-        params_echo = params.to_dict()
-        ucb_scale = params.ucb_scale
-        m_override = params.M
+        mode, params_echo = "practical", params.to_dict()
 
-    opt_value, _ = optimal_value(env)
-
-    if known is not None:
-        basis = np.asarray(known, dtype=float)
-        n1 = 0
-        trace1 = np.zeros(0)
-        recovery: Optional[RecoveryResult] = None
-        lam = None
-        skipped = True
-    else:
-        skipped = False
-        n1 = plan.budget()
-        try:
-            phase1 = run_phase1(env, params)
-        except Phase1Aborted as exc:
-            trace1 = _phase1_trace(exc.bundle, opt_value)
-            partial = RunRecord(
-                mode=mode,
-                seed=env.seed,
-                n=n,
-                phase1_rounds=n1,
-                phase2_rounds=0,
-                params=params_echo,
-                regret_trace=trace1,
-                R1=float(trace1.sum()),
-                R2=None,
-                R3=None,
-                subspace_err=None,
-                r3_bound_value=None,
-                x_star_value=opt_value,
-                x_star_star_value=None,
-                basis=None,
-                lam=exc.lam,
-                recovery_diagnostics=None,
-                aborted=True,
-                abort_reason=str(exc),
-            )
-            raise RunAborted(str(exc), partial) from exc
-        trace1 = _phase1_trace(phase1.bundle, opt_value)
-        recovery = phase1.recovery
-        lam = phase1.lam
-        basis = recovery.basis
-
-    n2 = n - n1
-    phase2 = run_phase2(env, basis, n2, ucb_scale=ucb_scale, M=m_override, opt_value=opt_value)
-    if env.query_count != n:
-        raise RuntimeError(
-            f"query accounting is off: spent {env.query_count}, expected {n}"
+    n = params.n
+    plan = sampling_plan(params)
+    skipped = params.known_subspace is not None
+    if not skipped and plan.budget() >= n:
+        raise BudgetError(
+            f"budget infeasible: phase 1 needs {plan.budget()} queries but n = {n}"
         )
 
-    sub_opt, _ = best_on_subspace(env, basis)
-    err = subspace_error(env.A, basis)
-    trace = np.concatenate([trace1, phase2.regrets])
+    opt_value, _ = optimal_value(env)
     record = RunRecord(
         mode=mode,
         seed=env.seed,
         n=n,
-        phase1_rounds=n1,
-        phase2_rounds=n2,
+        phase1_rounds=0 if skipped else plan.budget(),
         params=params_echo,
-        regret_trace=trace,
-        R1=None,
-        R2=None,
-        R3=None,
-        subspace_err=err,
-        r3_bound_value=r3_bound(n2, env.mean.c2, env.k, env.nu, err),
+        regret_trace=np.zeros(0),
         x_star_value=opt_value,
-        x_star_star_value=sub_opt,
-        basis=basis,
-        lam=lam,
-        recovery_diagnostics=None if skipped else {
+        skipped_phase1=skipped,
+    )
+    if skipped:
+        basis = np.asarray(params.known_subspace, dtype=float)
+    else:
+        try:
+            phase1 = run_phase1(env, params)
+        except Phase1Aborted as exc:
+            record.regret_trace = _phase1_trace(exc.bundle, opt_value)
+            record.R1 = float(record.regret_trace.sum())
+            record.lam = exc.lam
+            record.aborted, record.abort_reason = True, str(exc)
+            return record
+        record.regret_trace = _phase1_trace(phase1.bundle, opt_value)
+        recovery = phase1.recovery
+        record.lam = recovery.lam
+        record.recovery_diagnostics = {
             "iterations": recovery.info.iterations,
             "converged": recovery.info.converged,
             "feasible": recovery.info.feasible,
@@ -649,11 +592,23 @@ def run_cablp(env: Environment, params) -> RunRecord:
             "backtracks": recovery.info.backtracks,
             "spectrum": recovery.spectrum.tolist(),
             "error_bound": recovery.error_bound,
-        },
-        skipped_phase1=skipped,
-    )
-    r1, r2, r3 = decompose_regret(record)
-    record.R1, record.R2, record.R3 = r1, r2, r3
+        }
+        basis = recovery.basis
+
+    n2 = n - record.phase1_rounds
+    phase2 = run_phase2(env, basis, n2, ucb_scale=params.ucb_scale, M=params.M, opt_value=opt_value)
+    if env.query_count != n:
+        raise RuntimeError(
+            f"query accounting is off: spent {env.query_count}, expected {n}"
+        )
+
+    record.phase2_rounds = n2
+    record.regret_trace = np.concatenate([record.regret_trace, phase2.regrets])
+    record.basis = basis
+    record.x_star_star_value, _ = best_on_subspace(env, basis)
+    record.subspace_err = subspace_error(env.A, basis)
+    record.r3_bound_value = r3_bound(n2, env.mean.c2, env.k, env.nu, record.subspace_err)
+    record.R1, record.R2, record.R3 = decompose_regret(record)
     return record
 
 

@@ -1,9 +1,10 @@
-"""Small shared helpers: sphere sampling, seed derivation, JSON encoding."""
+"""Small shared helpers: number checks, sphere sampling, seeds, JSON encoding."""
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -27,6 +28,16 @@ def derive_seed(master: int, index: int) -> int:
     replaying a whole sweep.
     """
     return (int(master) & _MASK64) ^ splitmix64(int(index))
+
+
+def check_number(key: str, value, integer: bool) -> None:
+    """Raise ValueError naming key unless value is an integer (integer=True)
+    or a real number; a bool or a str is neither."""
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ):
+        kind = "an integer" if integer else "a real number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
 
 
 def uniform_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

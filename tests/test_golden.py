@@ -52,7 +52,7 @@ CELLS = {
     # runs, its planned lam as the constraint level and C0 as the solver's c0
     "theory-tall": (
         dict(d=6, k=1, family="linear", sigma=0.0, nu=0.1, seed=3),
-        dict(n=300_000, alpha=1.0, nu=0.1, constants=dict(delta=0.4, rho=0.9, p=0.9)),
+        dict(n=300_000, alpha=1.0, constants=dict(delta=0.4, rho=0.9, p=0.9)),
     ),
 }
 
@@ -72,7 +72,7 @@ def _run_params(name, env):
     if name == "theory-tall":
         plan = plan_parameters(
             params["n"], env.d, env.k, env.sigma, env.mean.c2, params["alpha"],
-            params["nu"], TheoryConstants(**params["constants"]),
+            env.nu, TheoryConstants(**params["constants"]),
         )
         assert (plan.m_X, plan.m_Phi, plan.n1) == (1, 160675, 160676)
         return plan
@@ -113,7 +113,7 @@ def test_seeded_run_matches_golden(name, monkeypatch):
 ONE_THREAD_RUN = """
 import json, sys
 from subspace_bandit.envs import make_environment
-from subspace_bandit.pipeline import PracticalParams, TheoryConstants, plan_parameters, run_cablp
+from subspace_bandit.pipeline import PracticalParams, run_cablp
 env_args, params = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 record = run_cablp(make_environment(**env_args), PracticalParams(**params))
 print(record.phase1_rounds, record.recovery_diagnostics["iterations"],

@@ -317,9 +317,12 @@ VALID_PRACTICAL = {
 }
 
 
+CLI_ENVIRONMENT = {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1}
+
+
 def write_config(tmp_path, **overrides):
     data = dict(
-        environment={"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1},
+        environment=dict(CLI_ENVIRONMENT),
         mode="practical",
         practical=dict(CLI_PRACTICAL),
         horizons=[900],
@@ -329,6 +332,16 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+# a feasible theory plan at n = 300000: m_X = 1, m_Phi = 160675, n1 = 160676
+THEORY_CONFIG = dict(
+    environment={"family": "linear", "d": 6, "k": 1, "sigma": 0.0, "nu": 0.1},
+    mode="theory",
+    theory={"alpha": 1.0, "constants": {"delta": 0.4, "rho": 0.9, "p": 0.9}},
+    practical={},
+    horizons=[300_000],
+)
 
 
 class TestCli:
@@ -445,6 +458,35 @@ class TestCli:
         assert f"config error: {key}" in capsys.readouterr().err
         assert all(env.query_count == 0 for env in envs)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"horizons": 900}, "horizons"),
+            ({"horizons": [900.7]}, "horizons"),
+            ({"horizons": ["900"]}, "horizons"),
+            ({"seeds": [1.9]}, "seeds"),
+            ({"seeds": [True]}, "seeds"),
+            ({"environment": dict(CLI_ENVIRONMENT, d=6.9)}, "environment.d"),
+            ({"environment": dict(CLI_ENVIRONMENT, k=True)}, "environment.k"),
+            ({"environment": dict(CLI_ENVIRONMENT, sigma="0.01")}, "environment.sigma"),
+            ({"environment": dict(CLI_ENVIRONMENT, nu="0.1")}, "environment.nu"),
+            ({"mode": "theory", "theory": {"alpha": "0.5"}}, "theory.alpha"),
+        ],
+        ids=[
+            "horizons-scalar", "horizon-float", "horizon-str", "seed-float", "seed-bool",
+            "d-float", "k-bool", "sigma-str", "nu-str", "alpha-str",
+        ],
+    )
+    def test_non_number_is_config_error(self, tmp_path, capsys, overrides, key):
+        """Each value was once truncated by int() or parsed by float(), and
+        the run went ahead on some other cell (a scalar horizon raised a
+        TypeError out of the CLI)."""
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key} must be ")
+        assert captured.out == ""
+
     def test_missing_practical_key_is_config_error(self, tmp_path, capsys):
         practical = {key: v for key, v in CLI_PRACTICAL.items() if key != "m_X"}
         cfg = write_config(tmp_path, practical=practical)
@@ -529,6 +571,58 @@ class TestCli:
         assert report["status"] == "aborted" and "degenerate recovery" in report["reason"]
         assert report["queries"] == 10 * 81
         assert report["env_seed"] == derive_seed(1, 900)
+
+    def test_recover_runs_the_theory_plans_phase_1(self, tmp_path, capsys):
+        """recover on a theory config runs the plan's phase 1, without the
+        budget check, and recovers what a full run of that cell recovers."""
+        cfg = write_config(tmp_path, **THEORY_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        report = json.loads((out / "recovery.json").read_text())
+        record = json.loads((out / "run-n300000-seed1.json").read_text())
+        assert report["status"] == "ok" and report["queries"] == 160676
+        assert f"subspace_err={record['subspace_err']:.3e}" in printed
+        assert report["subspace_err"] == record["subspace_err"]
+
+    def test_run_writes_the_theory_plan_echo(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **THEORY_CONFIG)
+        out = tmp_path / "out"
+        assert main(["plan", "--config", cfg]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        record = json.loads((out / "run-n300000-seed1.json").read_text())
+        assert record["mode"] == "theory"
+        assert record["params"] == plan
+        assert (plan["m_X"], plan["m_Phi"], plan["n1"]) == (1, 160675, 160676)
+
+    def test_recover_on_a_plan_without_step_size_is_infeasible(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """nu = 0 leaves no room for a probe step: recover reports the cell
+        infeasible, as run does, and spends nothing."""
+        envs = []
+        make = harness._cell_environment
+
+        def spy(*args, **kwargs):
+            envs.append(make(*args, **kwargs))
+            return envs[-1]
+
+        monkeypatch.setattr(harness, "_cell_environment", spy)
+        environment = dict(THEORY_CONFIG["environment"], nu=0.0)
+        cfg = write_config(tmp_path, **dict(THEORY_CONFIG, environment=environment))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg]) == 2
+        run_line = capsys.readouterr().out
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "failed: infeasible (step-size infeasible" in captured.out
+        assert captured.out == run_line and captured.err == ""
+        report = json.loads((out / "recovery.json").read_text())
+        assert report["status"] == "infeasible" and "queries" not in report
+        assert len(envs) == 2 and all(env.query_count == 0 for env in envs)
 
     def test_conditioning_prints_alpha(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

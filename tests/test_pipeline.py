@@ -7,12 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subspace_bandit.bandit import BudgetError
 from subspace_bandit.envs import best_on_subspace, make_environment, optimal_value
 from subspace_bandit.pipeline import (
     GAMMA_DEFAULT,
+    BudgetError,
     PracticalParams,
-    RunAborted,
     StepSizeError,
     TheoryConstants,
     TheoryParams,
@@ -362,9 +361,7 @@ class TestRunPractical:
         params = PracticalParams(
             n=2000, m_X=10, m_Phi=80, epsilon=0.02, lambda_override=0.1
         )
-        with pytest.raises(RunAborted, match="degenerate recovery") as excinfo:
-            run_cablp(env, params)
-        partial = excinfo.value.record
+        partial = run_cablp(env, params)
         assert partial.aborted
         assert partial.phase1_rounds == 10 * 81
         assert partial.phase2_rounds == 0
