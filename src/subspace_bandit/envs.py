@@ -9,12 +9,13 @@ on the k-dimensional ball of radius 1 + nu.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .util import uniform_sphere
+from .util import check_number, uniform_sphere
 
 ROW_ORTHO_TOL = 1e-10  # ||A A^T - I||_F allowed in a LinearParamMatrix
 AS_IS_TOL = 1e-12  # make_row_orthonormal returns a matrix this close unchanged
@@ -23,6 +24,13 @@ AS_IS_TOL = 1e-12  # make_row_orthonormal returns a matrix this close unchanged
 DOMAIN_SLACK = 1e-9
 
 FAMILIES = ("linear", "norm-squared", "centered-quadratic", "gaussian-bump")
+# the parameters each family takes
+FAMILY_PARAMS = {
+    "linear": ("weight",),
+    "norm-squared": (),
+    "centered-quadratic": ("center",),
+    "gaussian-bump": ("center", "width"),
+}
 
 
 class DomainError(ValueError):
@@ -56,8 +64,26 @@ class MeanRewardSpec:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
+def _param_vector(params: dict, key: str, k: int, default: np.ndarray) -> np.ndarray:
+    """params[key] as a float (k,) vector: a list of k finite real numbers."""
+    if key not in params:
+        return default
+    value = params[key]
+    entries = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (
+        isinstance(entries, (list, tuple))
+        and len(entries) == k
+        and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            for v in entries
+        )
+    ):
+        raise ValueError(f"params.{key} must be a list of k = {k} finite real numbers, got {value!r}")
+    return np.asarray(entries, dtype=float)
+
+
 def _as_center(params: dict, k: int) -> np.ndarray:
-    c = np.asarray(params.get("center", np.zeros(k)), dtype=float).reshape(k)
+    c = _param_vector(params, "center", k, np.zeros(k))
     if np.linalg.norm(c) > 1.0 + 1e-12:
         raise ValueError(f"center must lie in the unit ball, got norm {np.linalg.norm(c):.6g}")
     return c
@@ -72,17 +98,29 @@ def mean_spec(family: str, k: int, nu: float, params: Optional[dict] = None) -> 
         "gaussian-bump".
     k : subspace dimension.
     nu : domain margin; the mean reward is defined on B_k(1 + nu).
-    params : family parameters. linear: {"weight": (k,)}; centered-quadratic
-        and gaussian-bump: {"center": (k,)} with norm <= 1; gaussian-bump
-        additionally {"width": s > 0}.
+    params : family parameters, each optional (FAMILY_PARAMS). linear:
+        {"weight": (k,)}; centered-quadratic and gaussian-bump: {"center":
+        (k,)} with norm <= 1; gaussian-bump additionally {"width": s > 0}.
+        Any other key, or a value that is not made of real numbers, raises
+        a ValueError naming the key.
     """
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
     params = dict(params or {})
+    unknown = sorted(set(params) - set(FAMILY_PARAMS[family]))
+    if unknown:
+        raise ValueError(
+            f"params.{unknown[0]} is not a parameter of family {family!r}, which takes "
+            f"{list(FAMILY_PARAMS[family]) or 'none'}"
+        )
     radius = 1.0 + nu
 
     if family == "linear":
-        w = np.asarray(params.get("weight", np.eye(1, k, 0).ravel()), dtype=float).reshape(k)
+        w = _param_vector(params, "weight", k, np.eye(1, k, 0).ravel())
         params["weight"] = w
         wnorm = float(np.linalg.norm(w))
         c2 = max(wnorm * radius, float(np.max(np.abs(w))) if k else 0.0)
@@ -103,15 +141,15 @@ def mean_spec(family: str, k: int, nu: float, params: Optional[dict] = None) -> 
         opt = (1.0, c.copy())
     elif family == "gaussian-bump":
         c = _as_center(params, k)
-        width = float(params.get("width", 0.5))
-        if width <= 0:
-            raise ValueError(f"width must be > 0, got {width}")
+        width = params.get("width", 0.5)
+        check_number("params.width", width, integer=False)
+        width = float(width)
+        if not (math.isfinite(width) and width > 0):
+            raise ValueError(f"params.width must be finite and > 0, got {width}")
         params["center"] = c
         params["width"] = width
         c2 = max(1.0, np.exp(-0.5) / width, 1.0 / width**2)
         opt = (1.0, c.copy())
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
     return MeanRewardSpec(family=family, k=k, nu=float(nu), params=params, c2=float(c2), closed_form_opt=opt)
 
@@ -288,6 +326,8 @@ def make_environment(
 ) -> Environment:
     """Construct an environment; A is either an explicit k x d matrix or the
     string "random_orthonormal" (rows drawn from a seed-derived generator)."""
+    check_number("d", d, integer=True)
+    check_number("k", k, integer=True)
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     spec = mean_spec(family, k, nu, params)

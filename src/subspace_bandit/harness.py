@@ -23,7 +23,6 @@ import numpy as np
 from .envs import DomainError, Environment, environment_from_descriptor, estimate_conditioning
 from .pipeline import (
     BudgetError,
-    Phase1Aborted,
     PracticalParams,
     StepSizeError,
     TheoryConstants,
@@ -58,7 +57,8 @@ class ExperimentConfig:
     any seed it carries is ignored because each cell derives its own.
     practical holds PracticalParams overrides shared by all cells, each
     checked here in practical mode; theory holds {"alpha": ...,
-    "constants": {...}} for theory-mode planning.
+    "constants": {...}} for theory-mode planning, and the constants are
+    checked here in either mode.
     """
 
     environment: dict
@@ -68,6 +68,7 @@ class ExperimentConfig:
     practical: dict = field(default_factory=dict)
     theory: dict = field(default_factory=dict)
     out_dir: Optional[str] = None
+    constants: TheoryConstants = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.environment, dict):
@@ -111,17 +112,26 @@ class ExperimentConfig:
                     f"known_subspace: basis has {np.shape(known)[1]} columns but the "
                     f"environment has d = {self.environment['d']}"
                 )
+        if not isinstance(self.theory, dict):
+            raise ValueError(f"theory must be an object, got {self.theory!r}")
         if self.mode == "theory" and "alpha" not in self.theory:
             raise ValueError("theory mode needs theory.alpha in the config")
         if "alpha" in self.theory:
             check_number("theory.alpha", self.theory["alpha"], integer=False)
-        unknown = set(self.theory.get("constants", {})) - _CONSTANT_KEYS
+        constants = self.theory.get("constants", {})
+        if not isinstance(constants, dict):
+            raise ValueError(f"theory.constants must be an object, got {constants!r}")
+        unknown = set(constants) - _CONSTANT_KEYS
         if unknown:
             raise ValueError(f"unknown theory constant(s): {sorted(unknown)}")
+        try:
+            self.constants = TheoryConstants(**constants)
+        except ValueError as exc:
+            raise ValueError(f"theory.constants: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    allowed = {f.name for f in fields(ExperimentConfig)}
+    allowed = {f.name for f in fields(ExperimentConfig) if f.init}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown config key(s): {sorted(unknown)}")
@@ -203,8 +213,7 @@ def _theory_plan(config: ExperimentConfig, env: Environment, n: int) -> TheoryPa
     """The theory-mode plan for horizon n on one cell's environment."""
     return plan_parameters(
         n=n, d=env.d, k=env.k, sigma=env.sigma, c2=env.mean.c2,
-        alpha=float(config.theory["alpha"]), nu=env.nu,
-        constants=TheoryConstants(**config.theory.get("constants", {})),
+        alpha=float(config.theory["alpha"]), nu=env.nu, constants=config.constants,
     )
 
 
@@ -465,32 +474,36 @@ def recovery_report(config: ExperimentConfig) -> dict:
 
     Runs the first cell's settings (the theory plan or the practical
     overrides) through the same :func:`subspace_bandit.pipeline.run_phase1`
-    as a full run, without the check that phase 1 fits the horizon.  A cell
-    fails like a sweep's, with status "infeasible" (no workable step size),
-    "error" (a query outside the action ball) or "aborted" (a recovery that
-    collapses after the measurements, with the queries spent); the report
-    then holds the reason instead of the solver output.
+    as a full run.  A theory plan must fit its horizon; practical settings
+    are not checked against it.  A cell fails like a sweep's, with status
+    "infeasible" (no workable step size, or a theory plan over budget; no
+    query spent), "error" (a query outside the action ball) or "aborted"
+    (a recovery that collapses after the measurements); the report then
+    holds the reason, and an aborted one the queries and solver diagnostics.
     """
     env = _cell_environment(config, config.horizons[0], config.seeds[0])
     try:
         params = _cell_params(config, env, config.horizons[0])
-    except StepSizeError as exc:
+        if config.mode == "theory":
+            params.check_budget()
+            params = params.as_practical()
+    except (StepSizeError, BudgetError) as exc:
         return {"status": "infeasible", "reason": str(exc), "env_seed": env.seed}
-    if config.mode == "theory":
-        params = params.as_practical()
     try:
         phase1 = run_phase1(env, params)
     except DomainError as exc:
         return {"status": "error", "reason": str(exc), "env_seed": env.seed}
-    except Phase1Aborted as exc:
-        return {
-            "status": "aborted", "reason": str(exc), "env_seed": env.seed,
-            "queries": exc.bundle.budget_used,
-        }
-    out = result_to_dict(phase1.recovery)
-    out["status"] = "ok"
-    out["queries"] = phase1.bundle.budget_used
-    out["env_seed"] = env.seed
+    recovery = phase1.recovery
+    out = {"status": "aborted" if recovery.basis is None else "ok"}
+    if recovery.basis is None:
+        out["reason"] = recovery.abort_reason
+    out.update(env_seed=env.seed, queries=phase1.bundle.budget_used)
+    out.update(result_to_dict(recovery))
+    out["lambda"] = recovery.lam
+    out["outer_rounds"] = recovery.info.outer_rounds
+    if recovery.basis is not None:
+        out["basis"] = recovery.basis.tolist()
+        out["subspace_err"] = recovery.subspace_err
     return out
 
 

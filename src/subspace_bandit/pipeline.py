@@ -28,10 +28,10 @@ from .envs import (
 )
 from .recovery import (
     DantzigProblem,
-    DegenerateRecoveryError,
     RecoveryResult,
     compute_lambda,
     recover_subspace,
+    result_to_dict,
     subspace_error,
 )
 from .sampling import (
@@ -56,19 +56,6 @@ class BudgetError(RuntimeError):
     """Raised before any query when a run's plan does not fit its budget n."""
 
 
-class Phase1Aborted(DegenerateRecoveryError):
-    """Recovery collapsed after phase 1 spent its queries.
-
-    Carries the measurements and the constraint level, so a caller can
-    still account for the queries they cost.
-    """
-
-    def __init__(self, message: str, bundle: MeasurementBundle, lam: float):
-        super().__init__(message)
-        self.bundle = bundle
-        self.lam = lam
-
-
 @dataclass(frozen=True)
 class TheoryConstants:
     """Free constants of the guarantees, with documented defaults."""
@@ -83,6 +70,12 @@ class TheoryConstants:
     f_exponent_mode: str = "standard"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name != "f_exponent_mode":
+                check_number(field.name, value, integer=False)
+                if not math.isfinite(value):
+                    raise ValueError(f"{field.name} must be finite, got {value}")
         if not 0.0 < self.delta < DELTA_MAX:
             raise ValueError(f"delta must lie in (0, sqrt(2)-1), got {self.delta}")
         if not 0.0 < self.rho < 1.0:
@@ -136,11 +129,23 @@ class TheoryParams:
 
     def as_practical(self) -> "PracticalParams":
         """The settings this plan runs as: its sizes, step and constraint
-        level, with the constants phase 1 reads."""
+        level, with the error-bound constant C0."""
         return PracticalParams(
             n=self.n, m_X=self.m_X, m_Phi=self.m_Phi, epsilon=self.epsilon, N=self.N,
-            delta=self.constants.delta, gamma=self.constants.gamma, c0=self.constants.C0,
-            lambda_override=self.lam,
+            c0=self.constants.C0, lambda_override=self.lam,
+        )
+
+    def check_budget(self) -> None:
+        """Raise BudgetError when phase 1 of this plan does not fit in n."""
+        if self.feasible:
+            return
+        if self.minimal_feasible_n is None:
+            minimal = f"no n up to 2^{MAX_PLANNABLE_N.bit_length() - 1} fits"
+        else:
+            minimal = f"minimal feasible n is about {self.minimal_feasible_n}"
+        raise BudgetError(
+            f"budget infeasible: plan needs n1 = {self.n1} exploration queries "
+            f"but n = {self.n}; {minimal}"
         )
 
 
@@ -358,7 +363,7 @@ def params_to_dict(params: TheoryParams) -> dict:
 
 # PracticalParams keys whose values must be integers, and real numbers
 _INTEGER_KEYS = ("m_X", "m_Phi", "N", "M")
-_REAL_KEYS = ("epsilon", "delta", "gamma", "c0", "lambda_scale", "lambda_override", "ucb_scale")
+_REAL_KEYS = ("epsilon", "c0", "lambda_scale", "lambda_override", "ucb_scale")
 
 
 @dataclass
@@ -370,8 +375,6 @@ class PracticalParams:
     m_Phi: int
     epsilon: float
     N: int = 1
-    delta: float = 0.25
-    gamma: float = GAMMA_DEFAULT
     c0: float = 4.0
     lambda_scale: float = 1.0
     lambda_override: Optional[float] = None
@@ -390,7 +393,7 @@ class PracticalParams:
         sampling_plan(self)  # checks m_X, m_Phi, epsilon and N
         if not (math.isfinite(self.c0) and self.c0 > 0):
             raise ValueError(f"c0 must be finite and > 0, got {self.c0}")
-        for key in ("delta", "gamma", "lambda_scale", "lambda_override", "ucb_scale"):
+        for key in ("lambda_scale", "lambda_override", "ucb_scale"):
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
@@ -483,10 +486,12 @@ def sampling_plan(params) -> SamplingPlan:
 
 def _constraint_level(env: Environment, plan: SamplingPlan, params: PracticalParams) -> float:
     """The selector's lam: overridden (a theory plan's own), or scaled from
-    compute_lambda at the plan's effective noise level."""
+    compute_lambda at the plan's effective noise level and the default
+    TheoryConstants."""
     if params.lambda_override is not None:
         return float(params.lambda_override)
     sigma_eff = env.sigma / math.sqrt(plan.N)
+    constants = TheoryConstants()
     return params.lambda_scale * compute_lambda(
         env.mean.c2,
         plan.epsilon,
@@ -495,8 +500,8 @@ def _constraint_level(env: Environment, plan: SamplingPlan, params: PracticalPar
         plan.m_Phi,
         env.k,
         sigma_eff,
-        params.delta,
-        params.gamma,
+        constants.delta,
+        constants.gamma,
     )
 
 
@@ -513,18 +518,15 @@ def run_phase1(env: Environment, params: PracticalParams) -> Phase1Result:
     resolve the constraint level and recover the subspace.
 
     The draw is seeded from the environment seed.  Raises DomainError
-    before any query when a probe point leaves the action ball, and
-    Phase1Aborted when the recovery collapses.
+    before any query when a probe point leaves the action ball; a recovery
+    that collapses comes back with no basis.
     """
     plan = sampling_plan(params)
     sets = draw_sampling_sets(plan, env.d, np.random.default_rng(derive_seed(env.seed, 1)))
     bundle = collect_measurements(env, sets, plan)
     lam = _constraint_level(env, plan, params)
     problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
-    try:
-        recovery = recover_subspace(problem, true_basis=env.A, c0=params.c0)
-    except DegenerateRecoveryError as exc:
-        raise Phase1Aborted(str(exc), bundle, lam) from exc
+    recovery = recover_subspace(problem, true_basis=env.A, c0=params.c0)
     return Phase1Result(bundle=bundle, recovery=recovery)
 
 
@@ -541,11 +543,7 @@ def run_cablp(env: Environment, params) -> RunRecord:
             f"environment is not fresh: {env.query_count} queries already spent"
         )
     if isinstance(params, TheoryParams):
-        if not params.feasible:
-            raise BudgetError(
-                f"budget infeasible: plan needs n1 = {params.n1} exploration queries "
-                f"but n = {params.n}; minimal feasible n is about {params.minimal_feasible_n}"
-            )
+        params.check_budget()
         mode, params_echo, params = "theory", params_to_dict(params), params.as_practical()
     else:
         mode, params_echo = "practical", params.to_dict()
@@ -572,28 +570,15 @@ def run_cablp(env: Environment, params) -> RunRecord:
     if skipped:
         basis = np.asarray(params.known_subspace, dtype=float)
     else:
-        try:
-            phase1 = run_phase1(env, params)
-        except Phase1Aborted as exc:
-            record.regret_trace = _phase1_trace(exc.bundle, opt_value)
-            record.R1 = float(record.regret_trace.sum())
-            record.lam = exc.lam
-            record.aborted, record.abort_reason = True, str(exc)
-            return record
+        phase1 = run_phase1(env, params)
         record.regret_trace = _phase1_trace(phase1.bundle, opt_value)
-        recovery = phase1.recovery
-        record.lam = recovery.lam
-        record.recovery_diagnostics = {
-            "iterations": recovery.info.iterations,
-            "converged": recovery.info.converged,
-            "feasible": recovery.info.feasible,
-            "residual_norm": recovery.info.residual_norm,
-            "lipschitz": recovery.info.lipschitz,
-            "backtracks": recovery.info.backtracks,
-            "spectrum": recovery.spectrum.tolist(),
-            "error_bound": recovery.error_bound,
-        }
-        basis = recovery.basis
+        record.lam = phase1.recovery.lam
+        record.recovery_diagnostics = result_to_dict(phase1.recovery)
+        basis = phase1.recovery.basis
+        if basis is None:
+            record.R1 = float(record.regret_trace.sum())
+            record.aborted, record.abort_reason = True, phase1.recovery.abort_reason
+            return record
 
     n2 = n - record.phase1_rounds
     phase2 = run_phase2(env, basis, n2, ucb_scale=params.ucb_scale, M=params.M, opt_value=opt_value)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import SamplingSets, _chunks
+from .sampling import SamplingSets, apply_adjoint
 
 RANK_FLOOR = 1e-12
 # solve_dantzig's fixed settings: FISTA steps per subproblem and its
@@ -176,26 +176,6 @@ def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     return m_cur, iters, converged, lipschitz, backtracks
 
 
-def _is_tall(sets: SamplingSets) -> bool:
-    """A sketch with more rows than unknowns is solved in Gram form."""
-    return sets.m_Phi > sets.d * sets.m_X
-
-
-def _sketch_adjoint(sets: SamplingSets, y: np.ndarray) -> np.ndarray:
-    """``Phi*(y)`` as a flat vector in ``X.ravel()`` order.
-
-    A tall sketch sums ``S^T y`` over chunks of sign rows and scales once,
-    so the flat operator is never built.
-    """
-    if _is_tall(sets):
-        adjoint = np.zeros(sets.d * sets.m_X)
-        for start, stop in _chunks(sets.m_Phi):
-            rows = sets.signs[start:stop].transpose(0, 2, 1).reshape(stop - start, -1)
-            adjoint += rows.astype(float).T @ y[start:stop]
-        return adjoint * sets.scale
-    return sets.flat_operator().T @ y
-
-
 def _smooth_part(
     sets: SamplingSets, y: np.ndarray, adjoint_y: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -207,11 +187,11 @@ def _smooth_part(
     products with F.
     """
     shape = (sets.d, sets.m_X)
-    if _is_tall(sets):
+    if sets.tall:
         gram = sets.gram()
 
         def residual(mat):
-            return (adjoint_y - gram @ mat.ravel()).reshape(shape)
+            return adjoint_y - (gram @ mat.ravel()).reshape(shape)
 
         return residual
 
@@ -248,8 +228,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
         raise ValueError(f"y must have shape {(sets.m_Phi,)}, got {y.shape}")
     shape = (sets.d, sets.m_X)
 
-    adjoint_y = _sketch_adjoint(sets, y)
-    dual0 = adjoint_y.reshape(shape)
+    dual0 = apply_adjoint(sets, y)
     dual0_norm = float(np.linalg.norm(dual0, 2))
     lipschitz = (1.0 + math.sqrt(sets.d * sets.m_X / sets.m_Phi)) ** 2
     if problem.lam >= dual0_norm:
@@ -260,7 +239,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
         )
         return np.zeros(shape), info
 
-    residual = _smooth_part(sets, y, adjoint_y)
+    residual = _smooth_part(sets, y, dual0)
 
     # continuation: start just under the level where zero is optimal, and
     # aim slightly inside the constraint so inexact subproblem solves still
@@ -347,14 +326,19 @@ def subspace_error(a: np.ndarray, a_hat: np.ndarray) -> float:
 
 @dataclass
 class RecoveryResult:
-    """The basis phase 2 runs on, and the solve's diagnostics (not its solution)."""
+    """The basis phase 2 runs on, and the solve's diagnostics (not its solution).
 
-    basis: np.ndarray
+    A solve with no rank-k signal leaves basis None and says why in
+    abort_reason; its diagnostics stay.
+    """
+
+    basis: Optional[np.ndarray]
     lam: float
     spectrum: np.ndarray
     info: SolveInfo
     subspace_err: Optional[float] = None
     error_bound: Optional[float] = None
+    abort_reason: Optional[str] = None
 
 
 def recover_subspace(
@@ -362,37 +346,35 @@ def recover_subspace(
     true_basis: Optional[np.ndarray] = None,
     c0: float = 4.0,
 ) -> RecoveryResult:
-    """Solve, truncate to rank k, and extract the subspace estimate."""
+    """Solve, truncate to rank k, and extract the subspace estimate.
+
+    A collapsed solve (see :func:`extract_subspace`) is returned, not
+    raised: the result has no basis and carries the reason.
+    """
     estimate, info = solve_dantzig(problem)
-    est_k = truncate_rank_k(estimate, problem.k)
-    spectrum = singular_values(estimate)
-    basis = extract_subspace(est_k, problem.k)
-    err = None if true_basis is None else subspace_error(true_basis, basis)
-    return RecoveryResult(
-        basis=basis,
-        lam=problem.lam,
-        spectrum=spectrum,
-        info=info,
-        subspace_err=err,
+    result = RecoveryResult(
+        basis=None, lam=problem.lam, spectrum=singular_values(estimate), info=info,
         error_bound=ds_error_bound(problem.lam, problem.k, c0),
     )
+    try:
+        result.basis = extract_subspace(truncate_rank_k(estimate, problem.k), problem.k)
+    except DegenerateRecoveryError as exc:
+        result.abort_reason = str(exc)
+        return result
+    if true_basis is not None:
+        result.subspace_err = subspace_error(true_basis, result.basis)
+    return result
 
 
 def result_to_dict(result: RecoveryResult) -> dict:
-    """JSON-ready summary: the basis, lambda and every diagnostic."""
-    out = {
-        "basis": result.basis.tolist(),
-        "lambda": result.lam,
-        "spectrum": result.spectrum.tolist(),
-        "error_bound": result.error_bound,
+    """The solve's diagnostics as a run record's JSON-ready recovery block."""
+    return {
         "iterations": result.info.iterations,
-        "outer_rounds": result.info.outer_rounds,
         "converged": result.info.converged,
         "feasible": result.info.feasible,
         "residual_norm": result.info.residual_norm,
         "lipschitz": result.info.lipschitz,
         "backtracks": result.info.backtracks,
+        "spectrum": result.spectrum.tolist(),
+        "error_bound": result.error_bound,
     }
-    if result.subspace_err is not None:
-        out["subspace_err"] = result.subspace_err
-    return out

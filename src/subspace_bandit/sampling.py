@@ -14,14 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import (
-    DomainError,
-    Environment,
-    _query_points,
-    check_points,
-    gradient_mean_reward,
-    mean_hess,
-)
+from .envs import DomainError, Environment, _query_points, check_points
 from .util import uniform_sphere
 
 PLAN_SLACK = 1e-12
@@ -99,6 +92,11 @@ class SamplingSets:
         return self.signs.shape[0]
 
     @property
+    def tall(self) -> bool:
+        """A sketch with more rows than unknowns is solved in Gram form."""
+        return self.m_Phi > self.d * self.m_X
+
+    @property
     def scale(self) -> float:
         """The magnitude 1/sqrt(m_Phi) of every direction entry."""
         return 1.0 / np.sqrt(self.m_Phi)
@@ -161,20 +159,24 @@ def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
     return SamplingSets(points=points, signs=signs)
 
 
-def apply_operator(sets: SamplingSets, X: np.ndarray) -> np.ndarray:
-    """Phi(X): contract each direction block against the columns of X."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (sets.d, sets.m_X):
-        raise ValueError(f"X must have shape {(sets.d, sets.m_X)}, got {X.shape}")
-    return sets.flat_operator() @ X.ravel()
-
-
 def apply_adjoint(sets: SamplingSets, v: np.ndarray) -> np.ndarray:
-    """Phi^*(v) = sum_i v_i Phi_i, a d x m_X matrix."""
+    """Phi^*(v) = sum_i v_i Phi_i, a (d, m_X) matrix.
+
+    A tall sketch sums ``S^T v`` over chunks of sign rows and scales once,
+    so the flat operator is never built; a wide one computes ``F^T v``.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (sets.m_Phi,):
         raise ValueError(f"v must have shape {(sets.m_Phi,)}, got {v.shape}")
-    return (sets.flat_operator().T @ v).reshape(sets.d, sets.m_X)
+    if sets.tall:
+        flat = np.zeros(sets.d * sets.m_X)
+        for start, stop in _chunks(sets.m_Phi):
+            rows = sets.signs[start:stop].transpose(0, 2, 1).reshape(stop - start, -1)
+            flat += rows.astype(float).T @ v[start:stop]
+        flat *= sets.scale
+    else:
+        flat = sets.flat_operator().T @ v
+    return flat.reshape(sets.d, sets.m_X)
 
 
 @dataclass
@@ -200,12 +202,6 @@ def _shifted_block(sets: SamplingSets, step: float, start: int, stop: int) -> np
     bit for bit.
     """
     return (sets.points + sets.signs[start:stop] * step).reshape(-1, sets.d)
-
-
-def shifted_points(sets: SamplingSets, epsilon: float) -> np.ndarray:
-    """All shifted query points, shape (m_Phi * m_X, d), grouped by direction
-    index i (rows i * m_X + j hold x_j + epsilon * phi_{i,j})."""
-    return _shifted_block(sets, epsilon * sets.scale, 0, sets.m_Phi)
 
 
 def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPlan) -> MeasurementBundle:
@@ -265,62 +261,3 @@ def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPla
         base_means=base_means,
         shifted_means=shifted_means,
     )
-
-
-# ---------- analysis helpers ----------
-
-
-def phase1_target(env: Environment, sets: SamplingSets) -> np.ndarray:
-    """The matrix the measurements are linear in: columns are mean-reward
-    gradients at the base points (rank <= k).  Free of budget."""
-    cols = [gradient_mean_reward(env, x) for x in sets.points]
-    return np.stack(cols, axis=1)
-
-
-def second_order_residual(env: Environment, sets: SamplingSets, epsilon: float) -> np.ndarray:
-    """Closed-form curvature term: at sigma = 0, y - Phi(X) equals
-    (epsilon / 2) * sum_j phi^T hess phi, exact for families with constant
-    Hessian (linear and the quadratics)."""
-    family = env.mean.family
-    if family not in ("linear", "norm-squared", "centered-quadratic"):
-        raise ValueError(f"no closed-form curvature term for family {family!r}")
-    Hg = mean_hess(env.mean, np.zeros(env.k))
-    AD = sets.directions @ env.A.T  # (m_Phi, m_X, k)
-    quad = np.einsum("ijk,kl,ijl->i", AD, Hg, AD)
-    return 0.5 * epsilon * quad
-
-
-def second_order_bound(plan: SamplingPlan, d: int, c2: float, k: int) -> float:
-    """Magnitude bound on the curvature term:
-    (epsilon / 2) * C2 * k^2 * m_X * (d / m_Phi)."""
-    return 0.5 * plan.epsilon * c2 * k**2 * plan.m_X * (d / plan.m_Phi)
-
-
-def rip_ratio(sets: SamplingSets, X: np.ndarray) -> float:
-    """||Phi(X)||^2 / ||X||_F^2 (scale-invariant by construction)."""
-    X = np.asarray(X, dtype=float)
-    fro2 = float(np.sum(X * X))
-    if fro2 == 0.0:
-        raise ValueError("X must be nonzero")
-    v = apply_operator(sets, X)
-    return float(v @ v) / fro2
-
-
-def rip_ratio_sample(sets: SamplingSets, k: int, trials: int, rng) -> tuple:
-    """Range of the isometry ratio over random rank-k matrices.
-
-    Each trial draws X = L @ R with Gaussian factors (rank k almost surely),
-    Frobenius-normalized.  Returns (min ratio, max ratio) over the trials.
-    """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    lo, hi = np.inf, -np.inf
-    for _ in range(trials):
-        L = rng.standard_normal((sets.d, k))
-        R = rng.standard_normal((k, sets.m_X))
-        X = L @ R
-        X /= np.linalg.norm(X)
-        ratio = rip_ratio(sets, X)
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-    return lo, hi

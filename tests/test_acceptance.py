@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from subspace_bandit import recovery
 from subspace_bandit.envs import make_environment, estimate_conditioning
 from subspace_bandit.harness import fit_regret_exponent
 from subspace_bandit.pipeline import (
@@ -32,10 +31,10 @@ from subspace_bandit.recovery import (
 from subspace_bandit.sampling import (
     SamplingPlan,
     apply_adjoint,
-    apply_operator,
     collect_measurements,
     draw_sampling_sets,
 )
+from sketch_oracles import apply_operator
 
 RECORDS = []  # every full-pipeline run registered for criterion 10
 
@@ -140,20 +139,20 @@ def test_criterion_1_formula_fidelity():
 @criterion(2, "the solver's adjoint matches the measurement map at 1e-10, wide and tall")
 def test_criterion_2_adjoint_identity():
     """<Phi(X), v> = <X, Phi*(v)>, with Phi(X)_i = sum_j phi_ij^T X[:, j] as
-    an einsum over the probe directions and Phi* as the solver's own
-    adjoint: flat-operator products on a wide sketch, sign chunks on a tall
-    one."""
+    an einsum over the probe directions and Phi* as apply_adjoint, the
+    solver's adjoint: flat-operator products on a wide sketch, sign chunks
+    on a tall one."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
     for d, m_x, m_phi, tall in ((20, 30, 200, False), (8, 6, 600, True)):
         sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.05), d, rng)
-        assert recovery._is_tall(sets) == tall
+        assert sets.tall == tall
         directions = sets.directions
         for _ in range(50):
             X = rng.standard_normal((d, m_x))
             v = rng.standard_normal(m_phi)
             lhs = float(np.einsum("ijk,kj->i", directions, X) @ v)
-            rhs = float(np.sum(X * recovery._sketch_adjoint(sets, v).reshape(d, m_x)))
+            rhs = float(np.sum(X * apply_adjoint(sets, v)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
     assert time.perf_counter() - t0 < 1.0
 

@@ -158,6 +158,51 @@ class TestFamilies:
         with pytest.raises(ValueError, match="unknown family"):
             mean_spec("cubic", 1, 0.1)
 
+    @pytest.mark.parametrize("family, k, params", [case for case in FAMILY_CASES if case[2]])
+    @pytest.mark.parametrize("form", [list, tuple])
+    def test_vector_parameters_as_lists_or_tuples_give_the_array_spec(self, family, k, params, form):
+        """Valid parameters parse as np.asarray(value, dtype=float) did."""
+        spec = mean_spec(family, k, 0.1, params)
+        other = mean_spec(family, k, 0.1, {
+            key: form(val.tolist()) if isinstance(val, np.ndarray) else val
+            for key, val in params.items()
+        })
+        assert other.c2 == spec.c2
+        for key, val in params.items():
+            assert np.array_equal(other.params[key], spec.params[key])
+            assert np.array_equal(spec.params[key], np.asarray(val, dtype=float))
+
+    def test_integer_entries_are_floats(self):
+        spec = mean_spec("gaussian-bump", 2, 0.1, {"center": [0, 1], "width": 1})
+        assert spec.params["center"].tolist() == [0.0, 1.0] and spec.params["width"] == 1.0
+        assert isinstance(spec.params["width"], float)
+
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("norm-squared", {"weight": [1.0]}, "params.weight is not a parameter"),
+            ("linear", {"center": [0.1]}, "params.center is not a parameter"),
+            ("gaussian-bump", {"width": float("nan")}, "params.width must be finite"),
+            ("centered-quadratic", {"center": [float("nan")]}, "params.center must be a list"),
+            ("linear", {"weight": [[1.0]]}, "params.weight must be a list"),
+            ("linear", {"weight": 1.0}, "params.weight must be a list"),
+            ("linear", [1.0], "params must be an object"),
+        ],
+    )
+    def test_bad_parameters_name_their_key(self, family, params, message):
+        with pytest.raises(ValueError, match=message):
+            mean_spec(family, 1, 0.1, params)
+
+    def test_d_must_be_an_integer(self):
+        """A float d once reached numpy and raised its TypeError."""
+        with pytest.raises(ValueError, match="d must be an integer, got 6.9"):
+            environment_from_descriptor({"family": "linear", "d": 6.9, "k": 1, "seed": 1})
+
+    def test_k_must_be_an_integer(self):
+        """A bool k once raised numpy's TypeError."""
+        with pytest.raises(ValueError, match="k must be an integer, got True"):
+            make_environment(d=4, k=True, family="linear")
+
     @pytest.mark.parametrize("name", ["sigma", "nu"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_noise_and_margin_must_be_finite(self, name, value):

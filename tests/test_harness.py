@@ -306,8 +306,6 @@ VALID_PRACTICAL = {
     "m_Phi": 30,
     "epsilon": 0.02,
     "N": 2,
-    "delta": 0.2,
-    "gamma": 3.5,
     "c0": 2.0,
     "lambda_scale": 1e-2,
     "lambda_override": 0.05,
@@ -421,10 +419,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("delta", -2.0),
-            ("delta", float("nan")),
-            ("gamma", float("nan")),
-            ("gamma", -1.0),
             ("c0", -1.0),
             ("lambda_scale", -1.0),
             ("lambda_override", -1.0),
@@ -443,8 +437,7 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, key, value
     ):
         """Each value fails a later stage, most after phase 1 has spent its
-        queries, or runs the cell on a NaN constraint level (gamma = nan) or
-        a truncated grid level (M = 2.5)."""
+        queries, or runs the cell on a truncated grid level (M = 2.5)."""
         envs = []
         make = harness._cell_environment
 
@@ -571,6 +564,7 @@ class TestCli:
         assert report["status"] == "aborted" and "degenerate recovery" in report["reason"]
         assert report["queries"] == 10 * 81
         assert report["env_seed"] == derive_seed(1, 900)
+        assert report["feasible"] and report["iterations"] == 0 and report["lambda"] == 0.1
 
     def test_recover_runs_the_theory_plans_phase_1(self, tmp_path, capsys):
         """recover on a theory config runs the plan's phase 1, without the
@@ -623,6 +617,86 @@ class TestCli:
         report = json.loads((out / "recovery.json").read_text())
         assert report["status"] == "infeasible" and "queries" not in report
         assert len(envs) == 2 and all(env.query_count == 0 for env in envs)
+
+    def test_over_budget_theory_plan_is_refused_by_run_and_recover(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """sigma = 0.01 makes the plan's resampling factor N about 2e13, and
+        no horizon up to 2^60 fits it.  run and recover report the cell
+        infeasible alike, and recover spends nothing: it once ran that
+        phase 1 and asked for an N-wide noise draw."""
+        envs = []
+        make = harness._cell_environment
+
+        def spy(*args, **kwargs):
+            envs.append(make(*args, **kwargs))
+            return envs[-1]
+
+        monkeypatch.setattr(harness, "_cell_environment", spy)
+        environment = dict(THEORY_CONFIG["environment"], sigma=0.01)
+        cfg = write_config(tmp_path, **dict(THEORY_CONFIG, environment=environment))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg]) == 2
+        run_line = capsys.readouterr().out
+        assert "failed: infeasible (budget infeasible" in run_line
+        assert run_line.endswith("; no n up to 2^60 fits)\n")
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == run_line and captured.err == ""
+        report = json.loads((out / "recovery.json").read_text())
+        assert report["status"] == "infeasible" and "queries" not in report
+        assert len(envs) == 2 and all(env.query_count == 0 for env in envs)
+
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ({"delta": "0.4"}, "theory.constants: delta must be a real number"),
+            ({"gamma": True}, "theory.constants: gamma must be a real number"),
+            ({"c1": float("inf")}, "theory.constants: c1 must be finite"),
+            ({"delta": 0.9}, "theory.constants: delta must lie in"),
+            ("delta", "theory.constants must be an object"),
+            (None, "theory must be an object"),
+        ],
+        ids=["delta-str", "gamma-bool", "c1-inf", "delta-out-of-range", "not-an-object", "no-theory"],
+    )
+    def test_bad_theory_constant_is_config_error_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, constants, message
+    ):
+        """A string once ended run in a TypeError traceback from inside the
+        first cell."""
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell started on a bad config")
+
+        monkeypatch.setattr(harness, "_cell_environment", no_cell)
+        theory = "alpha" if constants is None else {"alpha": 1.0, "constants": constants}
+        cfg = write_config(tmp_path, **dict(THEORY_CONFIG, theory=theory))
+        assert main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "family, k, params, message",
+        [
+            ("gaussian-bump", 1, {"widht": 0.2}, "params.widht is not a parameter"),
+            ("gaussian-bump", 1, {"width": "0.5"}, "params.width must be a real number"),
+            ("gaussian-bump", 1, {"width": True}, "params.width must be a real number"),
+            ("linear", 1, {"weight": ["1"]}, "params.weight must be a list of k = 1 "),
+            ("centered-quadratic", 1, {"center": ["0.1"]}, "params.center must be a list of k = 1 "),
+            ("linear", 2, {"weight": [1.0]}, "params.weight must be a list of k = 2 "),
+        ],
+        ids=["width-typo", "width-str", "width-bool", "weight-str", "center-str", "weight-short"],
+    )
+    def test_bad_family_parameter_is_config_error(self, tmp_path, capsys, family, k, params, message):
+        """A typo was ignored and the cell ran on the default; strings and
+        bools were parsed; a short weight failed in numpy's reshape."""
+        environment = {"family": family, "d": 6, "k": k, "sigma": 0.05, "params": params}
+        cfg = write_config(tmp_path, environment=environment)
+        assert main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_conditioning_prints_alpha(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

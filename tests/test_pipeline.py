@@ -368,6 +368,7 @@ class TestRunPractical:
         assert partial.regret_trace.shape == (810,)
         assert "degenerate recovery" in partial.abort_reason
         assert env.query_count == 810
+        assert record_to_dict(partial)["recovery"]["iterations"] == 0
 
     def test_theory_mode_guard_fires_before_any_query(self):
         env = make_environment(

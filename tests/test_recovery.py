@@ -23,11 +23,10 @@ from subspace_bandit.sampling import (
     SamplingPlan,
     SamplingSets,
     apply_adjoint,
-    apply_operator,
     collect_measurements,
     draw_sampling_sets,
-    phase1_target,
 )
+from sketch_oracles import apply_operator, phase1_target
 
 SEED = 20240817
 
@@ -329,14 +328,15 @@ class TestGramForm:
         tall = m_phi > d * m_x
         if tall:
             monkeypatch.setattr(SamplingSets, "flat_operator", _forbidden_flat_operator)
-        adjoint_y = recovery._sketch_adjoint(sets, y)
+        assert sets.tall == tall
+        adjoint_y = apply_adjoint(sets, y)
         residual = recovery._smooth_part(sets, y, adjoint_y)
         grad = -residual(mat)
         monkeypatch.undo()
 
         flat = sets.flat_operator()
         pairs = (
-            (adjoint_y, flat.T @ y),
+            (adjoint_y, (flat.T @ y).reshape(d, m_x)),
             (grad, (flat.T @ (flat @ mat.ravel() - y)).reshape(d, m_x)),
         )
         for got, want in pairs:
@@ -590,9 +590,9 @@ class TestRecoveryPipeline:
         assert errs[0] + 0.02 >= errs[1], f"means {errs}"
         assert errs[1] + 0.02 >= errs[2], f"means {errs}"
 
-    def test_rank_collapse_raises_through_pipeline(self):
+    def test_rank_collapse_returns_no_basis(self):
         # a constant reward has zero gradient everywhere, so the selector
-        # returns the zero matrix and extraction must refuse it
+        # returns the zero matrix, which extraction refuses
         env = make_environment(
             d=8, k=1, family="linear", sigma=0.0, nu=0.05, seed=SEED + 20,
             params={"weight": [0.0]},
@@ -601,8 +601,10 @@ class TestRecoveryPipeline:
         rng = np.random.default_rng(SEED + 21)
         sets = draw_sampling_sets(plan, 8, rng)
         bundle = collect_measurements(env, sets, plan)
-        with pytest.raises(DegenerateRecoveryError):
-            recover_subspace(DantzigProblem(bundle.y, sets, 0.1, 1))
+        result = recover_subspace(DantzigProblem(bundle.y, sets, 0.1, 1), true_basis=env.A)
+        assert result.basis is None and result.subspace_err is None
+        assert "degenerate recovery" in result.abort_reason
+        assert result.info.feasible and result.info.iterations == 0
 
     def test_result_dict_round_trips_to_json(self):
         import json
@@ -612,8 +614,6 @@ class TestRecoveryPipeline:
         result = recover_subspace(problem, true_basis=direction[None, :])
         from subspace_bandit.recovery import result_to_dict
 
-        blob = json.dumps(result_to_dict(result))
-        back = json.loads(blob)
-        assert back["converged"] is True
-        assert back["subspace_err"] == pytest.approx(result.subspace_err)
-        assert np.asarray(back["basis"]).shape == (1, 10)
+        back = json.loads(json.dumps(result_to_dict(result)))
+        assert len(back) == 8 and back["converged"] is True
+        assert back["spectrum"] == result.spectrum.tolist()
