@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .util import check_number, uniform_sphere
+from .util import check_keys, check_number, uniform_sphere
 
 ROW_ORTHO_TOL = 1e-10  # ||A A^T - I||_F allowed in a LinearParamMatrix
 AS_IS_TOL = 1e-12  # make_row_orthonormal returns a matrix this close unchanged
@@ -402,9 +402,9 @@ def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.nda
     """Query each row of xs `repeats` times and return the per-point averages.
 
     All points are validated before any query is made.  Charges
-    len(xs) * repeats to the query count.  Noise is drawn row-major (points in
-    order, repeats within a point), so the draw order is documented and
-    reproducible.
+    len(xs) * repeats to the query count.  One standard normal is drawn per
+    point, in row order, and scaled by 1/sqrt(repeats): the distribution of
+    the mean of `repeats` noisy rewards, at one draw whatever `repeats` is.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != env.d:
@@ -418,13 +418,13 @@ def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.nda
 def _query_points(env: Environment, xs: np.ndarray, repeats: int) -> tuple:
     """(means, averages) for rows of xs already checked against the ball.
 
-    means are the noise-free mean rewards, averages the mean of `repeats`
-    noisy rewards per row.  Charges len(xs) * repeats queries.
+    means are the noise-free mean rewards, averages the noisy means that
+    sample_rewards returns.  Charges len(xs) * repeats queries.
     """
     vals = mean_value(env.mean, xs @ env.A.T)
-    noise = env.rng.standard_normal((xs.shape[0], repeats))
+    noise = env.rng.standard_normal(xs.shape[0])
     env.query_count += xs.shape[0] * repeats
-    return vals, vals + env.sigma * noise.mean(axis=1)
+    return vals, vals + env.sigma / math.sqrt(repeats) * noise
 
 
 def gradient_mean_reward(env: Environment, x: np.ndarray) -> np.ndarray:
@@ -547,6 +547,9 @@ def estimate_conditioning(env: Environment, n_samples: int) -> ConditioningRepor
 # ---------- descriptors ----------
 
 
+DESCRIPTOR_KEYS = ("family", "d", "k", "sigma", "nu", "params", "seed", "A")
+
+
 def to_descriptor(env: Environment) -> dict:
     """JSON-ready environment descriptor (realized A is emitted explicitly)."""
     params = {
@@ -570,6 +573,7 @@ def environment_from_descriptor(desc: dict) -> Environment:
 
     sigma and nu may be omitted; make_environment's defaults then apply.
     """
+    check_keys("descriptor", desc, DESCRIPTOR_KEYS)
     required = {"family", "k", "d", "seed"}
     missing = required - set(desc)
     if missing:

@@ -20,7 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .envs import DomainError, Environment, environment_from_descriptor, estimate_conditioning
+from .envs import (
+    DESCRIPTOR_KEYS,
+    DomainError,
+    Environment,
+    environment_from_descriptor,
+    estimate_conditioning,
+)
 from .pipeline import (
     BudgetError,
     PracticalParams,
@@ -35,7 +41,7 @@ from .pipeline import (
     sampling_plan,
 )
 from .recovery import result_to_dict
-from .util import check_number, derive_seed, dump_json
+from .util import check_keys, check_number, derive_seed, dump_json
 
 SWEEP_CSV_HEADER = "n,seed,R_total,R1,R2,R3,subspace_err,n1,status"
 PLOT_CSV_HEADER = "n,mean_R,se_R,count"
@@ -54,11 +60,11 @@ class ExperimentConfig:
     """One sweep: an environment template crossed with horizons and seeds.
 
     environment is a descriptor dict (family, d, k, sigma, nu, params);
-    any seed it carries is ignored because each cell derives its own.
-    practical holds PracticalParams overrides shared by all cells, each
-    checked here in practical mode; theory holds {"alpha": ...,
-    "constants": {...}} for theory-mode planning, and the constants are
-    checked here in either mode.
+    any seed or A it carries is ignored because each cell derives its own,
+    and any other key is an error.  practical holds PracticalParams
+    overrides shared by all cells, each checked here in practical mode;
+    theory holds {"alpha": ..., "constants": {...}}, nothing else, for
+    theory-mode planning, and the constants are checked here in either mode.
     """
 
     environment: dict
@@ -73,6 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.environment, dict):
             raise ValueError("environment must be a descriptor dict")
+        check_keys("environment", self.environment, DESCRIPTOR_KEYS)
         for key in ("family", "d", "k"):
             if key not in self.environment:
                 raise ValueError(f"environment descriptor missing {key!r}")
@@ -99,9 +106,7 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        unknown = set(self.practical) - _PRACTICAL_KEYS
-        if unknown:
-            raise ValueError(f"unknown practical override(s): {sorted(unknown)}")
+        check_keys("practical", self.practical, _PRACTICAL_KEYS)
         if self.mode == "practical":
             missing = _PRACTICAL_REQUIRED - set(self.practical)
             if missing:
@@ -114,6 +119,7 @@ class ExperimentConfig:
                 )
         if not isinstance(self.theory, dict):
             raise ValueError(f"theory must be an object, got {self.theory!r}")
+        check_keys("theory", self.theory, ("alpha", "constants"))
         if self.mode == "theory" and "alpha" not in self.theory:
             raise ValueError("theory mode needs theory.alpha in the config")
         if "alpha" in self.theory:
@@ -121,9 +127,7 @@ class ExperimentConfig:
         constants = self.theory.get("constants", {})
         if not isinstance(constants, dict):
             raise ValueError(f"theory.constants must be an object, got {constants!r}")
-        unknown = set(constants) - _CONSTANT_KEYS
-        if unknown:
-            raise ValueError(f"unknown theory constant(s): {sorted(unknown)}")
+        check_keys("theory.constants", constants, _CONSTANT_KEYS)
         try:
             self.constants = TheoryConstants(**constants)
         except ValueError as exc:
@@ -131,10 +135,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    allowed = {f.name for f in fields(ExperimentConfig) if f.init}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+    check_keys("config", data, {f.name for f in fields(ExperimentConfig) if f.init})
     missing = {"environment", "horizons", "seeds"} - set(data)
     if missing:
         raise ValueError(f"config missing key(s): {sorted(missing)}")

@@ -117,7 +117,7 @@ def _prox_step(residual, z, r_z, tau, lipschitz):
     Accepted when ``<d, r_z - r_p> = ||Phi(d)||^2 <= L ||d||^2`` for
     ``d = p - z`` (Beck & Teboulle 2009; exact for this quadratic), up to a
     rounding allowance; else L rises to ``max(1.05 L, curvature)`` and the
-    step is redone.  Returns ``(p, r_p, L, backtracks)``.
+    step is redone.  Returns ``(p, r_p, d, L, backtracks)``, d flat.
     """
     backtracks = 0
     while True:
@@ -131,7 +131,7 @@ def _prox_step(residual, z, r_z, tau, lipschitz):
         if excess <= 0.0 or excess <= STEP_ROUNDING * math.sqrt(d_sq) * (
             np.linalg.norm(r_z) + np.linalg.norm(r_p) + lipschitz * np.linalg.norm(p)
         ):
-            return p, r_p, lipschitz, backtracks
+            return p, r_p, d, lipschitz, backtracks
         lipschitz = max(1.05 * lipschitz, float(curvature / d_sq))
         backtracks += 1
 
@@ -143,7 +143,7 @@ def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     gradient of the smooth part, evaluated once per accepted
     :func:`_prox_step`; being affine, it is extrapolated to the momentum
     point z alongside z.  The momentum restarts (``t = 1``) whenever
-    the prox step ``z -> M_new`` points against the last move
+    the prox step ``d = M_new - z`` points against the last move
     ``M_cur -> M_new``, the gradient restart of O'Donoghue & Candes (2015),
     which stops the oscillation that momentum otherwise causes near the
     solution.  Returns ``(M, iterations, converged, L, backtracks)``.
@@ -154,17 +154,17 @@ def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     iters = backtracks = 0
     converged = False
     for iters in range(1, max_iters + 1):
-        m_new, r_new, lipschitz, redone = _prox_step(residual, z, r_z, tau, lipschitz)
+        m_new, r_new, d, lipschitz, redone = _prox_step(residual, z, r_z, tau, lipschitz)
         backtracks += redone
         move = m_new - m_cur
-        if np.vdot(z - m_new, move) > 0.0:
+        flat = move.ravel()
+        if d.dot(flat) < 0.0:
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         z = m_new + beta * move
         r_z = r_new + beta * (r_new - r_cur)
         # the Frobenius norms exactly as np.linalg.norm computes them
-        flat = move.ravel()
         change = math.sqrt(flat.dot(flat))
         flat = m_new.ravel()
         scale = max(1.0, math.sqrt(flat.dot(flat)))
@@ -214,9 +214,9 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     formulations meet at the constraint boundary, so the final iterate is the
     selector solution up to solver tolerance.
 
-    No eigenvalue is computed: FISTA's L starts at the Marchenko-Pastur edge
-    ``(1 + sqrt(d * m_X / m_Phi))^2``, where ``||F||_2^2`` concentrates (Bai
-    & Yin 1993), only rises, and carries over between continuation rounds.
+    No eigenvalue is computed: FISTA's L starts at 1, the diagonal of
+    ``G = F^T F`` for any +/-1/sqrt(m_Phi) sketch, rises where a step needs
+    more, never falls, and carries over between continuation rounds.
 
     A tall sketch (``m_Phi > d * m_X``) is solved in Gram form from the sign
     chunks and never builds the flat operator or the float directions; its
@@ -230,7 +230,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
 
     dual0 = apply_adjoint(sets, y)
     dual0_norm = float(np.linalg.norm(dual0, 2))
-    lipschitz = (1.0 + math.sqrt(sets.d * sets.m_X / sets.m_Phi)) ** 2
+    lipschitz = 1.0
     if problem.lam >= dual0_norm:
         # zero is already feasible, and it has minimal nuclear norm
         info = SolveInfo(

@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import DomainError, Environment, _query_points, check_points
+from .envs import DomainError, Environment, _query_points
 from .util import uniform_sphere
 
 PLAN_SLACK = 1e-12
-SKETCH_CHUNK = 256  # probe directions drawn, shifted, queried or summed at once
+SKETCH_CHUNK = 256  # probe directions shifted, queried or summed at once
 GRAM_BLOCK = 1024  # probe directions per product in SamplingSets.gram
 # float32 sums of +/-1 terms are exact integers while fewer terms than this add up
 EXACT_FLOAT32_TERMS = 2**24
@@ -141,22 +141,20 @@ def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
     """Draw base points (uniform on S^{d-1}) and Rademacher probe directions.
 
     rng may be an integer seed or a numpy Generator.  Points are drawn before
-    directions, so the layout is reproducible from the seed alone.
+    directions, so the layout is reproducible from the seed alone.  Each
+    sign is 2b - 1 for a bit b of one uint8 draw, in ``np.unpackbits`` order.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     points = uniform_sphere(rng, plan.m_X, d)
-    signs = np.empty((plan.m_Phi, plan.m_X, d), dtype=np.int8)
-    for start, stop in _chunks(plan.m_Phi):
-        # chunked int32 draws continue one stream: the same values, and the
-        # same next draw, as one draw at the default int64
-        draw = rng.integers(0, 2, size=(stop - start, plan.m_X, d), dtype=np.int32)
-        draw *= 2
-        draw -= 1
-        signs[start:stop] = draw
-    return SamplingSets(points=points, signs=signs)
+    count = plan.m_Phi * plan.m_X * d
+    packed = rng.integers(0, 256, -(-count // 8), dtype=np.uint8)
+    signs = np.unpackbits(packed, count=count).view(np.int8)
+    signs *= 2
+    signs -= 1
+    return SamplingSets(points=points, signs=signs.reshape(plan.m_Phi, plan.m_X, d))
 
 
 def apply_adjoint(sets: SamplingSets, v: np.ndarray) -> np.ndarray:
@@ -195,28 +193,19 @@ class MeasurementBundle:
     shifted_means: np.ndarray
 
 
-def _shifted_block(sets: SamplingSets, step: float, start: int, stop: int) -> np.ndarray:
-    """Shifted points of directions start..stop-1, rows grouped by direction.
-
-    step is epsilon * sets.scale, so sign * step equals epsilon * phi
-    bit for bit.
-    """
-    return (sets.points + sets.signs[start:stop] * step).reshape(-1, sets.d)
-
-
 def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPlan) -> MeasurementBundle:
     """Query the environment at base and shifted points and form y.
 
     Every distinct point is queried N times and averaged; y_i sums, over
     the base points j, the averaged reward at x_j + epsilon * phi_{i,j}
     minus the one at x_j, divided by epsilon.  Base points are
-    queried first, then shifted points grouped by direction index.  Shifted
-    points exist SKETCH_CHUNK directions at a time, in two passes: the
-    first builds every chunk and checks it against the action ball, the
-    second rebuilds each chunk and queries it.  So all domain checks happen
-    before the first query, and an infeasible plan costs no budget and
-    draws no noise.  Each y_i is formed with its chunk, and the result
-    equals one query of all points at once bit for bit.
+    queried first, then shifted points grouped by direction index, built
+    SKETCH_CHUNK directions at a time.  Every direction has norm
+    ``reach = epsilon * sqrt(d / m_Phi)``, so no shifted point lies further
+    out than ``max_j ||x_j|| + reach``; that bound is checked against the
+    action ball before the first query, so an infeasible plan costs no
+    budget and draws no noise.  Each y_i is formed with its chunk, and the
+    result equals one query of all points at once bit for bit.
     """
     if sets.d != env.d:
         raise ValueError(f"sets have d = {sets.d} but environment has d = {env.d}")
@@ -230,23 +219,21 @@ def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPla
         raise DomainError(
             f"step size infeasible: epsilon * sqrt(d / m_Phi) = {reach:.6g} exceeds nu = {env.nu:.6g}"
         )
-    step = plan.epsilon * sets.scale
-    chunks = list(_chunks(plan.m_Phi))
-    worst = max(
-        float(np.max(np.linalg.norm(_shifted_block(sets, step, a, b), axis=1))) for a, b in chunks
-    )
-    if worst > 1.0 + env.nu + PLAN_SLACK:
+    worst = float(np.max(np.linalg.norm(sets.points, axis=1))) + reach
+    if not worst <= 1.0 + env.nu + PLAN_SLACK:
         raise DomainError(
             f"shifted point outside the action ball: max norm {worst:.12g} > {1.0 + env.nu:.12g}"
         )
-    check_points(env, sets.points)
 
     start = env.query_count
     base_means, averaged_base = _query_points(env, sets.points, plan.N)
     shifted_means = np.empty((plan.m_Phi, plan.m_X))
     y = np.empty(plan.m_Phi)
-    for a, b in chunks:
-        means, averages = _query_points(env, _shifted_block(sets, step, a, b), plan.N)
+    step = plan.epsilon * sets.scale  # sign * step equals epsilon * phi bit for bit
+    for a, b in _chunks(plan.m_Phi):
+        shifted = (sets.points + sets.signs[a:b] * step).reshape(-1, sets.d)
+        means, averages = _query_points(env, shifted, plan.N)
+        del shifted  # else it lives on while the next chunk's points are built
         shifted_means[a:b] = means.reshape(b - a, plan.m_X)
         y[a:b] = (averages.reshape(b - a, plan.m_X) - averaged_base).sum(axis=1) / plan.epsilon
     used = env.query_count - start

@@ -1,4 +1,4 @@
-"""Small shared helpers: number checks, sphere sampling, seeds, JSON encoding."""
+"""Small shared helpers: number and key checks, sphere sampling, seeds, JSON encoding."""
 
 from __future__ import annotations
 
@@ -38,6 +38,13 @@ def check_number(key: str, value, integer: bool) -> None:
     ):
         kind = "an integer" if integer else "a real number"
         raise ValueError(f"{key} must be {kind}, got {value!r}")
+
+
+def check_keys(name: str, block: dict, allowed) -> None:
+    """Raise ValueError naming the first key of block that is not allowed."""
+    for key in block:
+        if key not in allowed:
+            raise ValueError(f"{name}.{key} is not a key of {name}, which takes {sorted(allowed)}")
 
 
 def uniform_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

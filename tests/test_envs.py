@@ -2,6 +2,7 @@
 optimum oracles, and conditioning estimates."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -289,6 +290,24 @@ class TestEnvironmentQueries:
         assert abs(s4 - s1 / 2) < 0.2 * s1, f"expected roughly half the spread, got {s4 / s1:.3f}"
 
 
+    def test_repeats_draw_one_normal_per_point(self):
+        """The mean of N noisy rewards is drawn as one normal per point,
+        scaled by 1/sqrt(N): one draw whatever N is, and N = 1 is the plain
+        reward stream.  The count still charges every repeat."""
+        env = self.make_env(sigma=0.5, seed=11)
+        xs = np.random.default_rng(SEED).uniform(-0.3, 0.3, size=(5, 8))
+        means = mean_value(env.mean, xs @ env.A.T)
+        for repeats in (1, 4, 10**12):
+            stream = np.random.default_rng()
+            stream.bit_generator.state = env.rng.bit_generator.state
+            before = env.query_count
+            got = sample_rewards(env, xs, repeats=repeats)
+            want = means + 0.5 / math.sqrt(repeats) * stream.standard_normal(5)
+            np.testing.assert_array_equal(got, want)
+            assert env.rng.bit_generator.state == stream.bit_generator.state
+            assert env.query_count - before == 5 * repeats
+
+
 class TestGradientOracle:
     """gradient_mean_reward is analytic, matches finite differences on the
     full-dimensional mean reward, and lies in the row space of A."""
@@ -441,6 +460,13 @@ class TestDescriptors:
         env = environment_from_descriptor(desc)
         env2 = environment_from_descriptor(desc)
         np.testing.assert_array_equal(env.A, env2.A)
+
+    def test_unknown_key_rejected(self):
+        """A typo once left sigma at its default of 0 without a word."""
+        with pytest.raises(ValueError, match=r"descriptor\.sigmaa is not a key of descriptor"):
+            environment_from_descriptor(
+                {"family": "linear", "d": 6, "k": 1, "seed": 1, "sigmaa": 5.0}
+            )
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing keys"):

@@ -5,9 +5,9 @@ outer continuation rounds, and ``subspace_err`` and total regret as
 ``float.hex()``, so any change to the numbers a seeded run produces shows
 here, not only a change beyond some tolerance.  Bit-exact pins hold for
 one numpy/BLAS build; they were recorded with numpy's bundled OpenBLAS.
-They hold on one BLAS thread as on two: the solver's step no longer comes
-from an eigendecomposition of a float Gram matrix, whose rounding followed
-the thread count, and all five cells were checked at both.  The quickstart
+They hold on one BLAS thread as on two: the solver's step starts at L = 1,
+not at an eigenvalue of a float Gram matrix, whose rounding followed the
+thread count, and all five cells were checked at both.  The quickstart
 cell, the one that used to move, is run again on one thread in a fresh
 process.
 """
@@ -58,11 +58,11 @@ CELLS = {
 
 # name: (phase1_rounds, FISTA iterations, outer rounds, subspace_err, total regret)
 GOLDEN = {
-    "quickstart-wide": (30300, 199, 3, "0x1.0f0557b1acc9dp-2", "0x1.50f5c4dc0e733p+15"),
-    "small-tall": (164, 171, 9, "0x1.c4ee0269640a7p-13", "0x1.b5d28fe3ac698p+10"),
+    "quickstart-wide": (30300, 144, 3, "0x1.74c549f4f0cbap-2", "0x1.640c0df92df93p+15"),
+    "small-tall": (164, 185, 9, "0x1.010c772e05485p-11", "0x1.b5d3ca7544e18p+10"),
     "known-subspace": (0, None, None, "0x0.0p+0", "0x1.a110000000000p+8"),
-    "k3-round-robin": (2412, 155, 4, "0x1.815d361384cf9p-3", "0x1.0f0d657c26562p+12"),
-    "theory-tall": (160676, 39, 8, "0x1.88065fc89a1b7p-19", "0x1.c0d7a5788ceaep+17"),
+    "k3-round-robin": (2412, 121, 4, "0x1.a1b07f57052edp-3", "0x1.0eef88abd527bp+12"),
+    "theory-tall": (160676, 50, 8, "0x1.799f06392d219p-18", "0x1.c0d79ff8c2a12p+17"),
 }
 
 

@@ -61,7 +61,7 @@ class TestConfig:
             small_config(mode="hybrid")
 
     def test_unknown_practical_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown practical"):
+        with pytest.raises(ValueError, match="practical.stride is not a key of practical"):
             small_config(practical={"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "stride": 2})
 
     @pytest.mark.parametrize("width", [5, 7])
@@ -77,7 +77,7 @@ class TestConfig:
             small_config(mode="theory")
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config"):
+        with pytest.raises(ValueError, match="config.horizon is not a key of config"):
             config_from_dict(
                 {
                     "environment": {"family": "linear", "d": 4, "k": 1},
@@ -93,11 +93,11 @@ class TestConfig:
             "horizons": [100],
             "seeds": [1],
         }
-        with pytest.raises(ValueError, match="unknown config"):
+        with pytest.raises(ValueError, match="config.oracle_resolution is not a key of config"):
             config_from_dict(dict(base, oracle_resolution=1e-3))
         for key, value in (("oracle_resolution", 1e-3), ("multi_epoch", True)):
             practical = {"m_X": 5, "m_Phi": 20, "epsilon": 0.05, key: value}
-            with pytest.raises(ValueError, match="unknown practical"):
+            with pytest.raises(ValueError, match=f"practical.{key} is not a key of practical"):
                 config_from_dict(dict(base, practical=practical))
 
     def test_load_config_round_trip(self, tmp_path):
@@ -520,12 +520,48 @@ class TestCli:
         practical = dict(CLI_PRACTICAL, solver={"max_iters": 10})
         cfg = write_config(tmp_path, practical=practical)
         assert main(["sweep", "--config", cfg]) == 1
-        assert "unknown practical override" in capsys.readouterr().err
+        assert "config error: practical.solver is not a key" in capsys.readouterr().err
 
     def test_seed_and_horizon_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", "--config", cfg, "--horizons", "1100", "--seeds", "7"]) == 0
         assert "n=1100 seed=7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (dict(THEORY_CONFIG, theory={"alpha": 1.0, "constans": {"delta": 0.9}}),
+             "theory.constans"),
+            ({"environment": dict(CLI_ENVIRONMENT, sigmaa=5.0)}, "environment.sigmaa"),
+        ],
+        ids=["theory-typo", "environment-typo"],
+    )
+    def test_unknown_key_is_config_error_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, overrides, key
+    ):
+        """Each typo was once ignored: the plan used the default constants,
+        and the cell ran noiseless and exited 0."""
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell started on a bad config")
+
+        monkeypatch.setattr(harness, "_cell_environment", no_cell)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key} is not a ")
+        assert captured.out == ""
+
+    def test_recover_with_a_huge_resampling_factor(self, tmp_path, capsys):
+        """N = 10^12 repeats per point cost one normal draw per point, and
+        the report charges every one of them."""
+        cfg = write_config(tmp_path, practical=dict(CLI_PRACTICAL, N=10**12))
+        out = tmp_path / "out"
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "recovery.json").read_text())
+        assert report["status"] == "ok"
+        assert report["queries"] == 10**12 * 8 * (40 + 1)
 
     def test_recover_reports_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -654,10 +690,14 @@ class TestCli:
             ({"gamma": True}, "theory.constants: gamma must be a real number"),
             ({"c1": float("inf")}, "theory.constants: c1 must be finite"),
             ({"delta": 0.9}, "theory.constants: delta must lie in"),
+            ({"delt": 0.4}, "theory.constants.delt is not a key of theory.constants"),
             ("delta", "theory.constants must be an object"),
             (None, "theory must be an object"),
         ],
-        ids=["delta-str", "gamma-bool", "c1-inf", "delta-out-of-range", "not-an-object", "no-theory"],
+        ids=[
+            "delta-str", "gamma-bool", "c1-inf", "delta-out-of-range", "delta-typo",
+            "not-an-object", "no-theory",
+        ],
     )
     def test_bad_theory_constant_is_config_error_before_any_cell(
         self, tmp_path, capsys, monkeypatch, constants, message

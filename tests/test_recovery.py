@@ -471,28 +471,30 @@ def rank_one_basis(mat):
 
 
 class TestStepRule:
-    """FISTA steps by 1/L: L starts at the sketch's spectral edge, and the
-    backtracking test raises it wherever a step shows more curvature."""
+    """FISTA steps by 1/L: L starts at 1, the exact curvature along every
+    coordinate, and the backtracking test raises it wherever a step shows
+    more curvature."""
 
     @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
-    def test_start_at_the_edge_and_never_fall(self, label, monkeypatch):
+    def test_start_at_one_and_never_fall(self, label, monkeypatch):
         problem = noisy_planted_problem(label, SEED + 26)
         sets = problem.sets
         handed = scale_first_round(monkeypatch, 1.0)
         _, info = solve_dantzig(problem)
         assert info.feasible and len(handed) == info.outer_rounds > 1
-        assert handed[0] == (1.0 + math.sqrt(sets.d * sets.m_X / sets.m_Phi)) ** 2
+        assert handed[0] == 1.0
         assert handed == sorted(handed) and info.lipschitz >= handed[-1]
-        # the edge is within a few percent of ||F||_2^2 here
-        norm_sq = np.linalg.norm(sets.flat_operator(), 2) ** 2
-        assert 0.9 < handed[0] / norm_sq < 1.1
+        # 1 is the diagonal of G = F^T F for any +/-1/sqrt(m_Phi) sketch
+        assert np.array_equal(np.diag(sets.gram()), np.ones(sets.d * sets.m_X))
+        flat = sets.flat_operator()
+        np.testing.assert_allclose(np.einsum("ij,ij->j", flat, flat), 1.0, rtol=1e-14)
 
     @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
     def test_too_small_start_backtracks_to_the_same_solution(self, label, monkeypatch):
-        """From 0.01 times the edge, the first steps overshoot.  The test
-        raises L, every accepted step satisfies it on the exact curvature
-        ``||F d||^2`` (within the stated rounding allowance), and the solve
-        lands where the default one does."""
+        """From L = 0.01, the first steps overshoot.  The test raises L, every
+        accepted step satisfies it on the exact curvature ``||F d||^2``
+        (within the stated rounding allowance), L never falls between steps,
+        and the solve lands where the default one does."""
         problem = noisy_planted_problem(label, SEED + 27)
         ref, ref_info = solve_dantzig(problem)
         steps = []
@@ -500,20 +502,23 @@ class TestStepRule:
 
         def spy(residual, z, r_z, tau, lipschitz):
             out = prox_step(residual, z, r_z, tau, lipschitz)
-            steps.append((z, r_z, out))
+            steps.append((z, r_z, lipschitz, out))
             return out
 
         monkeypatch.setattr(recovery, "_prox_step", spy)
         handed = scale_first_round(monkeypatch, 0.01)
         est, info = solve_dantzig(problem)
         assert info.feasible and ref_info.feasible
-        assert ref_info.backtracks == 0
-        assert info.backtracks == sum(out[3] for _, _, out in steps) >= 1
-        assert info.lipschitz > 0.01 * handed[0]
+        assert handed[0] == 1.0
+        assert info.backtracks == sum(out[4] for *_, out in steps) >= 1
+        assert info.lipschitz > 0.01
         assert subspace_error(rank_one_basis(est), rank_one_basis(ref)) <= 1e-5
         flat = problem.sets.flat_operator()
-        for z, r_z, (p, r_p, lipschitz, _) in steps:
-            d = (p - z).ravel()
+        previous = 0.01
+        for z, r_z, given, (p, r_p, d, lipschitz, _) in steps:
+            assert previous <= given <= lipschitz
+            previous = lipschitz
+            assert np.array_equal(d, (p - z).ravel())
             fd = flat @ d
             norms = np.linalg.norm(r_z) + np.linalg.norm(r_p) + lipschitz * np.linalg.norm(p)
             allowance = recovery.STEP_ROUNDING * np.linalg.norm(d) * norms
@@ -521,12 +526,13 @@ class TestStepRule:
 
     @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
     def test_too_large_start_stays_feasible(self, label, monkeypatch):
-        """From 100 times the edge, every step is short: none is redone, L
-        never falls, and the solve still reaches the constraint."""
+        """From L = 100, above ||F||_2^2, every step is short: none is redone,
+        L never moves, and the solve still reaches the constraint."""
         problem = noisy_planted_problem(label, SEED + 28)
+        assert np.linalg.norm(problem.sets.flat_operator(), 2) ** 2 < 100.0
         handed = scale_first_round(monkeypatch, 100.0)
         _, info = solve_dantzig(problem)
-        assert info.feasible
+        assert info.feasible and handed[0] == 1.0
         assert info.backtracks == 0 and info.lipschitz == 100.0 * handed[0]
 
 

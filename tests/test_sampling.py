@@ -182,6 +182,27 @@ class TestCollection:
             collect_measurements(env, sets, plan)
         assert env.query_count == 0
 
+    def test_base_point_off_the_sphere_refused_before_any_query(self):
+        """No shifted point lies further out than max_j ||x_j|| + reach, and
+        that bound is what is checked: 1.05 + 0.08 leaves the ball of radius
+        1.1, 1.01 + 0.08 stays inside it."""
+        plan = SamplingPlan(m_X=4, m_Phi=50, epsilon=0.2)  # reach 0.2 * sqrt(8 / 50)
+        drawn = draw_sampling_sets(plan, 8, rng=SEED)
+        for scale, refused in [(1.05, True), (1.01, False)]:
+            env = self.make_env("norm-squared", sigma=0.1)
+            points = drawn.points.copy()
+            points[2] *= scale
+            sets = SamplingSets(points=points, signs=drawn.signs)
+            if refused:
+                state = env.rng.bit_generator.state
+                with pytest.raises(DomainError, match="shifted point outside the action ball"):
+                    collect_measurements(env, sets, plan)
+                assert env.query_count == 0
+                assert env.rng.bit_generator.state == state
+            else:
+                collect_measurements(env, sets, plan)
+                assert env.query_count == plan.budget()
+
     def test_mismatched_dimension_rejected(self):
         env = self.make_env("norm-squared")
         plan = SamplingPlan(m_X=4, m_Phi=5, epsilon=0.05)
@@ -207,11 +228,14 @@ def small_chunk(monkeypatch):
 
 
 def _reference_draw(plan, d, seed):
-    """The one-shot draw: every direction as one float array."""
+    """The points, then every sign as 2 * bit - 1 from one draw of bytes,
+    and the generator where that draw leaves it."""
     rng = np.random.default_rng(seed)
     points = uniform_sphere(rng, plan.m_X, d)
-    bits = rng.integers(0, 2, (plan.m_Phi, plan.m_X, d))
-    return points, (bits * 2.0 - 1.0) / np.sqrt(plan.m_Phi), rng
+    count = plan.m_Phi * plan.m_X * d
+    packed = rng.integers(0, 256, (count + 7) // 8, dtype=np.uint8)
+    bits = np.unpackbits(packed)[:count].astype(np.int64)
+    return points, (2 * bits - 1).reshape(plan.m_Phi, plan.m_X, d), rng
 
 
 def _reference_collection(env, sets, plan):
@@ -228,21 +252,24 @@ def _integer_gram(sets):
     return (flat_signs.T @ flat_signs) / sets.m_Phi
 
 
-# (m_Phi, m_X, d): one part-filled chunk, and six chunks of the library's
-# SKETCH_CHUNK with a part-filled last one
+# (m_Phi, m_X, d): a count of signs that is not a multiple of 8, with and
+# without the small chunk, and six of the library's SKETCH_CHUNK directions
+# with a part-filled last one
+@pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("shape", [(7, 3, 5), (5 * 256 + 11, 4, 6)])
-def test_int32_draw_matches_the_int64_draw(shape):
-    """The signs equal 2 * bits - 1 for the default (int64) draw of the bits,
-    and the generator is left where that draw leaves it."""
+def test_signs_are_one_packed_draw(shape, chunked, request):
+    """The signs equal 2 * bits - 1 for the bits of one uint8 draw, and the
+    generator is left where that draw leaves it."""
+    if chunked:
+        request.getfixturevalue("small_chunk")
     m_phi, m_x, d = shape
+    plan = SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1)
     rng = np.random.default_rng(SEED)
-    sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng)
-    ref_rng = np.random.default_rng(SEED)
-    uniform_sphere(ref_rng, m_x, d)
-    bits = ref_rng.integers(0, 2, (m_phi, m_x, d))
-    assert bits.dtype == np.int64
+    sets = draw_sampling_sets(plan, d, rng)
+    points, signs, ref_rng = _reference_draw(plan, d, SEED)
     assert sets.signs.dtype == np.int8
-    np.testing.assert_array_equal(sets.signs, 2 * bits - 1)
+    np.testing.assert_array_equal(sets.points, points)
+    np.testing.assert_array_equal(sets.signs, signs)
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
     assert rng.random() == ref_rng.random()
 
@@ -258,7 +285,8 @@ class TestChunkedPhaseOne:
     def test_draw_matches_one_shot(self, m_phi):
         plan = SamplingPlan(m_X=self.M_X, m_Phi=m_phi, epsilon=0.1)
         sets = draw_sampling_sets(plan, self.D, np.random.default_rng(SEED))
-        points, directions, rng = _reference_draw(plan, self.D, SEED)
+        points, signs, _ = _reference_draw(plan, self.D, SEED)
+        directions = signs / np.sqrt(m_phi)
         assert sets.signs.dtype == np.int8
         np.testing.assert_array_equal(sets.points, points)
         assert np.array_equal(sets.directions, directions)
@@ -292,7 +320,8 @@ class TestChunkedPhaseOne:
         assert np.array_equal(pipeline._phase1_trace(bundle, opt), np.repeat(opt - means, big_n))
 
     def test_point_outside_ball_in_last_chunk_queries_nothing(self):
-        """Pass 1 checks every chunk before pass 2 queries the first one."""
+        """A point that leaves the ball only in the last chunk is refused
+        before the first chunk is queried."""
         m_phi, nu, eps = 3 * CHUNK - 1, 0.5, 0.5
         env = make_environment(d=self.D, k=2, family="norm-squared", sigma=0.2, nu=nu, seed=SEED)
         plan = SamplingPlan(m_X=self.M_X, m_Phi=m_phi, epsilon=eps)
