@@ -14,7 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import Environment, check_points, check_row_orthonormal, mean_value, optimal_value
+from .envs import (
+    Environment,
+    _reward_noise,
+    check_points,
+    check_row_orthonormal,
+    mean_value,
+    optimal_value,
+)
 
 GRID_SLACK = 1e-9
 BASIS_TOL = 1e-8  # ||AA^T - I||_F allowed for a basis that phase 2 lays a grid on
@@ -160,7 +167,8 @@ def run_phase2(
     and ucb1_update, without a call per round: the grid is checked against
     the action ball once, the n2 queries are charged at once, each arm's
     mean is computed once, and the noise comes NOISE_CHUNK values per rng
-    call, the same stream as one standard_normal() per round.
+    call, the same stream as one standard_normal() per round (none at all
+    when sigma = 0, as for sample_reward).
 
     After the sweep, rounds run in blocks of BLOCK (at most n_arms - 1).  A
     block opens with one numpy pass: each arm's index at hi, the largest
@@ -223,7 +231,7 @@ def run_phase2(
     hi, pulled_max = 0.0, ninf
     for start in range(0, n2, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, n2)
-        noise = env.sigma * env.rng.standard_normal(stop - start)
+        noise = _reward_noise(env, stop - start)
         chunk = []
         for t, z in zip(range(start, stop), noise.tolist()):
             if t < n_arms:

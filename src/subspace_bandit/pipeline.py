@@ -525,7 +525,7 @@ def run_phase1(env: Environment, params: PracticalParams) -> Phase1Result:
     sets = draw_sampling_sets(plan, env.d, np.random.default_rng(derive_seed(env.seed, 1)))
     bundle = collect_measurements(env, sets, plan)
     lam = _constraint_level(env, plan, params)
-    problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k)
+    problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k, adjoint_y=bundle.adjoint_y)
     recovery = recover_subspace(problem, true_basis=env.A, c0=params.c0)
     return Phase1Result(bundle=bundle, recovery=recovery)
 
@@ -598,6 +598,8 @@ def run_cablp(env: Environment, params) -> RunRecord:
 
 
 def record_to_dict(record: RunRecord) -> dict:
+    """The record as a dict for :func:`util.dump_json`, which writes the
+    regret trace, kept here as a float array, as a JSON list."""
     out = {
         "mode": record.mode,
         "seed": record.seed,
@@ -621,7 +623,7 @@ def record_to_dict(record: RunRecord) -> dict:
     }
     if record.basis is not None:
         out["basis"] = np.asarray(record.basis).tolist()
-    out["regret_trace"] = np.asarray(record.regret_trace).tolist()
+    out["regret_trace"] = np.asarray(record.regret_trace, dtype=float)
     return out
 
 

@@ -23,11 +23,13 @@ from .sampling import SamplingSets, apply_adjoint
 
 RANK_FLOOR = 1e-12
 # solve_dantzig's fixed settings: FISTA steps per subproblem and its
-# relative iterate-change stop, the relative slack of the feasibility test,
-# the continuation's per-round shrink of the penalty weight, the most
+# relative iterate-change stop, the looser stop of the continuation rounds
+# that only warm-start the next one, the relative slack of the feasibility
+# test, the continuation's per-round shrink of the penalty weight, the most
 # continuation rounds, and the step test's rounding allowance (_prox_step)
 MAX_ITERS = 5000
 REL_TOL = 1e-7
+WARM_TOL = 1e-3
 FEAS_TOL = 1e-6
 TAU_SHRINK = 0.3
 MAX_OUTER = 40
@@ -72,19 +74,30 @@ def ds_error_bound(lam: float, k: int, c0: float = 4.0) -> float:
 
 @dataclass(frozen=True)
 class DantzigProblem:
-    """One selector instance: sketch targets, sampling sets, level, target rank."""
+    """One selector instance: sketch targets, sampling sets, level, target rank.
+
+    adjoint_y is ``Phi^*(y)``: a collection's own (``bundle.adjoint_y``),
+    or, when not given, :func:`apply_adjoint` of y, which is the same bits.
+    """
 
     y: np.ndarray
     sets: SamplingSets
     lam: float
     k: int
+    adjoint_y: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
+        y = np.asarray(self.y, dtype=float)
+        if y.shape != (self.sets.m_Phi,):
+            raise ValueError(f"y must have shape {(self.sets.m_Phi,)}, got {y.shape}")
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "lam", float(self.lam))
+        if self.adjoint_y is None:
+            object.__setattr__(self, "adjoint_y", apply_adjoint(self.sets, y))
 
 
 @dataclass
@@ -212,23 +225,25 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     of the dual residual ``Phi*(y - Phi(M))`` sits at or below ``lam``
     (within ``FEAS_TOL`` relative).  The penalized and constrained
     formulations meet at the constraint boundary, so the final iterate is the
-    selector solution up to solver tolerance.
+    selector solution up to solver tolerance.  A round above the final
+    weight only warm-starts the next, so it stops at the looser relative
+    change ``WARM_TOL`` (continuation leaves these rounds inexact: Hale, Yin
+    & Zhang 2008; Toh & Yun 2010); the rounds at the final weight stop at
+    ``REL_TOL``, tightened a hundredfold each time one ends infeasible.
 
     No eigenvalue is computed: FISTA's L starts at 1, the diagonal of
     ``G = F^T F`` for any +/-1/sqrt(m_Phi) sketch, rises where a step needs
     more, never falls, and carries over between continuation rounds.
 
-    A tall sketch (``m_Phi > d * m_X``) is solved in Gram form from the sign
-    chunks and never builds the flat operator or the float directions; its
-    iterates agree with the flat form to rounding, not bit for bit.
+    ``Phi^*(y)`` comes with the problem.  A tall sketch
+    (``m_Phi > d * m_X``) is then solved in Gram form and never builds the
+    flat operator or the float directions; its iterates agree with the flat
+    form to rounding, not bit for bit.
     """
     sets = problem.sets
-    y = np.asarray(problem.y, dtype=float)
-    if y.shape != (sets.m_Phi,):
-        raise ValueError(f"y must have shape {(sets.m_Phi,)}, got {y.shape}")
     shape = (sets.d, sets.m_X)
 
-    dual0 = apply_adjoint(sets, y)
+    dual0 = problem.adjoint_y
     dual0_norm = float(np.linalg.norm(dual0, 2))
     lipschitz = 1.0
     if problem.lam >= dual0_norm:
@@ -239,7 +254,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
         )
         return np.zeros(shape), info
 
-    residual = _smooth_part(sets, y, dual0)
+    residual = _smooth_part(sets, problem.y, dual0)
 
     # continuation: start just under the level where zero is optimal, and
     # aim slightly inside the constraint so inexact subproblem solves still
@@ -252,15 +267,15 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     m_cur = np.zeros(shape)
     total_iters = backtracks = outer = 0
     sub_converged = False
-    cur_tol = REL_TOL
+    floor_tol = REL_TOL
     while outer < MAX_OUTER:
         outer += 1
+        at_floor = tau <= tau_floor * (1.0 + 1e-12)
         m_cur, iters, sub_converged, lipschitz, redone = _fista(
-            residual, tau, lipschitz, m_cur, MAX_ITERS, cur_tol
+            residual, tau, lipschitz, m_cur, MAX_ITERS, floor_tol if at_floor else WARM_TOL
         )
         total_iters += iters
         backtracks += redone
-        at_floor = tau <= tau_floor * (1.0 + 1e-12)
         if at_floor and np.linalg.norm(residual(m_cur), 2) <= problem.lam * (1.0 + FEAS_TOL):
             break
         if not at_floor:
@@ -269,7 +284,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
             # stalled at the target weight with the dual residual still above
             # the constraint: the iterate-change stop fired too early, so
             # tighten it and let the next round grind further down
-            cur_tol = max(cur_tol * 1e-2, 1e-15)
+            floor_tol = max(floor_tol * 1e-2, 1e-15)
 
     residual_norm = float(np.linalg.norm(residual(m_cur), 2))
     feasible = bool(residual_norm <= problem.lam * (1.0 + FEAS_TOL))

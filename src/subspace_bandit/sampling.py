@@ -14,19 +14,27 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import DomainError, Environment, _query_points
+from .envs import DomainError, Environment, _project, _query_projections
 from .util import uniform_sphere
 
 PLAN_SLACK = 1e-12
-SKETCH_CHUNK = 256  # probe directions shifted, queried or summed at once
+SKETCH_CHUNK = 256  # probe directions made float, queried and summed at once
 GRAM_BLOCK = 1024  # probe directions per product in SamplingSets.gram
 # float32 sums of +/-1 terms are exact integers while fewer terms than this add up
 EXACT_FLOAT32_TERMS = 2**24
 
 
-def _chunks(m_phi: int):
-    """(start, stop) ranges of at most SKETCH_CHUNK direction indices."""
-    return ((a, min(a + SKETCH_CHUNK, m_phi)) for a in range(0, m_phi, SKETCH_CHUNK))
+def _float_chunks(signs: np.ndarray):
+    """(start, stop, float signs[start:stop]) over chunks of at most
+    SKETCH_CHUNK directions, each converted into one reused buffer, so a
+    chunk is valid only until the next one is drawn."""
+    m_phi = signs.shape[0]
+    buffer = np.empty((min(SKETCH_CHUNK, m_phi),) + signs.shape[1:])
+    for a in range(0, m_phi, SKETCH_CHUNK):
+        b = min(a + SKETCH_CHUNK, m_phi)
+        chunk = buffer[: b - a]
+        np.copyto(chunk, signs[a:b], casting="unsafe")
+        yield a, b, chunk
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,9 @@ class SamplingSets:
     def gram(self) -> np.ndarray:
         """G = F^T F as the integer S^T S / m_Phi, correctly rounded.  Cached.
 
-        Each block of GRAM_BLOCK directions adds ``C @ C.T`` (BLAS syrk) for
-        the contiguous ``C = S_block^T``, summed in float32, which is exact while
+        Each block of GRAM_BLOCK directions is copied into one reused
+        buffer as the contiguous ``C = S_block^T`` and adds ``C @ C.T``
+        (BLAS syrk), summed in float32, which is exact while
         m_Phi < EXACT_FLOAT32_TERMS (float64 beyond), so G does not depend on
         the block size; the one rounding is the final division.
         """
@@ -127,10 +136,13 @@ class SamplingSets:
             dtype = np.float32 if self.m_Phi < EXACT_FLOAT32_TERMS else np.float64
             width = self.d * self.m_X
             counts = np.zeros((width, width), dtype=dtype)
+            buffer = np.empty((width, min(GRAM_BLOCK, self.m_Phi)), dtype=dtype)
             for start in range(0, self.m_Phi, GRAM_BLOCK):
                 block = self.signs[start : start + GRAM_BLOCK].transpose(2, 1, 0)
-                cols = block.astype(dtype, order="C").reshape(width, -1)
-                counts += cols @ cols.T
+                if block.shape[2] != buffer.shape[1]:  # the last, part-filled block
+                    buffer = np.empty((width, block.shape[2]), dtype=dtype)
+                np.copyto(buffer.reshape(block.shape), block, casting="unsafe")
+                counts += buffer @ buffer.T
             gram = counts.astype(float)
             gram /= self.m_Phi
             self._gram = gram
@@ -157,35 +169,46 @@ def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
     return SamplingSets(points=points, signs=signs.reshape(plan.m_Phi, plan.m_X, d))
 
 
+def _adjoint_term(chunk: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i v_i S_i over one chunk of float signs (c, m_X, d), flattened
+    (m_X * d); summing these over the chunks of SKETCH_CHUNK directions and
+    finishing with :func:`_adjoint_matrix` is the one rule for Phi^*."""
+    return v @ chunk.reshape(v.shape[0], -1)
+
+
+def _adjoint_matrix(sets: SamplingSets, flat: np.ndarray) -> np.ndarray:
+    """The summed chunk terms scaled once by 1/sqrt(m_Phi), as (d, m_X)."""
+    flat *= sets.scale
+    return np.ascontiguousarray(flat.reshape(sets.m_X, sets.d).T)
+
+
 def apply_adjoint(sets: SamplingSets, v: np.ndarray) -> np.ndarray:
     """Phi^*(v) = sum_i v_i Phi_i, a (d, m_X) matrix.
 
-    A tall sketch sums ``S^T v`` over chunks of sign rows and scales once,
-    so the flat operator is never built; a wide one computes ``F^T v``.
+    Sums ``S^T v`` over chunks of SKETCH_CHUNK sign rows and scales once, on
+    either shape, so the flat operator is never built.  A collection's
+    ``adjoint_y`` is this rule applied to its y, bit for bit.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (sets.m_Phi,):
         raise ValueError(f"v must have shape {(sets.m_Phi,)}, got {v.shape}")
-    if sets.tall:
-        flat = np.zeros(sets.d * sets.m_X)
-        for start, stop in _chunks(sets.m_Phi):
-            rows = sets.signs[start:stop].transpose(0, 2, 1).reshape(stop - start, -1)
-            flat += rows.astype(float).T @ v[start:stop]
-        flat *= sets.scale
-    else:
-        flat = sets.flat_operator().T @ v
-    return flat.reshape(sets.d, sets.m_X)
+    flat = np.zeros(sets.m_X * sets.d)
+    for a, b, chunk in _float_chunks(sets.signs):
+        flat += _adjoint_term(chunk, v[a:b])
+    return _adjoint_matrix(sets, flat)
 
 
 @dataclass
 class MeasurementBundle:
     """One collection's outputs: the measurement vector plus bookkeeping.
 
+    adjoint_y is Phi^*(y), equal to ``apply_adjoint(sets, y)`` bit for bit.
     *_means are the noise-free mean rewards the queries computed:
     shifted_means is (m_Phi, m_X), base_means (m_X,).
     """
 
     y: np.ndarray
+    adjoint_y: np.ndarray
     sets: SamplingSets
     plan: SamplingPlan
     budget_used: int
@@ -194,18 +217,23 @@ class MeasurementBundle:
 
 
 def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPlan) -> MeasurementBundle:
-    """Query the environment at base and shifted points and form y.
+    """Query the environment at base and shifted points and form y and Phi^*(y).
 
     Every distinct point is queried N times and averaged; y_i sums, over
     the base points j, the averaged reward at x_j + epsilon * phi_{i,j}
-    minus the one at x_j, divided by epsilon.  Base points are
-    queried first, then shifted points grouped by direction index, built
-    SKETCH_CHUNK directions at a time.  Every direction has norm
+    minus the one at x_j, divided by epsilon.  Every direction has norm
     ``reach = epsilon * sqrt(d / m_Phi)``, so no shifted point lies further
     out than ``max_j ||x_j|| + reach``; that bound is checked against the
     action ball before the first query, so an infeasible plan costs no
-    budget and draws no noise.  Each y_i is formed with its chunk, and the
-    result equals one query of all points at once bit for bit.
+    budget and draws no noise.  Base points are queried first, then shifted
+    points grouped by direction index, in one pass over chunks of
+    SKETCH_CHUNK directions.  Each chunk of signs becomes float once; the
+    mean reward depends on a point only through its projection, so a
+    shifted point is queried as ``A x_j + (epsilon / sqrt(m_Phi)) * (A s_ij)``
+    and never built (its mean agrees with the built point's to rounding).
+    The same float chunk then gives y's chunk and its Phi^*(y) term, so the
+    bundle's adjoint_y equals ``apply_adjoint(sets, y)`` bit for bit and the
+    solver never walks the signs again.
     """
     if sets.d != env.d:
         raise ValueError(f"sets have d = {sets.d} but environment has d = {env.d}")
@@ -226,22 +254,25 @@ def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPla
         )
 
     start = env.query_count
-    base_means, averaged_base = _query_points(env, sets.points, plan.N)
+    base = _project(env, sets.points)
+    base_means, averaged_base = _query_projections(env, base, plan.N)
     shifted_means = np.empty((plan.m_Phi, plan.m_X))
     y = np.empty(plan.m_Phi)
-    step = plan.epsilon * sets.scale  # sign * step equals epsilon * phi bit for bit
-    for a, b in _chunks(plan.m_Phi):
-        shifted = (sets.points + sets.signs[a:b] * step).reshape(-1, sets.d)
-        means, averages = _query_points(env, shifted, plan.N)
-        del shifted  # else it lives on while the next chunk's points are built
+    flat = np.zeros(sets.m_X * sets.d)
+    step = plan.epsilon * sets.scale
+    for a, b, chunk in _float_chunks(sets.signs):
+        shifted = base + step * _project(env, chunk.reshape(-1, sets.d)).reshape(b - a, plan.m_X, -1)
+        means, averages = _query_projections(env, shifted.reshape(-1, base.shape[1]), plan.N)
         shifted_means[a:b] = means.reshape(b - a, plan.m_X)
         y[a:b] = (averages.reshape(b - a, plan.m_X) - averaged_base).sum(axis=1) / plan.epsilon
+        flat += _adjoint_term(chunk, y[a:b])
     used = env.query_count - start
     expected = plan.budget()
     if used != expected:
         raise RuntimeError(f"budget accounting broken: used {used}, expected {expected}")
     return MeasurementBundle(
         y=y,
+        adjoint_y=_adjoint_matrix(sets, flat),
         sets=sets,
         plan=plan,
         budget_used=used,

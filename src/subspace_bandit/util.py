@@ -67,7 +67,8 @@ def _json_ready(obj):
     """obj with numpy values made plain and non-finite floats made None.
 
     JSON has no NaN or infinity, so a failed cell's missing numbers are
-    written as null.
+    written as null.  A float array that is finite throughout (a regret
+    trace) becomes a list after one check, not a walk over its entries.
     """
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
@@ -76,6 +77,8 @@ def _json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_ready(value) for value in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
         return _json_ready(obj.tolist())
     if isinstance(obj, np.generic):
         return _json_ready(obj.item())

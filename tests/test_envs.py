@@ -246,6 +246,30 @@ class TestEnvironmentQueries:
         got2 = sample_rewards(env, xs, repeats=2)
         np.testing.assert_array_equal(got, got2)
 
+    def test_noiseless_queries_draw_no_noise(self):
+        env = self.make_env(sigma=0.0)
+        state = env.rng.bit_generator.state
+        xs = np.random.default_rng(SEED).uniform(-0.3, 0.3, size=(6, 8))
+        sample_reward(env, xs[0])
+        sample_rewards(env, xs, repeats=3)
+        assert env.query_count == 1 + 18
+        assert env.rng.bit_generator.state == state
+
+    def test_noisy_streams_unchanged(self):
+        """One normal per point in order, scaled by sigma / sqrt(repeats)."""
+        sigma = 0.3
+        env = self.make_env(sigma=sigma)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = env.rng.bit_generator.state
+        xs = np.random.default_rng(SEED).uniform(-0.3, 0.3, size=(6, 8))
+        for x in xs[:3]:
+            assert sample_reward(env, x) == mean_reward(env, x) + sigma * replay.standard_normal()
+        means = mean_value(env.mean, xs @ env.A.T)
+        for repeats in (1, 4):
+            want = means + sigma / math.sqrt(repeats) * replay.standard_normal(6)
+            assert np.array_equal(sample_rewards(env, xs, repeats=repeats), want)
+        assert env.rng.bit_generator.state == replay.bit_generator.state
+
     def test_identical_seeds_identical_streams(self):
         env1 = self.make_env(seed=7)
         env2 = self.make_env(seed=7)

@@ -774,6 +774,8 @@ def test_dump_json_writes_non_finite_as_null(tmp_path):
         {
             "scalars": [float("nan"), np.float64("inf"), np.float32("-inf"), np.int64(3), np.bool_(True), 0.5],
             "array": np.array([[1.0, np.nan], [-np.inf, 2.0]]),
+            "finite": np.array([0.1, -2.5, 1e-300]),
+            "empty": np.zeros(0),
             "pair": (np.float64(0.25), float("nan")),
         },
         path,
@@ -781,5 +783,7 @@ def test_dump_json_writes_non_finite_as_null(tmp_path):
     assert json.loads(path.read_text()) == {
         "scalars": [None, None, None, 3, True, 0.5],
         "array": [[1.0, None], [None, 2.0]],
+        "finite": [0.1, -2.5, 1e-300],
+        "empty": [],
         "pair": [0.25, None],
     }

@@ -27,6 +27,7 @@ from subspace_bandit.pipeline import (
     u_of_delta,
     write_regret_csv,
 )
+from subspace_bandit.util import dump_json
 
 SEED = 550281
 
@@ -286,6 +287,14 @@ class TestRunPractical:
             f"late per-round regret {tail.mean():.4f} vs range {reward_range:.3f}"
         )
 
+    def test_noiseless_run_draws_no_reward_noise(self):
+        """Neither phase draws from the reward stream when sigma = 0."""
+        env = linear_env(SEED)
+        state = env.rng.bit_generator.state
+        record = run_cablp(env, practical(lambda_scale=1e-4, ucb_scale=1.0))
+        assert record.phase2_rounds > 0
+        assert env.rng.bit_generator.state == state
+
     def test_decomposition_identity(self):
         env = linear_env(SEED + 1, sigma=0.05)
         record = run_cablp(env, practical(n=9000, lambda_scale=1e-3, ucb_scale=1.0))
@@ -380,14 +389,15 @@ class TestRunPractical:
             run_cablp(env, params)
         assert env.query_count == 0
 
-    def test_record_serializes_and_csv_writes(self):
+    def test_record_serializes_and_csv_writes(self, tmp_path):
         import io
 
         env = linear_env(SEED + 9)
         record = run_cablp(env, practical(n=7000, lambda_scale=1e-3, ucb_scale=1.0))
-        blob = json.loads(json.dumps(record_to_dict(record)))
+        dump_json(record_to_dict(record), tmp_path / "run.json")
+        blob = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
         assert blob["n"] == 7000
-        assert len(blob["regret_trace"]) == 7000
+        assert blob["regret_trace"] == record.regret_trace.tolist()
         assert blob["params"]["m_X"] == 20
 
         buf = io.StringIO()

@@ -335,16 +335,17 @@ class TestGramForm:
         monkeypatch.undo()
 
         flat = sets.flat_operator()
-        pairs = (
-            (adjoint_y, (flat.T @ y).reshape(d, m_x)),
-            (grad, (flat.T @ (flat @ mat.ravel() - y)).reshape(d, m_x)),
+        # Phi^*(y) is summed over sign chunks on either shape; the wide
+        # path's gradient keeps the flat arithmetic bit for bit
+        triples = (
+            (adjoint_y, (flat.T @ y).reshape(d, m_x), False),
+            (grad, (flat.T @ (flat @ mat.ravel() - y)).reshape(d, m_x), not tall),
         )
-        for got, want in pairs:
-            if tall:
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            else:
-                # the flat path keeps the flat arithmetic bit for bit
+        for got, want, exact in triples:
+            if exact:
                 np.testing.assert_array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     # lam_rel = 2 takes the zero-is-feasible exit, 1e-3 the full solve
     @pytest.mark.parametrize("lam_rel, iterates", [(1e-3, True), (2.0, False)])
@@ -534,6 +535,41 @@ class TestStepRule:
         _, info = solve_dantzig(problem)
         assert info.feasible and handed[0] == 1.0
         assert info.backtracks == 0 and info.lipschitz == 100.0 * handed[0]
+
+
+class TestWarmStartRounds:
+    """Continuation rounds above the final weight only warm-start the next,
+    so they stop at WARM_TOL; the final weight's rounds keep REL_TOL."""
+
+    @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
+    @pytest.mark.parametrize("lam_rel, noise", [(1e-3, 0.0), (0.1, 0.05)])
+    def test_loose_warm_starts_land_on_the_tight_solution(self, label, lam_rel, noise, monkeypatch):
+        rng = np.random.default_rng(SEED + 29)
+        problem, _, _ = planted_problem(rng, m_phi=SKETCH_ROWS[label], lam_rel=lam_rel)
+        if noise:
+            noisy = problem.y + noise * rng.standard_normal(problem.y.size)
+            dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
+            problem = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
+        fista = recovery._fista
+        handed = []
+
+        def spy(residual, tau, lipschitz, start, max_iters, rel_tol):
+            handed.append((tau, rel_tol))
+            return fista(residual, tau, lipschitz, start, max_iters, rel_tol)
+
+        monkeypatch.setattr(recovery, "_fista", spy)
+        est, info = solve_dantzig(problem)
+        final_tau = handed[-1][0]
+        assert handed[0][1] == recovery.WARM_TOL > recovery.REL_TOL
+        for tau, rel_tol in handed:
+            assert (rel_tol == recovery.WARM_TOL) == (tau > final_tau)
+        assert any(rel_tol == recovery.REL_TOL for _, rel_tol in handed)
+
+        monkeypatch.setattr(recovery, "WARM_TOL", recovery.REL_TOL)
+        ref, ref_info = solve_dantzig(problem)
+        assert info.feasible and ref_info.feasible
+        assert info.iterations < ref_info.iterations, (info, ref_info)
+        assert np.linalg.norm(est - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 # ---------- end to end against the environment ----------

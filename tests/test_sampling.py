@@ -6,14 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subspace_bandit import pipeline, sampling
+from subspace_bandit import envs, pipeline, sampling
 from subspace_bandit.envs import (
     FAMILIES,
     DomainError,
     make_environment,
     mean_value,
     optimal_value,
-    sample_rewards,
 )
 from subspace_bandit.pipeline import PracticalParams, run_cablp, run_phase1
 from subspace_bandit.sampling import (
@@ -239,11 +238,15 @@ def _reference_draw(plan, d, seed):
 
 
 def _reference_collection(env, sets, plan):
-    """Every shifted point at once, queried in one sample_rewards call."""
-    shifted = (sets.points[None, :, :] + plan.epsilon * sets.directions).reshape(-1, env.d)
-    base = sample_rewards(env, sets.points, repeats=plan.N)
-    flat = sample_rewards(env, shifted, repeats=plan.N).reshape(plan.m_Phi, plan.m_X)
-    y = (flat - base[None, :]).sum(axis=1) / plan.epsilon
+    """Every shifted point's projection ``A x_j + (epsilon / sqrt(m_Phi)) A s_ij``
+    at once, queried in one call after the base points; returns y and the
+    (m_Phi * m_X, k) shifted projections."""
+    base = envs._project(env, sets.points)
+    steps = envs._project(env, sets.signs.astype(float).reshape(-1, env.d))
+    shifted = (base + plan.epsilon * sets.scale * steps.reshape(plan.m_Phi, plan.m_X, -1)).reshape(-1, env.k)
+    averaged_base = envs._query_projections(env, base, plan.N)[1]
+    flat = envs._query_projections(env, shifted, plan.N)[1].reshape(plan.m_Phi, plan.m_X)
+    y = (flat - averaged_base).sum(axis=1) / plan.epsilon
     return y, shifted
 
 
@@ -314,10 +317,20 @@ class TestChunkedPhaseOne:
         # the phase-1 trace from the collection's means equals recomputing them
         opt, _ = optimal_value(env_ref)
         means = np.concatenate(
-            [mean_value(env_ref.mean, sets.points @ env_ref.A.T),
-             mean_value(env_ref.mean, shifted @ env_ref.A.T)]
+            [mean_value(env_ref.mean, sets.points @ env_ref.A.T), mean_value(env_ref.mean, shifted)]
         )
         assert np.array_equal(pipeline._phase1_trace(bundle, opt), np.repeat(opt - means, big_n))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_projected_means_match_built_points(self, family):
+        """A shifted point is queried through its projection, never built;
+        its mean agrees with the mean at the built point to rounding."""
+        plan = SamplingPlan(m_X=self.M_X, m_Phi=3 * CHUNK + 1, epsilon=0.3)
+        env = make_environment(d=self.D, k=2, family=family, nu=0.5, seed=SEED)
+        sets = draw_sampling_sets(plan, self.D, rng=SEED)
+        bundle = collect_measurements(env, sets, plan)
+        want = mean_value(env.mean, shifted_points(sets, plan.epsilon) @ env.A.T)
+        np.testing.assert_allclose(bundle.shifted_means.ravel(), want, rtol=1e-12, atol=0)
 
     def test_point_outside_ball_in_last_chunk_queries_nothing(self):
         """A point that leaves the ball only in the last chunk is refused
@@ -342,6 +355,58 @@ class TestChunkedPhaseOne:
             collect_measurements(env, sets, plan)
         assert env.query_count == 0
         assert env.rng.bit_generator.state == state
+
+
+# (m_Phi, m_X, d): a tall sketch over several chunks with a part-filled
+# last one, and a wide one
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("shape", [(3 * 256 + 5, 3, 4), (50, 10, 8)])
+def test_collection_adjoint_is_apply_adjoint(shape, chunked, request):
+    """The Phi^*(y) a collection sums chunk by chunk is apply_adjoint's bit
+    for bit, and the adjoint of the float directions to rounding."""
+    if chunked:
+        request.getfixturevalue("small_chunk")
+    m_phi, m_x, d = shape
+    plan = SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.05, N=2)
+    env = make_environment(d=d, k=2, family="gaussian-bump", sigma=0.1, nu=0.1, seed=SEED)
+    sets = draw_sampling_sets(plan, d, rng=SEED)
+    assert sets.tall == (m_phi > d * m_x)
+    bundle = collect_measurements(env, sets, plan)
+    assert bundle.adjoint_y.shape == (d, m_x)
+    assert np.array_equal(bundle.adjoint_y, apply_adjoint(sets, bundle.y))
+    want = np.einsum("i,ijk->kj", bundle.y, sets.directions)
+    assert np.max(np.abs(bundle.adjoint_y - want)) <= 1e-10
+
+
+class TestNoiseStream:
+    """A noiseless collection draws no reward noise; a noisy one draws the
+    same stream as before, one normal per distinct point in query order."""
+
+    PLAN = SamplingPlan(m_X=3, m_Phi=2 * 256 + 7, epsilon=0.1, N=3)
+
+    def collect(self, sigma):
+        env = make_environment(d=5, k=2, family="centered-quadratic", sigma=sigma, nu=0.1, seed=SEED)
+        sets = draw_sampling_sets(self.PLAN, env.d, rng=SEED)
+        state = env.rng.bit_generator.state
+        return env, state, collect_measurements(env, sets, self.PLAN)
+
+    def test_noiseless_collection_leaves_the_reward_stream(self):
+        env, state, bundle = self.collect(0.0)
+        assert env.rng.bit_generator.state == state
+        averaged = bundle.shifted_means - bundle.base_means
+        assert np.array_equal(bundle.y, averaged.sum(axis=1) / self.PLAN.epsilon)
+
+    def test_noisy_collection_stream_unchanged(self):
+        sigma = 0.2
+        env, state, bundle = self.collect(sigma)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        m_x, m_phi = self.PLAN.m_X, self.PLAN.m_Phi
+        noise = sigma / np.sqrt(self.PLAN.N) * replay.standard_normal(m_x * (m_phi + 1))
+        base = bundle.base_means + noise[:m_x]
+        shifted = bundle.shifted_means + noise[m_x:].reshape(m_phi, m_x)
+        assert np.array_equal(bundle.y, (shifted - base).sum(axis=1) / self.PLAN.epsilon)
+        assert env.rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestGram:
