@@ -3,12 +3,16 @@
 The recovered row-orthonormal basis turns the d-dimensional action ball into
 a k-dimensional one.  We lay a lattice of step 1/M over that low-dimensional
 ball, embed each retained lattice point back into action space, and run a
-sub-Gaussian UCB-1 index policy over the resulting finite arm set.
+sub-Gaussian UCB-1 index policy over the resulting finite arm set.  The
+rounds run in a small C loop (_phase2.c), built with the system's C
+compiler at the first run_phase2 call and cached beside the bytecode.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,9 +30,79 @@ from .envs import (
 GRID_SLACK = 1e-9
 BASIS_TOL = 1e-8  # ||AA^T - I||_F allowed for a basis that phase 2 lays a grid on
 NOISE_CHUNK = 1024  # noise values run_phase2 draws per rng call
-# run_phase2 bounds every arm's index once per block of BLOCK rounds (at most
-# n_arms - 1, so each round of a block has an unpulled arm)
+# run_phase2's loop bounds every arm's index once per block of BLOCK rounds
 BLOCK = 32
+# how run_phase2 builds its loop from _phase2.c; the cached library's name
+# hashes this command, the source and the machine
+_COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_phase2.c")
+_kernel = None  # phase2_rounds, once _load_kernel has built and loaded it
+
+
+def _cache_dirs() -> list:
+    """Where the built loop is kept: the package's __pycache__, else a
+    per-user directory under the system's temporary directory, unless
+    another user owns that one (a library found there would be loaded)."""
+    import tempfile
+
+    private = os.path.join(tempfile.gettempdir(), f"subspace_bandit-{os.getuid()}")
+    dirs = [os.path.join(os.path.dirname(_SOURCE), "__pycache__")]
+    if not os.path.exists(private) or os.stat(private).st_uid == os.getuid():
+        dirs.append(private)
+    return dirs
+
+
+def _build() -> str:
+    """Path of the built _phase2.c: in the first cache folder that holds it
+    or can be written, where a build is compiled to a name unique to this
+    process and moved into place, so concurrent builds never see a partial
+    file."""
+    import hashlib
+    import platform
+    import subprocess
+
+    with open(_SOURCE, "rb") as f:
+        key = f.read() + " ".join(_COMMAND).encode() + platform.machine().encode()
+    name = f"_phase2-{hashlib.sha256(key).hexdigest()}.so"
+    dirs = _cache_dirs()
+    for folder in dirs:
+        path = os.path.join(folder, name)
+        if os.path.exists(path):
+            return path
+        partial = f"{path}.{os.getpid()}.tmp"
+        try:
+            os.makedirs(folder, exist_ok=True)
+            open(partial, "wb").close()
+        except OSError:
+            continue  # not writable: try the next folder
+        command = [*_COMMAND, "-o", partial, _SOURCE, "-lm"]
+        try:
+            done = subprocess.run(command, capture_output=True, text=True)
+            error = done.stderr.strip() if done.returncode else None
+        except OSError as exc:  # no compiler: a RuntimeError, not a config error
+            error = str(exc)
+        if error is not None:
+            os.remove(partial)
+            raise RuntimeError(f"cannot build the phase-2 loop: {' '.join(command)}: {error}")
+        os.replace(partial, path)
+        return path
+    raise RuntimeError(f"cannot build the phase-2 loop: no writable folder among {dirs}")
+
+
+def _load_kernel():
+    """phase2_rounds from _phase2.c, built and loaded at the first call."""
+    global _kernel
+    if _kernel is None:
+        path = _build()
+        try:
+            kernel = ctypes.CDLL(path).phase2_rounds
+        except OSError as exc:
+            raise RuntimeError(f"cannot load the phase-2 loop {path}: {exc}") from None
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        kernel.argtypes = [i64, i64, ptr, i64, i64, i64, ctypes.c_double] + [ptr] * 7
+        kernel.restype = None
+        _kernel = kernel
+    return _kernel
 
 
 def choose_M(n2: int, k: int) -> int:
@@ -108,10 +182,10 @@ def ucb1_select(state: Ucb1State) -> int:
     """Lowest-index unpulled arm first; afterwards the argmax of the index.
 
     Index of arm a is means[a] + scale * sqrt(2 log t / counts[a]); ties go
-    to the lowest index (numpy argmax keeps the first maximum).  run_phase2
-    computes the same index with the same operation order (divide, sqrt,
-    times scale, plus mean) in Python floats, which round each step the
-    same way, for the few arms its block bounds cannot rule out.
+    to the lowest index (numpy argmax keeps the first maximum).  This and
+    ucb1_update specify run_phase2, whose compiled loop evaluates the same
+    index with the same rounded steps (divide, sqrt, times scale, plus
+    mean) and keeps the first maximum.
     """
     unpulled = np.flatnonzero(state.counts == 0)
     if unpulled.size:
@@ -123,8 +197,8 @@ def ucb1_select(state: Ucb1State) -> int:
 def ucb1_update(state: Ucb1State, arm: int, reward: float) -> Ucb1State:
     """Numerically stable running-mean update; mutates and returns the state.
 
-    run_phase2 inlines this update with the same operation order, in Python
-    floats, so its means equal this function's bit for bit.
+    run_phase2's compiled loop makes the same update, m += (r - m) / count,
+    so its means equal this function's bit for bit.
     """
     if not 0 <= arm < state.n_arms:
         raise ValueError(f"arm {arm} out of range [0, {state.n_arms})")
@@ -170,22 +244,14 @@ def run_phase2(
     call, the same stream as one standard_normal() per round (none at all
     when sigma = 0, as for sample_reward).
 
-    After the sweep, rounds run in blocks of BLOCK (at most n_arms - 1).  A
-    block opens with one numpy pass: each arm's index at hi, the largest
-    2 log t among the block's rounds, and the arms sorted by that bound.
-    An arm not pulled in the block is frozen, and each rounded step of its
-    index (divide, sqrt, times scale, plus mean) is monotone, so its index
-    in any round of the block is at most its bound.  A round walks the
-    sorted arms, skipping those pulled in the block: it evaluates the
-    first, then each later one whose bound is >= the running best, and
-    stops at the first below it, as every arm after that is strictly below
-    the best.  An arm pulled in the block has a new bound at hi after each
-    pull; those arms are checked only when the largest of these bounds
-    reaches the best, and each is evaluated only if its own does.  Each
-    evaluation is exact, in Python floats with numpy's operation order,
-    and ties go to the lowest index, so the winner is numpy's first argmax
-    over the grid.  No step assumes libm's log is monotone.  The indices
-    are finite because sigma, nu and the scale are finite.
+    The rounds run in the compiled loop of _phase2.c, NOISE_CHUNK per
+    call, built at the first call (see _load_kernel).  After the sweep it
+    bounds every arm's index once per block of BLOCK rounds and evaluates
+    only the arms whose bounds exceed the running best, in numpy's
+    operation order, so the winner is ucb1_select's first argmax and the
+    means are ucb1_update's bit for bit.  The indices are finite because
+    sigma, nu and the scale are finite.  Raises RuntimeError, before any
+    query or draw, when the loop cannot be built.
     """
     a_hat = np.asarray(a_hat, dtype=float)
     if n2 < 1:
@@ -194,6 +260,7 @@ def run_phase2(
         raise ValueError(
             f"basis shape {a_hat.shape} does not match ambient dimension {env.d}"
         )
+    kernel = _load_kernel()
     scale = default_ucb_scale(env) if ucb_scale is None else float(ucb_scale)
     opt_value = optimal_value(env)[0] if opt_value is None else float(opt_value)
 
@@ -209,82 +276,23 @@ def run_phase2(
     check_points(env, grid.arms)
     # each arm's mean exactly as sample_reward computes it: A @ x per arm (a
     # matrix product rounds differently), then one mean_value over the rows
-    arm_means_a = mean_value(env.mean, np.array([env.A @ x for x in grid.arms]))
-    arm_means = arm_means_a.tolist()
+    arm_means = np.ascontiguousarray(
+        mean_value(env.mean, np.array([env.A @ x for x in grid.arms])), dtype=float
+    )
     env.query_count += n2
 
-    counts = [0] * n_arms
-    means = [0.0] * n_arms
-    counts_f = np.zeros(n_arms)  # float mirror of counts, refreshed per block
-    means_a = state.means  # mirror of means, refreshed per block
-    upper = np.empty(n_arms)
+    bounds = np.empty(n_arms)  # each arm's index bound in the open block
+    hi = np.zeros(1)  # the open block's largest 2 log t
+    end = np.array([n_arms], dtype=np.int64)  # the round that opens the next block
     arm_ids = np.empty(n2, dtype=np.int64)
-    log, sqrt, ninf = math.log, math.sqrt, -math.inf
-    block = min(BLOCK, n_arms - 1)
-    first = end = n_arms  # the current block's rounds are first..end-1
-    pulled = list(range(n_arms))  # arms pulled since the mirrors were refreshed
-    # each arm's index at hi: from the block's numpy pass until the arm is
-    # pulled, then from its stats after its last pull; pulled_max is the
-    # largest post-pull bound of the block, walk holds the unpulled arms
-    # by descending bound
-    bounds = [0.0] * n_arms
-    hi, pulled_max = 0.0, ninf
+    fixed = (n2, BLOCK, n_arms, scale) + tuple(
+        a.ctypes.data for a in (arm_means, state.counts, state.means, bounds, hi, end, arm_ids)
+    )
     for start in range(0, n2, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, n2)
-        noise = _reward_noise(env, stop - start)
-        chunk = []
-        for t, z in zip(range(start, stop), noise.tolist()):
-            if t < n_arms:
-                arm = t
-            else:
-                if t == end:  # open a block: refresh the mirrors, bound every arm
-                    for a in pulled:
-                        counts_f[a] = counts[a]
-                        means_a[a] = means[a]
-                    pulled = []
-                    pulled_max = ninf
-                    first, end = t, min(t + block, n2)
-                    two_logs = [2.0 * log(s) for s in range(first, end)]
-                    hi = max(two_logs)
-                    np.divide(hi, counts_f, out=upper)
-                    np.sqrt(upper, out=upper)
-                    np.multiply(upper, scale, out=upper)
-                    np.add(upper, means_a, out=upper)
-                    bounds = upper.tolist()
-                    walk = upper.argsort().tolist()
-                    walk.reverse()
-                two_log_t = two_logs[t - first]
-                best, arm = ninf, -1
-                for a in walk:
-                    if bounds[a] < best:
-                        break
-                    value = sqrt(two_log_t / counts[a]) * scale + means[a]
-                    if value >= best and (value > best or a < arm):
-                        best, arm = value, a
-                walked = arm
-                if pulled_max >= best:
-                    for a in pulled:
-                        if bounds[a] < best:
-                            continue
-                        value = sqrt(two_log_t / counts[a]) * scale + means[a]
-                        if value >= best and (value > best or a < arm):
-                            best, arm = value, a
-                if arm == walked:
-                    walk.remove(arm)
-                    pulled.append(arm)
-            reward = arm_means[arm] + z
-            count = counts[arm] + 1
-            mean = means[arm]
-            mean += (reward - mean) / count
-            counts[arm] = count
-            means[arm] = mean
-            chunk.append(arm)
-            bound = bounds[arm] = sqrt(hi / count) * scale + mean
-            if bound > pulled_max:
-                pulled_max = bound
-        arm_ids[start:stop] = chunk
-    means_a[:] = means
-    state.counts[:] = counts
+        # held in a name while the loop reads it
+        noise = np.ascontiguousarray(_reward_noise(env, stop - start), dtype=float)
+        kernel(start, stop, noise.ctypes.data, *fixed)
     state.t = n2
     arm_true_means = mean_value(env.mean, grid.arms @ env.A.T)
 

@@ -198,21 +198,6 @@ def mean_grad(spec: MeanRewardSpec, u: np.ndarray):
     return out[0] if single else out
 
 
-def mean_hess(spec: MeanRewardSpec, u: np.ndarray) -> np.ndarray:
-    """Hessian of g at a single point u, shape (k, k)."""
-    u = np.asarray(u, dtype=float).reshape(spec.k)
-    if spec.family == "linear":
-        return np.zeros((spec.k, spec.k))
-    if spec.family == "norm-squared":
-        return 2.0 * np.eye(spec.k)
-    if spec.family == "centered-quadratic":
-        return -2.0 * np.eye(spec.k)
-    D = u - spec.params["center"]
-    s2 = spec.params["width"] ** 2
-    val = np.exp(-float(D @ D) / (2.0 * s2))
-    return val * (np.outer(D, D) / s2**2 - np.eye(spec.k) / s2)
-
-
 # ---------- linear parameter matrix ----------
 
 

@@ -1,10 +1,25 @@
 """Phase 1's reference maps, which only tests need: the forward sketch, the
-gradient matrix the measurements are linear in, the closed-form curvature
-term and isometry ratios."""
+gradient matrix the measurements are linear in, the reward Hessian, the
+closed-form curvature term and isometry ratios."""
 
 import numpy as np
 
-from subspace_bandit.envs import gradient_mean_reward, mean_hess
+from subspace_bandit.envs import MeanRewardSpec, gradient_mean_reward
+
+
+def mean_hess(spec: MeanRewardSpec, u: np.ndarray) -> np.ndarray:
+    """Hessian of g at a single point u, shape (k, k)."""
+    u = np.asarray(u, dtype=float).reshape(spec.k)
+    if spec.family == "linear":
+        return np.zeros((spec.k, spec.k))
+    if spec.family == "norm-squared":
+        return 2.0 * np.eye(spec.k)
+    if spec.family == "centered-quadratic":
+        return -2.0 * np.eye(spec.k)
+    D = u - spec.params["center"]
+    s2 = spec.params["width"] ** 2
+    val = np.exp(-float(D @ D) / (2.0 * s2))
+    return val * (np.outer(D, D) / s2**2 - np.eye(spec.k) / s2)
 
 
 def apply_operator(sets, X):

@@ -1,11 +1,17 @@
 """Tests for arm-grid construction and the UCB-1 phase-2 loop."""
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subspace_bandit import bandit
+from subspace_bandit import bandit, cli
 from subspace_bandit.bandit import (
     ArmGrid,
     build_arm_grid,
@@ -398,7 +404,7 @@ class TestPhase2MatchesReference:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
     def test_long_horizon_in_blocks(self, sigma):
-        """20000 rounds on 29 arms: over 700 blocks of 28 rounds.  At sigma = 0
+        """20000 rounds on 29 arms: over 600 blocks of 32 rounds.  At sigma = 0
         the mirror-image arms +y and -y have equal means, so equal counts give
         equal indices and the lowest-index rule decides inside blocks."""
         env = family_env("norm-squared", 1, sigma, SEED + 400)
@@ -413,8 +419,8 @@ class TestPhase2MatchesReference:
     @pytest.mark.parametrize("block", [1, 2, 3, 10**6])
     def test_block_lengths(self, family, k, block, monkeypatch):
         """Blocks of one round (no arm is pulled before a block's only round),
-        two and three rounds, and a BLOCK above the arm count, which the
-        cap of n_arms - 1 cuts down."""
+        two and three rounds, and a BLOCK above the horizon, so that one
+        block runs to the last round."""
         monkeypatch.setattr(bandit, "BLOCK", block)
         for sigma, n2 in ((0.0, 700), (0.2, 1500)):
             assert_matches_reference(family, k, sigma, n2, SEED + 500 + k)
@@ -434,13 +440,13 @@ class TestPhase2MatchesReference:
 
     def test_arm_wins_again_within_its_block(self):
         """A small scale concentrates play: the leading arm is pulled again
-        inside the block that first pulled it, so it must be re-evaluated
-        although the walk no longer holds it."""
+        inside the block that first pulled it, so its bound, recomputed at
+        hi after each pull, must still let it be evaluated."""
         got = assert_matches_reference(
             "centered-quadratic", 2, 0.05, 3000, SEED + 800, ucb_scale=0.05
         )
         n_arms = got.grid.n_arms
-        block = min(bandit.BLOCK, n_arms - 1)
+        block = bandit.BLOCK
         ids = got.arm_ids[n_arms:].tolist()
         repeats = [
             i for i in range(0, len(ids), block)
@@ -457,6 +463,12 @@ class TestPhase2MatchesReference:
         changes = np.count_nonzero(np.diff(got.arm_ids[449:]))
         assert changes > 0.9 * (2000 - 449 - 1)
 
+    def test_wide_grid_of_1900_arms(self):
+        """k = 3, M = 7: about 1900 arms, where a round's bounds rule out
+        most arms without evaluating them."""
+        got = assert_matches_reference("centered-quadratic", 3, 0.1, 6000, SEED + 1000, M=7)
+        assert 1800 < got.grid.n_arms < 2000
+
     def test_grid_outside_ball_raises_before_any_query(self):
         """Rows 4e-9 too long pass the orthonormality check, but the outer
         arms (at 1 + nu = 11/M) then leave the ball by more than the slack."""
@@ -465,3 +477,100 @@ class TestPhase2MatchesReference:
             run_phase2(env, env.A * (1.0 + 4e-9), 500, M=10)
         assert env.query_count == 0
         assert env.rng.standard_normal() == family_env("norm-squared", 1, 0.2, SEED + 301).rng.standard_normal()
+
+
+# ---------- building and loading the compiled loop ----------
+
+SRC = str(Path(bandit.__file__).resolve().parents[1])
+
+
+def run_python(code):
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def no_compiler(monkeypatch, cache):
+    """An empty cache folder and a compiler command that does not exist."""
+    monkeypatch.setattr(bandit, "_cache_dirs", lambda: [str(cache)])
+    monkeypatch.setattr(bandit, "_kernel", None)
+    monkeypatch.setattr(bandit, "_COMMAND", ("no-such-cc",) + bandit._COMMAND[1:])
+
+
+class TestPhase2Build:
+    def test_import_loads_nothing(self):
+        """Importing the package neither builds nor loads the loop, and
+        imports no cffi: nothing new runs at import."""
+        run_python(
+            "import sys, subspace_bandit\n"
+            "from subspace_bandit import bandit\n"
+            "assert bandit._kernel is None\n"
+            "assert 'cffi' not in sys.modules\n"
+        )
+
+    def test_warm_cache_needs_no_compiler(self):
+        bandit._load_kernel()
+        run_python(
+            "import subprocess\n"
+            "from subspace_bandit import bandit\n"
+            "from subspace_bandit.envs import make_environment\n"
+            "def refuse(command, **kwargs):\n"
+            "    raise AssertionError(f'compiled with a warm cache: {command}')\n"
+            "subprocess.run = refuse\n"
+            "env = make_environment(d=6, k=1, family='norm-squared', sigma=0.1, nu=0.1, seed=5)\n"
+            "got = bandit.run_phase2(env, env.A, 3000)\n"
+            "assert env.query_count == 3000 and got.arm_ids.size == 3000\n"
+        )
+
+    def test_build_caches_one_library_per_key(self, tmp_path, monkeypatch):
+        """The first writable folder gets the library under its hashed name,
+        with no partial file left; a second build finds it."""
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        monkeypatch.setattr(bandit, "_cache_dirs", lambda: [str(blocked / "cache"), str(tmp_path / "cache")])
+        path = bandit._build()
+        assert os.path.dirname(path) == str(tmp_path / "cache")
+        assert re.fullmatch(r"_phase2-[0-9a-f]{64}\.so", os.path.basename(path))
+        assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
+        monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("rebuilt"))
+        assert bandit._build() == path
+
+    def test_missing_compiler_raises_before_any_query(self, tmp_path, monkeypatch):
+        no_compiler(monkeypatch, tmp_path)
+        env = family_env("norm-squared", 1, 0.2, SEED + 1100)
+        with pytest.raises(RuntimeError, match="cannot build the phase-2 loop: no-such-cc -O2"):
+            run_phase2(env, env.A, 500)
+        assert env.query_count == 0
+        assert env.rng.standard_normal() == family_env("norm-squared", 1, 0.2, SEED + 1100).rng.standard_normal()
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_compiler_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        no_compiler(monkeypatch, tmp_path / "cache")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "environment": {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1},
+            "practical": {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "lambda_scale": 1e-3},
+            "horizons": [900],
+            "seeds": [1],
+        }))
+        with pytest.raises(RuntimeError, match="no-such-cc"):
+            cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert "config error" not in capsys.readouterr().err
+
+    def test_compiler_errors_are_reported(self, tmp_path, monkeypatch):
+        broken = tmp_path / "_phase2.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(bandit, "_SOURCE", str(broken))
+        monkeypatch.setattr(bandit, "_cache_dirs", lambda: [str(tmp_path / "cache")])
+        monkeypatch.setattr(bandit, "_kernel", None)
+        with pytest.raises(RuntimeError, match=r"(?s)cc -O2 .*_phase2\.c -lm: .*error"):
+            bandit._load_kernel()
+        assert os.listdir(tmp_path / "cache") == []
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        command = [*bandit._COMMAND, "-std=c99", "-Wall", "-Wextra", "-Werror",
+                   "-o", str(tmp_path / "strict.so"), bandit._SOURCE, "-lm"]
+        done = subprocess.run(command, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stderr == "", done.stderr

@@ -18,7 +18,6 @@ from subspace_bandit.envs import (
     make_environment,
     make_row_orthonormal,
     mean_grad,
-    mean_hess,
     mean_reward,
     mean_spec,
     mean_value,
@@ -27,6 +26,7 @@ from subspace_bandit.envs import (
     sample_rewards,
     to_descriptor,
 )
+from sketch_oracles import mean_hess
 
 SEED = 42
 FAMILIES = ["linear", "norm-squared", "centered-quadratic", "gaussian-bump"]
