@@ -1,0 +1,85 @@
+"""The package's compiled kernels: the C functions of _kernels.c, built with
+the system's C compiler at the first call that needs one (never at import)
+and cached beside the bytecode.  Phase 2's round loop (bandit.run_phase2)
+and the tall sketch's Gram counts (sampling.SamplingSets.gram) run there.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+
+# how load builds _kernels.c; the cached library's name hashes this command,
+# the source and the machine
+_COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+_library = None  # the loaded library, once load has built it
+
+
+def _cache_dirs() -> list:
+    """Where the built library is kept: the package's __pycache__, else a
+    per-user directory under the system's temporary directory, unless
+    another user owns that one (a library found there would be loaded)."""
+    import tempfile
+
+    private = os.path.join(tempfile.gettempdir(), f"subspace_bandit-{os.getuid()}")
+    dirs = [os.path.join(os.path.dirname(_SOURCE), "__pycache__")]
+    if not os.path.exists(private) or os.stat(private).st_uid == os.getuid():
+        dirs.append(private)
+    return dirs
+
+
+def _build() -> str:
+    """Path of the built _kernels.c: in the first cache folder that holds it
+    or can be written, where a build is compiled to a name unique to this
+    process and moved into place, so concurrent builds never see a partial
+    file."""
+    import hashlib
+    import platform
+    import subprocess
+
+    with open(_SOURCE, "rb") as f:
+        key = f.read() + " ".join(_COMMAND).encode() + platform.machine().encode()
+    name = f"_kernels-{hashlib.sha256(key).hexdigest()}.so"
+    dirs = _cache_dirs()
+    for folder in dirs:
+        path = os.path.join(folder, name)
+        if os.path.exists(path):
+            return path
+        partial = f"{path}.{os.getpid()}.tmp"
+        try:
+            os.makedirs(folder, exist_ok=True)
+            open(partial, "wb").close()
+        except OSError:
+            continue  # not writable: try the next folder
+        command = [*_COMMAND, "-o", partial, _SOURCE, "-lm"]
+        try:
+            done = subprocess.run(command, capture_output=True, text=True)
+            error = done.stderr.strip() if done.returncode else None
+        except OSError as exc:  # no compiler: a RuntimeError, not a config error
+            error = str(exc)
+        if error is not None:
+            os.remove(partial)
+            raise RuntimeError(f"cannot build the compiled kernels: {' '.join(command)}: {error}")
+        os.replace(partial, path)
+        return path
+    raise RuntimeError(f"cannot build the compiled kernels: no writable folder among {dirs}")
+
+
+def load() -> ctypes.CDLL:
+    """The library of _kernels.c with its functions' signatures declared,
+    built and loaded at the first call."""
+    global _library
+    if _library is None:
+        path = _build()
+        try:
+            library = ctypes.CDLL(path)
+        except OSError as exc:
+            raise RuntimeError(f"cannot load the compiled kernels {path}: {exc}") from None
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        library.phase2_rounds.argtypes = [i64, i64, ptr, i64, i64, i64, ctypes.c_double] + [ptr] * 7
+        library.phase2_rounds.restype = None
+        library.gram_counts.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
+        library.gram_counts.restype = i64
+        _library = library
+    return _library

@@ -4,20 +4,19 @@ The recovered row-orthonormal basis turns the d-dimensional action ball into
 a k-dimensional one.  We lay a lattice of step 1/M over that low-dimensional
 ball, embed each retained lattice point back into action space, and run a
 sub-Gaussian UCB-1 index policy over the resulting finite arm set.  The
-rounds run in a small C loop (_phase2.c), built with the system's C
-compiler at the first run_phase2 call and cached beside the bytecode.
+rounds run in a small C loop (phase2_rounds in _kernels.c), built with the
+system's C compiler at the first call and cached beside the bytecode.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .envs import (
     Environment,
     _reward_noise,
@@ -32,77 +31,6 @@ BASIS_TOL = 1e-8  # ||AA^T - I||_F allowed for a basis that phase 2 lays a grid 
 NOISE_CHUNK = 1024  # noise values run_phase2 draws per rng call
 # run_phase2's loop bounds every arm's index once per block of BLOCK rounds
 BLOCK = 32
-# how run_phase2 builds its loop from _phase2.c; the cached library's name
-# hashes this command, the source and the machine
-_COMMAND = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_phase2.c")
-_kernel = None  # phase2_rounds, once _load_kernel has built and loaded it
-
-
-def _cache_dirs() -> list:
-    """Where the built loop is kept: the package's __pycache__, else a
-    per-user directory under the system's temporary directory, unless
-    another user owns that one (a library found there would be loaded)."""
-    import tempfile
-
-    private = os.path.join(tempfile.gettempdir(), f"subspace_bandit-{os.getuid()}")
-    dirs = [os.path.join(os.path.dirname(_SOURCE), "__pycache__")]
-    if not os.path.exists(private) or os.stat(private).st_uid == os.getuid():
-        dirs.append(private)
-    return dirs
-
-
-def _build() -> str:
-    """Path of the built _phase2.c: in the first cache folder that holds it
-    or can be written, where a build is compiled to a name unique to this
-    process and moved into place, so concurrent builds never see a partial
-    file."""
-    import hashlib
-    import platform
-    import subprocess
-
-    with open(_SOURCE, "rb") as f:
-        key = f.read() + " ".join(_COMMAND).encode() + platform.machine().encode()
-    name = f"_phase2-{hashlib.sha256(key).hexdigest()}.so"
-    dirs = _cache_dirs()
-    for folder in dirs:
-        path = os.path.join(folder, name)
-        if os.path.exists(path):
-            return path
-        partial = f"{path}.{os.getpid()}.tmp"
-        try:
-            os.makedirs(folder, exist_ok=True)
-            open(partial, "wb").close()
-        except OSError:
-            continue  # not writable: try the next folder
-        command = [*_COMMAND, "-o", partial, _SOURCE, "-lm"]
-        try:
-            done = subprocess.run(command, capture_output=True, text=True)
-            error = done.stderr.strip() if done.returncode else None
-        except OSError as exc:  # no compiler: a RuntimeError, not a config error
-            error = str(exc)
-        if error is not None:
-            os.remove(partial)
-            raise RuntimeError(f"cannot build the phase-2 loop: {' '.join(command)}: {error}")
-        os.replace(partial, path)
-        return path
-    raise RuntimeError(f"cannot build the phase-2 loop: no writable folder among {dirs}")
-
-
-def _load_kernel():
-    """phase2_rounds from _phase2.c, built and loaded at the first call."""
-    global _kernel
-    if _kernel is None:
-        path = _build()
-        try:
-            kernel = ctypes.CDLL(path).phase2_rounds
-        except OSError as exc:
-            raise RuntimeError(f"cannot load the phase-2 loop {path}: {exc}") from None
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        kernel.argtypes = [i64, i64, ptr, i64, i64, i64, ctypes.c_double] + [ptr] * 7
-        kernel.restype = None
-        _kernel = kernel
-    return _kernel
 
 
 def choose_M(n2: int, k: int) -> int:
@@ -244,8 +172,8 @@ def run_phase2(
     call, the same stream as one standard_normal() per round (none at all
     when sigma = 0, as for sample_reward).
 
-    The rounds run in the compiled loop of _phase2.c, NOISE_CHUNK per
-    call, built at the first call (see _load_kernel).  After the sweep it
+    The rounds run in phase2_rounds of _kernels.c, NOISE_CHUNK per call
+    (built at first use, see _kernels.load).  After the sweep the loop
     bounds every arm's index once per block of BLOCK rounds and evaluates
     only the arms whose bounds exceed the running best, in numpy's
     operation order, so the winner is ucb1_select's first argmax and the
@@ -260,7 +188,7 @@ def run_phase2(
         raise ValueError(
             f"basis shape {a_hat.shape} does not match ambient dimension {env.d}"
         )
-    kernel = _load_kernel()
+    kernel = _kernels.load().phase2_rounds
     scale = default_ucb_scale(env) if ucb_scale is None else float(ucb_scale)
     opt_value = optimal_value(env)[0] if opt_value is None else float(opt_value)
 

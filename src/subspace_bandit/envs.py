@@ -274,8 +274,8 @@ class Environment:
     """A reward oracle with query accounting.
 
     Every sampled reward increments query_count by exactly one.  Mean-reward
-    evaluations (mean_reward, gradient_mean_reward, optimal_value) are free:
-    they are oracles for analysis, not actions.
+    evaluations (mean_value, optimal_value) are free: they are oracles for
+    analysis, not actions.
     """
 
     param_matrix: LinearParamMatrix
@@ -357,12 +357,6 @@ def _check_domain(env: Environment, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mean_reward(env: Environment, x: np.ndarray) -> float:
-    """Noise-free mean reward at x (no budget charge)."""
-    x = _check_domain(env, x)
-    return float(mean_value(env.mean, env.A @ x))
-
-
 def sample_reward(env: Environment, x: np.ndarray) -> float:
     """One noisy reward query at x; increments the query count by one."""
     x = _check_domain(env, x)
@@ -381,24 +375,6 @@ def check_points(env: Environment, xs: np.ndarray) -> None:
             f"query point {worst} outside the action ball: ||x|| = {norms[worst]:.12g} "
             f"> 1 + nu = {1.0 + env.nu:.12g}"
         )
-
-
-def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.ndarray:
-    """Query each row of xs `repeats` times and return the per-point averages.
-
-    All points are validated before any query is made.  Charges
-    len(xs) * repeats to the query count.  One standard normal is drawn per
-    point, in row order, and scaled by sigma/sqrt(repeats): the distribution
-    of the mean of `repeats` noisy rewards, at one draw whatever `repeats`
-    is (no draw when sigma = 0).
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != env.d:
-        raise ValueError(f"xs must have shape (n, {env.d}), got {xs.shape}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    check_points(env, xs)
-    return _query_projections(env, _project(env, xs), repeats)[1]
 
 
 def _reward_noise(env: Environment, n: int, repeats: int = 1) -> np.ndarray:
@@ -423,18 +399,12 @@ def _query_projections(env: Environment, us: np.ndarray, repeats: int) -> tuple:
     """(means, averages) for points whose projections A x are the rows of
     us, the points already checked against the ball.
 
-    means are the noise-free mean rewards, averages the noisy means that
-    sample_rewards returns.  Charges len(us) * repeats queries.
+    means are the noise-free mean rewards, averages the noisy means of
+    `repeats` queries each.  Charges len(us) * repeats queries.
     """
     vals = mean_value(env.mean, us)
     env.query_count += us.shape[0] * repeats
     return vals, vals + _reward_noise(env, us.shape[0], repeats)
-
-
-def gradient_mean_reward(env: Environment, x: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the mean reward at x: A^T grad g(A x)."""
-    x = _check_domain(env, x)
-    return env.A.T @ mean_grad(env.mean, env.A @ x)
 
 
 # ---------- optimum oracles ----------
@@ -554,26 +524,9 @@ def estimate_conditioning(env: Environment, n_samples: int) -> ConditioningRepor
 DESCRIPTOR_KEYS = ("family", "d", "k", "sigma", "nu", "params", "seed", "A")
 
 
-def to_descriptor(env: Environment) -> dict:
-    """JSON-ready environment descriptor (realized A is emitted explicitly)."""
-    params = {
-        key: (val.tolist() if isinstance(val, np.ndarray) else val)
-        for key, val in env.mean.params.items()
-    }
-    return {
-        "family": env.mean.family,
-        "params": params,
-        "k": env.k,
-        "d": env.d,
-        "sigma": env.sigma,
-        "nu": env.nu,
-        "seed": env.seed,
-        "A": env.A.tolist(),
-    }
-
-
 def environment_from_descriptor(desc: dict) -> Environment:
-    """Build an environment from a descriptor dict (see to_descriptor).
+    """Build an environment from a descriptor dict: DESCRIPTOR_KEYS, with
+    the realized A as a nested list or "random_orthonormal".
 
     sigma and nu may be omitted; make_environment's defaults then apply.
     """

@@ -14,14 +14,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .envs import DomainError, Environment, _project, _query_projections
 from .util import uniform_sphere
 
 PLAN_SLACK = 1e-12
 SKETCH_CHUNK = 256  # probe directions made float, queried and summed at once
-GRAM_BLOCK = 1024  # probe directions per product in SamplingSets.gram
-# float32 sums of +/-1 terms are exact integers while fewer terms than this add up
-EXACT_FLOAT32_TERMS = 2**24
 
 
 def _float_chunks(signs: np.ndarray):
@@ -126,24 +124,29 @@ class SamplingSets:
     def gram(self) -> np.ndarray:
         """G = F^T F as the integer S^T S / m_Phi, correctly rounded.  Cached.
 
-        Each block of GRAM_BLOCK directions is copied into one reused
-        buffer as the contiguous ``C = S_block^T`` and adds ``C @ C.T``
-        (BLAS syrk), summed in float32, which is exact while
-        m_Phi < EXACT_FLOAT32_TERMS (float64 beyond), so G does not depend on
-        the block size; the one rounding is the final division.
+        gram_counts in _kernels.c (built at first use, see _kernels.load)
+        packs each column of S into sign bits, 64 directions per word, and
+        counts entry (p, q) as m_Phi - 2 popcount(b_p XOR b_q), an exact
+        integer, so the one rounding is the final division.  The bits read
+        only each sign, so an int8 entry other than +/-1 raises ValueError.
         """
         if self._gram is None:
-            dtype = np.float32 if self.m_Phi < EXACT_FLOAT32_TERMS else np.float64
+            if self.signs.dtype != np.int8 or self.signs.shape != (self.m_Phi, self.m_X, self.d):
+                raise ValueError(
+                    f"signs must be int8 of shape {(self.m_Phi, self.m_X, self.d)}, "
+                    f"got {self.signs.dtype} {self.signs.shape}"
+                )
+            signs = np.ascontiguousarray(self.signs)
             width = self.d * self.m_X
-            counts = np.zeros((width, width), dtype=dtype)
-            buffer = np.empty((width, min(GRAM_BLOCK, self.m_Phi)), dtype=dtype)
-            for start in range(0, self.m_Phi, GRAM_BLOCK):
-                block = self.signs[start : start + GRAM_BLOCK].transpose(2, 1, 0)
-                if block.shape[2] != buffer.shape[1]:  # the last, part-filled block
-                    buffer = np.empty((width, block.shape[2]), dtype=dtype)
-                np.copyto(buffer.reshape(block.shape), block, casting="unsafe")
-                counts += buffer @ buffer.T
-            gram = counts.astype(float)
+            bits = np.empty((width, -(-self.m_Phi // 64)), dtype=np.uint64)
+            acc = np.empty(width, dtype=np.uint64)
+            gram = np.empty((width, width))
+            bad = _kernels.load().gram_counts(
+                signs.ctypes.data, self.m_Phi, self.m_X, self.d,
+                bits.ctypes.data, acc.ctypes.data, gram.ctypes.data,
+            )
+            if bad:
+                raise ValueError(f"signs must be +/-1; {bad} entries are not")
             gram /= self.m_Phi
             self._gram = gram
         return self._gram

@@ -1,10 +1,69 @@
-"""Phase 1's reference maps, which only tests need: the forward sketch, the
-gradient matrix the measurements are linear in, the reward Hessian, the
-closed-form curvature term and isometry ratios."""
+"""Reference maps and oracles which only tests need: per-point mean
+rewards, batched reward queries, the reward gradient and Hessian, the
+environment descriptor, phase 1's forward sketch, the gradient matrix the
+measurements are linear in, the closed-form curvature term and isometry
+ratios."""
 
 import numpy as np
 
-from subspace_bandit.envs import MeanRewardSpec, gradient_mean_reward
+from subspace_bandit.envs import (
+    Environment,
+    MeanRewardSpec,
+    _check_domain,
+    _project,
+    _query_projections,
+    check_points,
+    mean_grad,
+    mean_value,
+)
+
+
+def mean_reward(env: Environment, x: np.ndarray) -> float:
+    """Noise-free mean reward at x (no budget charge)."""
+    x = _check_domain(env, x)
+    return float(mean_value(env.mean, env.A @ x))
+
+
+def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.ndarray:
+    """Query each row of xs `repeats` times and return the per-point averages.
+
+    All points are validated before any query is made.  Charges
+    len(xs) * repeats to the query count.  One standard normal is drawn per
+    point, in row order, and scaled by sigma/sqrt(repeats): the distribution
+    of the mean of `repeats` noisy rewards, at one draw whatever `repeats`
+    is (no draw when sigma = 0).
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != env.d:
+        raise ValueError(f"xs must have shape (n, {env.d}), got {xs.shape}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_points(env, xs)
+    return _query_projections(env, _project(env, xs), repeats)[1]
+
+
+def gradient_mean_reward(env: Environment, x: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the mean reward at x: A^T grad g(A x)."""
+    x = _check_domain(env, x)
+    return env.A.T @ mean_grad(env.mean, env.A @ x)
+
+
+def to_descriptor(env: Environment) -> dict:
+    """JSON-ready environment descriptor (realized A is emitted explicitly)."""
+    params = {
+        key: (val.tolist() if isinstance(val, np.ndarray) else val)
+        for key, val in env.mean.params.items()
+    }
+    return {
+        "family": env.mean.family,
+        "params": params,
+        "k": env.k,
+        "d": env.d,
+        "sigma": env.sigma,
+        "nu": env.nu,
+        "seed": env.seed,
+        "A": env.A.tolist(),
+    }
 
 
 def mean_hess(spec: MeanRewardSpec, u: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subspace_bandit import bandit, cli
+from subspace_bandit import _kernels, bandit, cli
 from subspace_bandit.bandit import (
     ArmGrid,
     build_arm_grid,
@@ -30,6 +30,8 @@ from subspace_bandit.envs import (
     optimal_value,
     sample_reward,
 )
+from subspace_bandit.recovery import DantzigProblem, solve_dantzig
+from subspace_bandit.sampling import SamplingPlan, draw_sampling_sets
 
 SEED = 91600
 
@@ -494,24 +496,24 @@ def run_python(code):
 
 def no_compiler(monkeypatch, cache):
     """An empty cache folder and a compiler command that does not exist."""
-    monkeypatch.setattr(bandit, "_cache_dirs", lambda: [str(cache)])
-    monkeypatch.setattr(bandit, "_kernel", None)
-    monkeypatch.setattr(bandit, "_COMMAND", ("no-such-cc",) + bandit._COMMAND[1:])
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [str(cache)])
+    monkeypatch.setattr(_kernels, "_library", None)
+    monkeypatch.setattr(_kernels, "_COMMAND", ("no-such-cc",) + _kernels._COMMAND[1:])
 
 
 class TestPhase2Build:
     def test_import_loads_nothing(self):
-        """Importing the package neither builds nor loads the loop, and
+        """Importing the package neither builds nor loads the kernels, and
         imports no cffi: nothing new runs at import."""
         run_python(
             "import sys, subspace_bandit\n"
-            "from subspace_bandit import bandit\n"
-            "assert bandit._kernel is None\n"
+            "from subspace_bandit import _kernels\n"
+            "assert _kernels._library is None\n"
             "assert 'cffi' not in sys.modules\n"
         )
 
     def test_warm_cache_needs_no_compiler(self):
-        bandit._load_kernel()
+        _kernels.load()
         run_python(
             "import subprocess\n"
             "from subspace_bandit import bandit\n"
@@ -522,6 +524,8 @@ class TestPhase2Build:
             "env = make_environment(d=6, k=1, family='norm-squared', sigma=0.1, nu=0.1, seed=5)\n"
             "got = bandit.run_phase2(env, env.A, 3000)\n"
             "assert env.query_count == 3000 and got.arm_ids.size == 3000\n"
+            "from subspace_bandit.sampling import SamplingPlan, draw_sampling_sets\n"
+            "assert draw_sampling_sets(SamplingPlan(m_X=2, m_Phi=70, epsilon=0.1), 5, rng=1).gram().shape == (10, 10)\n"
         )
 
     def test_build_caches_one_library_per_key(self, tmp_path, monkeypatch):
@@ -529,29 +533,32 @@ class TestPhase2Build:
         with no partial file left; a second build finds it."""
         blocked = tmp_path / "file"
         blocked.write_text("")
-        monkeypatch.setattr(bandit, "_cache_dirs", lambda: [str(blocked / "cache"), str(tmp_path / "cache")])
-        path = bandit._build()
+        monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [str(blocked / "cache"), str(tmp_path / "cache")])
+        path = _kernels._build()
         assert os.path.dirname(path) == str(tmp_path / "cache")
-        assert re.fullmatch(r"_phase2-[0-9a-f]{64}\.so", os.path.basename(path))
+        assert re.fullmatch(r"_kernels-[0-9a-f]{64}\.so", os.path.basename(path))
         assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
         monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("rebuilt"))
-        assert bandit._build() == path
+        assert _kernels._build() == path
 
     def test_missing_compiler_raises_before_any_query(self, tmp_path, monkeypatch):
         no_compiler(monkeypatch, tmp_path)
         env = family_env("norm-squared", 1, 0.2, SEED + 1100)
-        with pytest.raises(RuntimeError, match="cannot build the phase-2 loop: no-such-cc -O2"):
+        with pytest.raises(RuntimeError, match="cannot build the compiled kernels: no-such-cc -O2"):
             run_phase2(env, env.A, 500)
         assert env.query_count == 0
         assert env.rng.standard_normal() == family_env("norm-squared", 1, 0.2, SEED + 1100).rng.standard_normal()
         assert os.listdir(tmp_path) == []
 
-    def test_missing_compiler_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+    # a wide sketch (d * m_X = 48 > m_Phi) fails in phase 2, a tall one
+    # (24 < m_Phi) in the solve's Gram counts
+    @pytest.mark.parametrize("m_x", [8, 4], ids=["wide", "tall"])
+    def test_missing_compiler_is_not_a_config_error(self, m_x, tmp_path, monkeypatch, capsys):
         no_compiler(monkeypatch, tmp_path / "cache")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "environment": {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1},
-            "practical": {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "lambda_scale": 1e-3},
+            "practical": {"m_X": m_x, "m_Phi": 40, "epsilon": 0.05, "lambda_scale": 1e-3},
             "horizons": [900],
             "seeds": [1],
         }))
@@ -559,18 +566,38 @@ class TestPhase2Build:
             cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert "config error" not in capsys.readouterr().err
 
+    def test_tall_solve_needs_the_kernels(self, tmp_path, monkeypatch):
+        """A tall sketch's Gram counts run in the compiled kernels, so its
+        solve raises RuntimeError naming the command; the zero-is-feasible
+        exit and a wide solve build nothing."""
+        no_compiler(monkeypatch, tmp_path)
+
+        def problem(m_phi, lam):
+            sets = draw_sampling_sets(SamplingPlan(m_X=4, m_Phi=m_phi, epsilon=0.1), 6, rng=SEED)
+            y = np.random.default_rng(SEED).standard_normal(m_phi)
+            return DantzigProblem(y=y, sets=sets, lam=lam, k=1)
+
+        tall = problem(40, 1e-3)
+        assert tall.sets.tall
+        with pytest.raises(RuntimeError, match="cannot build the compiled kernels: no-such-cc -O2"):
+            solve_dantzig(tall)
+        assert solve_dantzig(problem(40, 1e6))[1].iterations == 0
+        wide = problem(20, 1e-3)
+        assert not wide.sets.tall and solve_dantzig(wide)[1].feasible
+        assert os.listdir(tmp_path) == []
+
     def test_compiler_errors_are_reported(self, tmp_path, monkeypatch):
-        broken = tmp_path / "_phase2.c"
+        broken = tmp_path / "_kernels.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(bandit, "_SOURCE", str(broken))
-        monkeypatch.setattr(bandit, "_cache_dirs", lambda: [str(tmp_path / "cache")])
-        monkeypatch.setattr(bandit, "_kernel", None)
-        with pytest.raises(RuntimeError, match=r"(?s)cc -O2 .*_phase2\.c -lm: .*error"):
-            bandit._load_kernel()
+        monkeypatch.setattr(_kernels, "_SOURCE", str(broken))
+        monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [str(tmp_path / "cache")])
+        monkeypatch.setattr(_kernels, "_library", None)
+        with pytest.raises(RuntimeError, match=r"(?s)cc -O2 .*_kernels\.c -lm: .*error"):
+            _kernels.load()
         assert os.listdir(tmp_path / "cache") == []
 
     def test_source_compiles_without_warnings(self, tmp_path):
-        command = [*bandit._COMMAND, "-std=c99", "-Wall", "-Wextra", "-Werror",
-                   "-o", str(tmp_path / "strict.so"), bandit._SOURCE, "-lm"]
+        command = [*_kernels._COMMAND, "-std=c99", "-Wall", "-Wextra", "-Werror",
+                   "-o", str(tmp_path / "strict.so"), _kernels._SOURCE, "-lm"]
         done = subprocess.run(command, capture_output=True, text=True)
         assert done.returncode == 0 and done.stderr == "", done.stderr

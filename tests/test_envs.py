@@ -14,19 +14,21 @@ from subspace_bandit.envs import (
     best_on_subspace,
     environment_from_descriptor,
     estimate_conditioning,
-    gradient_mean_reward,
     make_environment,
     make_row_orthonormal,
     mean_grad,
-    mean_reward,
     mean_spec,
     mean_value,
     optimal_value,
     sample_reward,
+)
+from sketch_oracles import (
+    gradient_mean_reward,
+    mean_hess,
+    mean_reward,
     sample_rewards,
     to_descriptor,
 )
-from sketch_oracles import mean_hess
 
 SEED = 42
 FAMILIES = ["linear", "norm-squared", "centered-quadratic", "gaussian-bump"]

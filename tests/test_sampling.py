@@ -412,21 +412,47 @@ class TestNoiseStream:
 class TestGram:
     """The tall solve's exact Gram matrix and phase 1's memory."""
 
-    # one block and part of one, one less than, exactly, one more than and
-    # just past two GRAM_BLOCKs of 1024 directions
-    @pytest.mark.parametrize("m_phi", [41, 300, 1023, 1024, 1025, 2049])
-    def test_gram_is_the_exact_integer_gram(self, m_phi, monkeypatch):
-        sets = draw_sampling_sets(SamplingPlan(m_X=4, m_Phi=m_phi, epsilon=0.1), 9, rng=SEED)
-        reference = _integer_gram(sets)
-        assert np.array_equal(sets.gram(), reference)
-        # the sums are exact, so the block size cannot change G
-        monkeypatch.setattr(sampling, "GRAM_BLOCK", 7)
-        assert np.array_equal(SamplingSets(points=sets.points, signs=sets.signs).gram(), reference)
-
-    def test_float64_sums_beyond_the_float32_limit(self, monkeypatch):
-        monkeypatch.setattr(sampling, "EXACT_FLOAT32_TERMS", 16)
-        sets = draw_sampling_sets(SamplingPlan(m_X=3, m_Phi=40, epsilon=0.1), 5, rng=SEED)
+    # (m_Phi, m_X, d): one direction, word boundaries of the packed sign
+    # bits, many words, and a single column
+    @pytest.mark.parametrize(
+        "m_phi, m_x, d",
+        [(m, 4, 9) for m in (1, 63, 64, 65, 127, 128, 129, 6000)] + [(100, 1, 1)],
+    )
+    def test_gram_is_the_exact_integer_gram(self, m_phi, m_x, d):
+        sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng=SEED)
         assert np.array_equal(sets.gram(), _integer_gram(sets))
+
+    def test_exact_beyond_the_float32_limit(self):
+        """Counts past 2**24 (34 MB of signs), where float32 sums of the
+        +/-1 terms would round: two columns that differ in one sign have
+        inner product 2**24 + 1, odd and above float32's exact integers."""
+        m_phi = 2**24 + 3
+        sets = draw_sampling_sets(SamplingPlan(m_X=1, m_Phi=m_phi, epsilon=0.1), 2, rng=SEED)
+        sets.signs[:, 0, 1] = sets.signs[:, 0, 0]
+        sets.signs[m_phi // 2, 0, 1] *= -1
+        inner = np.float64(m_phi - 2) / m_phi
+        assert np.array_equal(sets.gram(), [[1.0, inner], [inner, 1.0]])
+
+    @pytest.mark.parametrize("value", [0, 2, -2, 127, -128])
+    def test_signs_other_than_plus_or_minus_one_are_refused(self, value):
+        """The packed bits read only each sign, so any other entry would
+        give a wrong G without an error."""
+        sets = draw_sampling_sets(SamplingPlan(m_X=3, m_Phi=130, epsilon=0.1), 5, rng=SEED)
+        sets.signs[129, 2, 4] = value
+        with pytest.raises(ValueError, match="signs must be \\+/-1; 1 entries are not"):
+            sets.gram()
+
+    def test_signs_the_kernel_cannot_read_are_refused(self):
+        """Wider integers, or signs whose shape disagrees with the points,
+        never reach the compiled counts."""
+        sets = draw_sampling_sets(SamplingPlan(m_X=3, m_Phi=130, epsilon=0.1), 5, rng=SEED)
+        for points, signs in [
+            (sets.points, sets.signs.astype(np.int64)),
+            (sets.points[:, :4], sets.signs),
+            (sets.points, sets.signs[:, :, :4]),
+        ]:
+            with pytest.raises(ValueError, match="signs must be int8 of shape"):
+                SamplingSets(points=points, signs=signs).gram()
 
     def test_tall_run_never_builds_float_directions(self, monkeypatch):
         def forbidden(self):
