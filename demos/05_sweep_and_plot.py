@@ -14,7 +14,9 @@ out_dir = os.path.join(tempfile.mkdtemp(prefix="sweep-demo-"), "out")
 # The same structure the CLI reads from JSON, built in code: a small
 # noisy norm-squared problem, three horizons, two master seeds.  Every
 # cell derives its own environment seed from (master seed, n), so adding
-# horizons or seeds later never perturbs existing cells.
+# horizons or seeds later never perturbs existing cells.  The constraint
+# level is set by hand to 1e-3 times compute_lambda's default for this
+# problem; at the default, zero is feasible and recovery aborts.
 config = ExperimentConfig(
     environment={
         "family": "norm-squared", "d": 6, "k": 1,
@@ -25,7 +27,7 @@ config = ExperimentConfig(
     mode="practical",
     practical={
         "m_X": 8, "m_Phi": 40, "epsilon": 0.05,
-        "lambda_scale": 1e-3, "ucb_scale": 1.0,
+        "lambda_override": 0.7364726058014618, "ucb_scale": 1.0,
     },
     out_dir=out_dir,
 )

@@ -33,7 +33,9 @@ def _build() -> str:
     """Path of the built _kernels.c: in the first cache folder that holds it
     or can be written, where a build is compiled to a name unique to this
     process and moved into place, so concurrent builds never see a partial
-    file."""
+    file.  A build into the package's __pycache__ deletes the libraries it
+    supersedes there; the shared temporary folder serves other checkouts."""
+    import glob
     import hashlib
     import platform
     import subprocess
@@ -62,6 +64,14 @@ def _build() -> str:
             os.remove(partial)
             raise RuntimeError(f"cannot build the compiled kernels: {' '.join(command)}: {error}")
         os.replace(partial, path)
+        if folder == dirs[0]:
+            for pattern in ("_kernels-*.so", "_phase2-*.so"):
+                for old in glob.glob(os.path.join(folder, pattern)):
+                    if old != path:
+                        try:
+                            os.remove(old)
+                        except OSError:  # another build removed it first
+                            pass
         return path
     raise RuntimeError(f"cannot build the compiled kernels: no writable folder among {dirs}")
 

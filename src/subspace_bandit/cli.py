@@ -212,15 +212,27 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _holds_numbers(obj, keys) -> bool:
+    """Whether obj is a JSON object with a number (not a bool) at each key."""
+    return isinstance(obj, dict) and all(type(obj.get(key)) in (int, float) for key in keys)
+
+
 def _cmd_plot(args) -> int:
     with open(args.summary_path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("summary must be an object")
+    aggregates, fit = data.get("aggregates", []), data.get("fit")
+    if not isinstance(aggregates, list):
+        raise ValueError("aggregates must be a list")
+    for i, agg in enumerate(aggregates):
+        if not _holds_numbers(agg, ("n", "mean_R", "se_R", "count")):
+            raise ValueError(f"aggregates[{i}] must be an object with n, mean_R, se_R, count")
+    if fit is not None and not _holds_numbers(fit, ("slope", "intercept", "r2")):
+        raise ValueError("fit must be null or an object with slope, intercept, r2")
     summary = SweepSummary(
         config=None,  # type: ignore[arg-type]  # only aggregates and fit are read
-        cells=[],
-        aggregates=data.get("aggregates", []),
-        failed_count=int(data.get("failed_count", 0)),
-        fit=data.get("fit"),
+        cells=[], aggregates=aggregates, failed_count=0, fit=fit,
     )
     out_dir = args.out or (os.path.dirname(os.path.abspath(args.summary_path)))
     path = emit_plot_data(summary, out_dir)

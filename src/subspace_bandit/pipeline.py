@@ -362,8 +362,8 @@ def params_to_dict(params: TheoryParams) -> dict:
 
 
 # PracticalParams keys whose values must be integers, and real numbers
-_INTEGER_KEYS = ("m_X", "m_Phi", "N", "M")
-_REAL_KEYS = ("epsilon", "c0", "lambda_scale", "lambda_override", "ucb_scale")
+_INTEGER_KEYS = ("m_X", "m_Phi", "N")
+_REAL_KEYS = ("epsilon", "c0", "lambda_override", "ucb_scale")
 
 
 @dataclass
@@ -376,10 +376,8 @@ class PracticalParams:
     epsilon: float
     N: int = 1
     c0: float = 4.0
-    lambda_scale: float = 1.0
     lambda_override: Optional[float] = None
     ucb_scale: Optional[float] = None
-    M: Optional[int] = None
     known_subspace: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -387,18 +385,16 @@ class PracticalParams:
         cannot use; every message names its key."""
         for key in _INTEGER_KEYS + _REAL_KEYS:
             value = getattr(self, key)
-            if value is None and key in ("M", "lambda_override", "ucb_scale"):
+            if value is None and key in ("lambda_override", "ucb_scale"):
                 continue
             check_number(key, value, integer=key in _INTEGER_KEYS)
         sampling_plan(self)  # checks m_X, m_Phi, epsilon and N
         if not (math.isfinite(self.c0) and self.c0 > 0):
             raise ValueError(f"c0 must be finite and > 0, got {self.c0}")
-        for key in ("lambda_scale", "lambda_override", "ucb_scale"):
+        for key in ("lambda_override", "ucb_scale"):
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
-        if self.M is not None and not self.M >= 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
         if self.known_subspace is not None:
             try:
                 check_row_orthonormal(self.known_subspace, BASIS_TOL)
@@ -484,27 +480,6 @@ def sampling_plan(params) -> SamplingPlan:
     return SamplingPlan(m_X=params.m_X, m_Phi=params.m_Phi, epsilon=params.epsilon, N=params.N)
 
 
-def _constraint_level(env: Environment, plan: SamplingPlan, params: PracticalParams) -> float:
-    """The selector's lam: overridden (a theory plan's own), or scaled from
-    compute_lambda at the plan's effective noise level and the default
-    TheoryConstants."""
-    if params.lambda_override is not None:
-        return float(params.lambda_override)
-    sigma_eff = env.sigma / math.sqrt(plan.N)
-    constants = TheoryConstants()
-    return params.lambda_scale * compute_lambda(
-        env.mean.c2,
-        plan.epsilon,
-        env.d,
-        plan.m_X,
-        plan.m_Phi,
-        env.k,
-        sigma_eff,
-        constants.delta,
-        constants.gamma,
-    )
-
-
 @dataclass
 class Phase1Result:
     """Phase 1's measurements and the recovery (which holds lam)."""
@@ -515,7 +490,8 @@ class Phase1Result:
 
 def run_phase1(env: Environment, params: PracticalParams) -> Phase1Result:
     """Phase 1 on its own: draw the sampling sets, collect the measurements,
-    resolve the constraint level and recover the subspace.
+    resolve the constraint level (lambda_override, a theory plan's own, or
+    else compute_lambda) and recover the subspace.
 
     The draw is seeded from the environment seed.  Raises DomainError
     before any query when a probe point leaves the action ball; a recovery
@@ -524,7 +500,13 @@ def run_phase1(env: Environment, params: PracticalParams) -> Phase1Result:
     plan = sampling_plan(params)
     sets = draw_sampling_sets(plan, env.d, np.random.default_rng(derive_seed(env.seed, 1)))
     bundle = collect_measurements(env, sets, plan)
-    lam = _constraint_level(env, plan, params)
+    lam = params.lambda_override
+    if lam is None:  # compute_lambda at the plan's noise level and the default constants
+        constants = TheoryConstants()
+        lam = compute_lambda(
+            env.mean.c2, plan.epsilon, env.d, plan.m_X, plan.m_Phi, env.k,
+            env.sigma / math.sqrt(plan.N), constants.delta, constants.gamma,
+        )
     problem = DantzigProblem(y=bundle.y, sets=sets, lam=lam, k=env.k, adjoint_y=bundle.adjoint_y)
     recovery = recover_subspace(problem, true_basis=env.A, c0=params.c0)
     return Phase1Result(bundle=bundle, recovery=recovery)
@@ -581,7 +563,7 @@ def run_cablp(env: Environment, params) -> RunRecord:
             return record
 
     n2 = n - record.phase1_rounds
-    phase2 = run_phase2(env, basis, n2, ucb_scale=params.ucb_scale, M=params.M, opt_value=opt_value)
+    phase2 = run_phase2(env, basis, n2, ucb_scale=params.ucb_scale, opt_value=opt_value)
     if env.query_count != n:
         raise RuntimeError(
             f"query accounting is off: spent {env.query_count}, expected {n}"

@@ -9,8 +9,7 @@ the probe directions produce noisy linear measurements of X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +81,6 @@ class SamplingSets:
 
     points: np.ndarray
     signs: np.ndarray
-    _flat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def m_X(self) -> int:
@@ -116,13 +113,11 @@ class SamplingSets:
 
     def flat_operator(self) -> np.ndarray:
         """The (m_Phi, d * m_X) matrix F with Phi(X) = F @ X.ravel()."""
-        if self._flat is None:
-            flat_signs = self.signs.transpose(0, 2, 1).reshape(self.m_Phi, self.d * self.m_X)
-            self._flat = flat_signs * self.scale
-        return self._flat
+        flat_signs = self.signs.transpose(0, 2, 1).reshape(self.m_Phi, self.d * self.m_X)
+        return flat_signs * self.scale
 
     def gram(self) -> np.ndarray:
-        """G = F^T F as the integer S^T S / m_Phi, correctly rounded.  Cached.
+        """G = F^T F as the integer S^T S / m_Phi, correctly rounded.
 
         gram_counts in _kernels.c (built at first use, see _kernels.load)
         packs each column of S into sign bits, 64 directions per word, and
@@ -130,26 +125,24 @@ class SamplingSets:
         integer, so the one rounding is the final division.  The bits read
         only each sign, so an int8 entry other than +/-1 raises ValueError.
         """
-        if self._gram is None:
-            if self.signs.dtype != np.int8 or self.signs.shape != (self.m_Phi, self.m_X, self.d):
-                raise ValueError(
-                    f"signs must be int8 of shape {(self.m_Phi, self.m_X, self.d)}, "
-                    f"got {self.signs.dtype} {self.signs.shape}"
-                )
-            signs = np.ascontiguousarray(self.signs)
-            width = self.d * self.m_X
-            bits = np.empty((width, -(-self.m_Phi // 64)), dtype=np.uint64)
-            acc = np.empty(width, dtype=np.uint64)
-            gram = np.empty((width, width))
-            bad = _kernels.load().gram_counts(
-                signs.ctypes.data, self.m_Phi, self.m_X, self.d,
-                bits.ctypes.data, acc.ctypes.data, gram.ctypes.data,
+        if self.signs.dtype != np.int8 or self.signs.shape != (self.m_Phi, self.m_X, self.d):
+            raise ValueError(
+                f"signs must be int8 of shape {(self.m_Phi, self.m_X, self.d)}, "
+                f"got {self.signs.dtype} {self.signs.shape}"
             )
-            if bad:
-                raise ValueError(f"signs must be +/-1; {bad} entries are not")
-            gram /= self.m_Phi
-            self._gram = gram
-        return self._gram
+        signs = np.ascontiguousarray(self.signs)
+        width = self.d * self.m_X
+        bits = np.empty((width, -(-self.m_Phi // 64)), dtype=np.uint64)
+        acc = np.empty(width, dtype=np.uint64)
+        gram = np.empty((width, width))
+        bad = _kernels.load().gram_counts(
+            signs.ctypes.data, self.m_Phi, self.m_X, self.d,
+            bits.ctypes.data, acc.ctypes.data, gram.ctypes.data,
+        )
+        if bad:
+            raise ValueError(f"signs must be +/-1; {bad} entries are not")
+        gram /= self.m_Phi
+        return gram
 
 
 def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:

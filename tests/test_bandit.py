@@ -530,16 +530,36 @@ class TestPhase2Build:
 
     def test_build_caches_one_library_per_key(self, tmp_path, monkeypatch):
         """The first writable folder gets the library under its hashed name,
-        with no partial file left; a second build finds it."""
-        blocked = tmp_path / "file"
+        with no partial file left; a second build finds it.  A build into
+        the package's own folder (the first) deletes the libraries it
+        supersedes there, but no partial build or other file; one into the
+        shared temporary folder, or a warm-cache load, deletes nothing."""
+        stale = ["_kernels-" + "0" * 64 + ".so", "_phase2-" + "1" * 64 + ".so"]
+        kept = ["_kernels-" + "2" * 64 + ".so.123.tmp", "bandit.cpython-311.pyc"]
+        own, shared, blocked = tmp_path / "own", tmp_path / "shared", tmp_path / "file"
+        for folder in (own, shared):
+            folder.mkdir()
+            for name in stale + kept:
+                (folder / name).write_text("")
         blocked.write_text("")
-        monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [str(blocked / "cache"), str(tmp_path / "cache")])
+        monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [str(blocked / "cache"), str(shared)])
         path = _kernels._build()
-        assert os.path.dirname(path) == str(tmp_path / "cache")
+        assert os.path.dirname(path) == str(shared)
         assert re.fullmatch(r"_kernels-[0-9a-f]{64}\.so", os.path.basename(path))
-        assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
+        assert sorted(os.listdir(shared)) == sorted(stale + kept + [os.path.basename(path)])
+
+        monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [str(own), str(shared)])
+        assert _kernels._build() == str(own / os.path.basename(path))
+        assert sorted(os.listdir(own)) == sorted(kept + [os.path.basename(path)])
+        monkeypatch.setattr(_kernels, "_COMMAND", (*_kernels._COMMAND, "-DSECOND_KEY"))
+        second = _kernels._build()
+        assert sorted(os.listdir(own)) == sorted(kept + [os.path.basename(second)])
+        assert len(os.listdir(shared)) == len(stale + kept) + 1
+
+        (own / stale[0]).write_text("")
         monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("rebuilt"))
-        assert _kernels._build() == path
+        assert _kernels._build() == second
+        assert sorted(os.listdir(own)) == sorted(kept + [stale[0], os.path.basename(second)])
 
     def test_missing_compiler_raises_before_any_query(self, tmp_path, monkeypatch):
         no_compiler(monkeypatch, tmp_path)
@@ -551,14 +571,17 @@ class TestPhase2Build:
         assert os.listdir(tmp_path) == []
 
     # a wide sketch (d * m_X = 48 > m_Phi) fails in phase 2, a tall one
-    # (24 < m_Phi) in the solve's Gram counts
-    @pytest.mark.parametrize("m_x", [8, 4], ids=["wide", "tall"])
-    def test_missing_compiler_is_not_a_config_error(self, m_x, tmp_path, monkeypatch, capsys):
+    # (24 < m_Phi) in the solve's Gram counts; lam is 1e-3 times
+    # compute_lambda at the default TheoryConstants
+    @pytest.mark.parametrize(
+        "m_x, lam", [(8, 0.7364726058014618), (4, 0.45094308029241253)], ids=["wide", "tall"]
+    )
+    def test_missing_compiler_is_not_a_config_error(self, m_x, lam, tmp_path, monkeypatch, capsys):
         no_compiler(monkeypatch, tmp_path / "cache")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "environment": {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1},
-            "practical": {"m_X": m_x, "m_Phi": 40, "epsilon": 0.05, "lambda_scale": 1e-3},
+            "practical": {"m_X": m_x, "m_Phi": 40, "epsilon": 0.05, "lambda_override": lam},
             "horizons": [900],
             "seeds": [1],
         }))

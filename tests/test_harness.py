@@ -33,7 +33,7 @@ def small_config(**overrides):
             "m_X": 8,
             "m_Phi": 40,
             "epsilon": 0.05,
-            "lambda_scale": 1e-3,
+            "lambda_override": 0.7364726058014618,
             "ucb_scale": 1.0,
         },
         horizons=[900, 1300, 1900],
@@ -299,7 +299,11 @@ class TestPlot:
 # ---------- CLI ----------
 
 
-CLI_PRACTICAL = {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "lambda_scale": 1e-3, "ucb_scale": 1.0}
+# lambda_override is 1e-3 times compute_lambda at the default TheoryConstants
+# for CLI_ENVIRONMENT and this plan
+CLI_PRACTICAL = {
+    "m_X": 8, "m_Phi": 40, "epsilon": 0.05, "lambda_override": 0.7364726058014618, "ucb_scale": 1.0,
+}
 # one valid JSON value per practical override, for a d = 6, k = 1 environment
 VALID_PRACTICAL = {
     "m_X": 6,
@@ -307,10 +311,8 @@ VALID_PRACTICAL = {
     "epsilon": 0.02,
     "N": 2,
     "c0": 2.0,
-    "lambda_scale": 1e-2,
     "lambda_override": 0.05,
     "ucb_scale": 0.5,
-    "M": 3,
     "known_subspace": [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]],
 }
 
@@ -367,13 +369,33 @@ class TestCli:
         capsys.readouterr()
         assert os.path.exists(os.path.join(out, "plot.svg"))
 
+    @pytest.mark.parametrize(
+        "summary, message",
+        [
+            ([], "summary must be an object"),
+            ({"aggregates": [1]}, "aggregates[0] must be an object with n, mean_R, se_R, count"),
+            (
+                {"aggregates": [{"n": 900, "mean_R": 5.0, "se_R": 0.5, "count": 2}], "fit": [1]},
+                "fit must be null or an object with slope, intercept, r2",
+            ),
+        ],
+        ids=["summary-list", "aggregate-int", "fit-list"],
+    )
+    def test_plot_of_malformed_summary_is_config_error(self, tmp_path, capsys, summary, message):
+        """Each input once raised out of the CLI with a traceback."""
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        assert main(["plot", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "plot.svg").exists()
+
     def test_sweep_with_failed_cell_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, horizons=[100])
         assert main(["sweep", "--config", cfg]) == 2
         assert "failed" in capsys.readouterr().out
 
     def test_sweep_with_query_outside_ball_exits_2(self, tmp_path, capsys):
-        practical = {"m_X": 8, "m_Phi": 40, "epsilon": 2.0, "lambda_scale": 1e-3}
+        practical = {"m_X": 8, "m_Phi": 40, "epsilon": 2.0, "lambda_override": 0.03706776690647182}
         cfg = write_config(tmp_path, practical=practical)
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", cfg, "--out", out]) == 2
@@ -420,11 +442,8 @@ class TestCli:
         "key, value",
         [
             ("c0", -1.0),
-            ("lambda_scale", -1.0),
             ("lambda_override", -1.0),
             ("lambda_override", float("inf")),
-            ("M", 0),
-            ("M", 2.5),
             ("m_X", 8.5),
             ("N", 1.5),
             ("epsilon", "0.05"),
@@ -437,7 +456,7 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, key, value
     ):
         """Each value fails a later stage, most after phase 1 has spent its
-        queries, or runs the cell on a truncated grid level (M = 2.5)."""
+        queries."""
         envs = []
         make = harness._cell_environment
 
@@ -533,19 +552,23 @@ class TestCli:
             (dict(THEORY_CONFIG, theory={"alpha": 1.0, "constans": {"delta": 0.9}}),
              "theory.constans"),
             ({"environment": dict(CLI_ENVIRONMENT, sigmaa=5.0)}, "environment.sigmaa"),
+            ({"practical": dict(CLI_PRACTICAL, lambda_scale=1e-3)}, "practical.lambda_scale"),
+            ({"practical": dict(CLI_PRACTICAL, M=3)}, "practical.M"),
         ],
-        ids=["theory-typo", "environment-typo"],
+        ids=["theory-typo", "environment-typo", "removed-lambda_scale", "removed-M"],
     )
     def test_unknown_key_is_config_error_before_any_cell(
         self, tmp_path, capsys, monkeypatch, overrides, key
     ):
         """Each typo was once ignored: the plan used the default constants,
-        and the cell ran noiseless and exited 0."""
+        and the cell ran noiseless and exited 0.  lambda_scale and M were
+        practical keys once; a config that still sets one stops here."""
 
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell started on a bad config")
 
         monkeypatch.setattr(harness, "_cell_environment", no_cell)
+        monkeypatch.setattr(harness, "run_cablp", no_cell)
         cfg = write_config(tmp_path, **overrides)
         assert main(["run", "--config", cfg]) == 1
         captured = capsys.readouterr()
@@ -567,7 +590,7 @@ class TestCli:
         cfg = write_config(
             tmp_path,
             environment={"family": "linear", "d": 10, "k": 1, "sigma": 0.0, "nu": 0.05},
-            practical={"m_X": 20, "m_Phi": 300, "epsilon": 0.05, "lambda_scale": 1e-4},
+            practical={"m_X": 20, "m_Phi": 300, "epsilon": 0.05, "lambda_override": 3.38886042793149e-05},
         )
         assert main(["recover", "--config", cfg]) == 0
         printed = capsys.readouterr().out

@@ -258,6 +258,12 @@ def linear_env(seed, sigma=0.0):
     )
 
 
+# lambda_override values for linear_env and practical()'s plan: 1e-4 and 1e-3
+# times compute_lambda at sigma = 0 and the default TheoryConstants
+LAM_1E4 = 3.38886042793149e-05
+LAM_1E3 = 0.00033888604279314896
+
+
 def practical(n=20000, **kw):
     base = dict(n=n, m_X=20, m_Phi=300, epsilon=0.05, N=1)
     base.update(kw)
@@ -274,7 +280,7 @@ class TestRunPractical:
         """Regression values for the flagship noiseless run: near-exact
         subspace, and late-run per-round regret within 5% of the reward range."""
         env = linear_env(SEED)
-        params = practical(lambda_scale=1e-4, ucb_scale=1.0)
+        params = practical(lambda_override=LAM_1E4, ucb_scale=1.0)
         record = run_cablp(env, params)
         assert record.phase1_rounds == 20 * 301
         assert record.phase2_rounds == 20000 - 6020
@@ -291,13 +297,14 @@ class TestRunPractical:
         """Neither phase draws from the reward stream when sigma = 0."""
         env = linear_env(SEED)
         state = env.rng.bit_generator.state
-        record = run_cablp(env, practical(lambda_scale=1e-4, ucb_scale=1.0))
+        record = run_cablp(env, practical(lambda_override=LAM_1E4, ucb_scale=1.0))
         assert record.phase2_rounds > 0
         assert env.rng.bit_generator.state == state
 
     def test_decomposition_identity(self):
         env = linear_env(SEED + 1, sigma=0.05)
-        record = run_cablp(env, practical(n=9000, lambda_scale=1e-3, ucb_scale=1.0))
+        # 1e-3 times compute_lambda at sigma = 0.05
+        record = run_cablp(env, practical(n=9000, lambda_override=5.039426914558055, ucb_scale=1.0))
         assert record.R1 + record.R2 + record.R3 == pytest.approx(
             record.total_regret, abs=1e-8
         )
@@ -329,9 +336,9 @@ class TestRunPractical:
 
     def test_environment_must_be_fresh(self):
         env = linear_env(SEED + 4)
-        run_cablp(env, practical(n=7000, lambda_scale=1e-3))
+        run_cablp(env, practical(n=7000, lambda_override=LAM_1E3))
         with pytest.raises(ValueError, match="not fresh"):
-            run_cablp(env, practical(n=7000, lambda_scale=1e-3))
+            run_cablp(env, practical(n=7000, lambda_override=LAM_1E3))
 
     def test_known_subspace_skips_phase_one(self):
         env = linear_env(SEED + 6)
@@ -393,7 +400,7 @@ class TestRunPractical:
         import io
 
         env = linear_env(SEED + 9)
-        record = run_cablp(env, practical(n=7000, lambda_scale=1e-3, ucb_scale=1.0))
+        record = run_cablp(env, practical(n=7000, lambda_override=LAM_1E3, ucb_scale=1.0))
         dump_json(record_to_dict(record), tmp_path / "run.json")
         blob = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
         assert blob["n"] == 7000
