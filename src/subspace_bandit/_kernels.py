@@ -89,7 +89,7 @@ def load() -> ctypes.CDLL:
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
         library.phase2_rounds.argtypes = [i64, i64, ptr, i64, i64, i64, ctypes.c_double] + [ptr] * 7
         library.phase2_rounds.restype = None
-        library.gram_counts.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
+        library.gram_counts.argtypes = [ptr, i64, i64, i64, ptr, ptr]
         library.gram_counts.restype = i64
         _library = library
     return _library

@@ -189,16 +189,21 @@ def _read_sweep_points(path: str) -> list:
     from .harness import SWEEP_CSV_HEADER
 
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
+        lines = [(number, ln.strip()) for number, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != SWEEP_CSV_HEADER:
         raise ValueError(f"{path} does not look like a sweep CSV (bad header)")
+    columns = SWEEP_CSV_HEADER.count(",") + 1
     sums: dict = {}
-    for ln in lines[1:]:
+    for number, ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) != columns:
+            raise ValueError(f"{path} line {number}: {len(parts)} columns, expected {columns}")
         if parts[-1] != "ok":
             continue
-        n = int(parts[0])
-        total = float(parts[2])
+        try:
+            n, total = int(parts[0]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
         acc = sums.setdefault(n, [0.0, 0])
         acc[0] += total
         acc[1] += 1
@@ -228,6 +233,8 @@ def _cmd_plot(args) -> int:
     for i, agg in enumerate(aggregates):
         if not _holds_numbers(agg, ("n", "mean_R", "se_R", "count")):
             raise ValueError(f"aggregates[{i}] must be an object with n, mean_R, se_R, count")
+        if agg["n"] <= 0:  # the chart's x axis is log10(n)
+            raise ValueError(f"aggregates[{i}].n must be positive, got {agg['n']}")
     if fit is not None and not _holds_numbers(fit, ("slope", "intercept", "r2")):
         raise ValueError("fit must be null or an object with slope, intercept, r2")
     summary = SweepSummary(

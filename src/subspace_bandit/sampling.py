@@ -120,10 +120,13 @@ class SamplingSets:
         """G = F^T F as the integer S^T S / m_Phi, correctly rounded.
 
         gram_counts in _kernels.c (built at first use, see _kernels.load)
-        packs each column of S into sign bits, 64 directions per word, and
-        counts entry (p, q) as m_Phi - 2 popcount(b_p XOR b_q), an exact
-        integer, so the one rounding is the final division.  The bits read
-        only each sign, so an int8 entry other than +/-1 raises ValueError.
+        packs each column of S into sign bits, 64 directions per word, by
+        64 x 64 bit-block transposes, and counts entry (p, q) as
+        m_Phi - 2 popcount(b_p XOR b_q), an exact integer, so the one
+        rounding is the final division.  The pair loop uses AVX-512
+        VPOPCNTDQ where the processor has it, else scalar popcounts; both
+        give the same integers.  The bits read only each sign, so int8
+        entries other than +/-1 raise ValueError with their count.
         """
         if self.signs.dtype != np.int8 or self.signs.shape != (self.m_Phi, self.m_X, self.d):
             raise ValueError(
@@ -133,11 +136,9 @@ class SamplingSets:
         signs = np.ascontiguousarray(self.signs)
         width = self.d * self.m_X
         bits = np.empty((width, -(-self.m_Phi // 64)), dtype=np.uint64)
-        acc = np.empty(width, dtype=np.uint64)
         gram = np.empty((width, width))
         bad = _kernels.load().gram_counts(
-            signs.ctypes.data, self.m_Phi, self.m_X, self.d,
-            bits.ctypes.data, acc.ctypes.data, gram.ctypes.data,
+            signs.ctypes.data, self.m_Phi, self.m_X, self.d, bits.ctypes.data, gram.ctypes.data
         )
         if bad:
             raise ValueError(f"signs must be +/-1; {bad} entries are not")

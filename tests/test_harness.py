@@ -378,8 +378,17 @@ class TestCli:
                 {"aggregates": [{"n": 900, "mean_R": 5.0, "se_R": 0.5, "count": 2}], "fit": [1]},
                 "fit must be null or an object with slope, intercept, r2",
             ),
+            (
+                {"aggregates": [{"n": 900, "mean_R": 5.0, "se_R": 0.5, "count": 2},
+                                {"n": 0, "mean_R": 5.0, "se_R": 0.5, "count": 2}]},
+                "aggregates[1].n must be positive, got 0",
+            ),
+            (
+                {"aggregates": [{"n": -900, "mean_R": 5.0, "se_R": 0.5, "count": 2}]},
+                "aggregates[0].n must be positive, got -900",
+            ),
         ],
-        ids=["summary-list", "aggregate-int", "fit-list"],
+        ids=["summary-list", "aggregate-int", "fit-list", "n-zero", "n-negative"],
     )
     def test_plot_of_malformed_summary_is_config_error(self, tmp_path, capsys, summary, message):
         """Each input once raised out of the CLI with a traceback."""
@@ -789,6 +798,22 @@ class TestCli:
         path.write_text("a,b\n1,2\n")
         assert main(["fit", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("900,ok", "line 3: 2 columns, expected 9"),
+            ("900,1,5.0,1,2,2,0.1,30,ok,extra", "line 3: 10 columns, expected 9"),
+            ("9e2,1,5.0,1,2,2,0.1,30,ok", "line 3: invalid literal for int() with base 10: '9e2'"),
+        ],
+        ids=["short", "long", "bad-n"],
+    )
+    def test_fit_names_a_malformed_row(self, tmp_path, capsys, row, message):
+        """A short row once raised IndexError out of the CLI with a traceback."""
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"{SWEEP_CSV_HEADER}\n900,2,5.0,1,2,2,0.1,30,ok\n{row}\n")
+        assert main(["fit", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {path} {message}\n"
 
 
 def test_dump_json_writes_non_finite_as_null(tmp_path):

@@ -1,12 +1,14 @@
 """Sampling-operator tests: set construction, adjointness, measurement
 consistency, noise scaling, isometry ratios, and the chunked phase 1."""
 
+import ctypes
+import platform
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from subspace_bandit import envs, pipeline, sampling
+from subspace_bandit import _kernels, envs, pipeline, sampling
 from subspace_bandit.envs import (
     FAMILIES,
     DomainError,
@@ -250,9 +252,17 @@ def _reference_collection(env, sets, plan):
     return y, shifted
 
 
-def _integer_gram(sets):
+def _integer_counts(sets):
     flat_signs = sets.signs.transpose(0, 2, 1).reshape(sets.m_Phi, -1).astype(np.int64)
-    return (flat_signs.T @ flat_signs) / sets.m_Phi
+    return flat_signs.T @ flat_signs
+
+
+def _integer_gram(sets):
+    return _integer_counts(sets) / sets.m_Phi
+
+
+# (m_X, d) of widths 1, 3, 4, 5, 8, 9, 63, 64, 65, 129 and 900
+WIDTHS = [(1, 1), (1, 3), (2, 2), (5, 1), (2, 4), (3, 3), (7, 9), (8, 8), (5, 13), (3, 43), (30, 30)]
 
 
 # (m_Phi, m_X, d): a count of signs that is not a multiple of 8, with and
@@ -413,14 +423,48 @@ class TestGram:
     """The tall solve's exact Gram matrix and phase 1's memory."""
 
     # (m_Phi, m_X, d): one direction, word boundaries of the packed sign
-    # bits, many words, and a single column
+    # bits, many words, and a single column; then widths m_X * d on both
+    # sides of the 8-byte group, the 64-column block and the 4-row tile,
+    # with 10 words (one 8-word vector and a part one) and 16 (two whole
+    # vectors, m_Phi off a multiple of 64)
     @pytest.mark.parametrize(
         "m_phi, m_x, d",
-        [(m, 4, 9) for m in (1, 63, 64, 65, 127, 128, 129, 6000)] + [(100, 1, 1)],
+        [(m, 4, 9) for m in (1, 63, 64, 65, 127, 128, 129, 6000)] + [(100, 1, 1)]
+        + [(m, *shape) for shape in WIDTHS for m in (640, 1000)],
     )
     def test_gram_is_the_exact_integer_gram(self, m_phi, m_x, d):
         sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng=SEED)
         assert np.array_equal(sets.gram(), _integer_gram(sets))
+
+    @pytest.mark.parametrize("m_x, d", WIDTHS[::2])
+    def test_both_pair_loops_count_exactly(self, m_x, d):
+        """gram_counts picks its pair loop by the processor; each loop the
+        library holds fills the upper triangle with the exact counts.  On
+        x86-64 with glibc the library must hold the AVX-512 loop, which runs
+        here where the processor has VPOPCNTDQ."""
+        library = _kernels.load()
+        loops = ["gram_pairs_scalar"]
+        if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
+            assert hasattr(library, "gram_pairs_vpopcntdq")
+            with open("/proc/cpuinfo", encoding="utf-8") as fh:
+                if "avx512_vpopcntdq" in fh.read().split():
+                    loops.append("gram_pairs_vpopcntdq")
+        m_phi = 700
+        sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng=SEED)
+        width, words = m_x * d, -(-m_phi // 64)
+        bits = np.empty((width, words), dtype=np.uint64)
+        counts = np.empty((width, width))
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        assert library.gram_counts(
+            ptr(sets.signs.ctypes.data), i64(m_phi), i64(m_x), i64(d), ptr(bits.ctypes.data), ptr(counts.ctypes.data)
+        ) == 0
+        upper = np.triu_indices(width)
+        expected = _integer_counts(sets)
+        for name in loops:
+            got = np.full((width, width), np.nan)
+            getattr(library, name)(ptr(bits.ctypes.data), i64(width), i64(words), i64(m_phi), ptr(got.ctypes.data))
+            assert np.array_equal(got[upper], expected[upper]), name
+            assert np.isnan(got[np.tril_indices(width, -1)]).all(), name
 
     def test_exact_beyond_the_float32_limit(self):
         """Counts past 2**24 (34 MB of signs), where float32 sums of the
@@ -433,13 +477,28 @@ class TestGram:
         inner = np.float64(m_phi - 2) / m_phi
         assert np.array_equal(sets.gram(), [[1.0, inner], [inner, 1.0]])
 
+    # (direction, j, e) in a 130 x 15 sketch: the last column in the last
+    # part 64-row word, past the one whole 8-byte group; the first column;
+    # a column past that group in a whole word; the first column of the
+    # last word
+    @pytest.mark.parametrize("where", [(129, 2, 4), (0, 0, 0), (5, 1, 4), (128, 0, 0)])
     @pytest.mark.parametrize("value", [0, 2, -2, 127, -128])
-    def test_signs_other_than_plus_or_minus_one_are_refused(self, value):
+    def test_signs_other_than_plus_or_minus_one_are_refused(self, value, where):
         """The packed bits read only each sign, so any other entry would
         give a wrong G without an error."""
         sets = draw_sampling_sets(SamplingPlan(m_X=3, m_Phi=130, epsilon=0.1), 5, rng=SEED)
-        sets.signs[129, 2, 4] = value
+        sets.signs[where] = value
         with pytest.raises(ValueError, match="signs must be \\+/-1; 1 entries are not"):
+            sets.gram()
+
+    def test_every_bad_sign_is_counted(self):
+        """Two bad entries in one 8-byte group and one in the last column of
+        the second 64-column block, in the last part word."""
+        sets = draw_sampling_sets(SamplingPlan(m_X=5, m_Phi=130, epsilon=0.1), 13, rng=SEED)
+        sets.signs[0, 0, 0] = 0
+        sets.signs[0, 0, 1] = 3
+        sets.signs[129, 4, 12] = -3
+        with pytest.raises(ValueError, match="signs must be \\+/-1; 3 entries are not"):
             sets.gram()
 
     def test_signs_the_kernel_cannot_read_are_refused(self):
