@@ -15,13 +15,19 @@
  * so that no product and sum fuse into one rounding.
  *
  * gram_counts (see sampling.SamplingSets.gram) computes the integer S^T S
- * of a +/-1 sketch from the signs' sign bits: two columns of m_phi signs
- * whose bits differ in h places have inner product m_phi - 2h.  It packs
- * the bits by 64 x 64 bit-block transposes in portable C, then counts each
- * pair of columns in one of two loops, chosen by the processor at the call:
+ * of a +/-1 sketch from its packed sign bits, as int32: two columns of
+ * m_phi signs whose bits differ in h places have inner product m_phi - 2h.
+ * It gathers each column's bits by 64 x 64 bit-block transposes of 64-bit
+ * runs of the row-major bits, in portable C, then counts each pair of
+ * columns in one of two loops, chosen by the processor at the call:
  * AVX-512 VPOPCNTDQ over 4-row tiles where it is present (x86-64 with glibc
  * and GCC or Clang), else a scalar popcount loop.  Both give the same
  * integers.
+ *
+ * gram_product (see recovery._smooth_part) multiplies those counts by a
+ * float vector on the calling thread, summing each row in 8 lanes in a
+ * fixed order and adding the lanes in a fixed order, so it gives the same
+ * bits on every processor and at any thread count.
  */
 #include <math.h>
 #include <stdint.h>
@@ -91,60 +97,49 @@ static void transpose64(uint64_t a[64])
     }
 }
 
-/* 8 signs as one word, sign b in byte b */
-static uint64_t load8(const int8_t *p)
+/* The 64 bits t..t+63 of the row-major sign bits (np.unpackbits order:
+ * bit t is bit 7 - t % 8 of byte t / 8), bit t in the word's top bit.
+ * Bytes past the last, nbytes, read as 0. */
+static uint64_t run64(const uint8_t *bytes, int64_t nbytes, int64_t t)
 {
+    int64_t at = t >> 3;
+    int shift = (int)(t & 7);
+    uint8_t part[9] = {0};
+    const uint8_t *p = bytes + at;
+    if (nbytes - at < 9) {
+        memcpy(part, p, (size_t)(nbytes - at));
+        p = part;
+    }
     uint64_t x;
     memcpy(&x, p, 8);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
     x = __builtin_bswap64(x);
 #endif
-    return x;
+    return shift == 0 ? x : x << shift | p[8] >> (8 - shift);
 }
 
-/* Fills bits (see gram_counts) from the signs, 64 directions x 64 columns
- * at a time: each row's 64 signs become one word, 8 sign bits per
- * multiply, and the block is transposed into one word per column.  A byte
- * is +/-1 iff its low bit is 1 and bits 1-7 agree, which the same word
- * operations test.  Returns the number of entries other than +/-1. */
-static int64_t pack_signs(const int8_t *signs, int64_t m_phi, int64_t m_x, int64_t d,
-                          int64_t words, uint64_t *bits)
+/* Fills columns (see gram_counts) from the sign bits, 64 directions x 64
+ * columns at a time: each row's 64 bits are one run, and the block is
+ * transposed into one word per column.  Column c0 + c sits at bit 63 - c
+ * of a run, so after the transpose it is word 63 - c. */
+static void pack_columns(const uint8_t *bits, int64_t m_phi, int64_t m_x, int64_t d,
+                         int64_t words, uint64_t *columns)
 {
-    const uint64_t low = 0x0101010101010101u, high = 0x8080808080808080u,
-                   seven = 0x7F7F7F7F7F7F7F7Fu, upper = 0xFCFCFCFCFCFCFCFCu;
-    int64_t width = m_x * d, bad = 0;
+    int64_t width = m_x * d, nbytes = (m_phi * width + 7) / 8;
     uint64_t block[64];
     for (int64_t k = 0; k < words; k++) {
         int64_t rows = m_phi - 64 * k < 64 ? m_phi - 64 * k : 64;
         for (int64_t c0 = 0; c0 < width; c0 += 64) {
             int64_t cols = width - c0 < 64 ? width - c0 : 64;
-            for (int64_t i = 0; i < rows; i++) {
-                const int8_t *row = signs + (64 * k + i) * width + c0;
-                uint64_t word = 0;
-                for (int64_t g = 0; 8 * g < cols; g++) {
-                    uint64_t x;
-                    if (cols - 8 * g >= 8) {
-                        x = load8(row + 8 * g);
-                    } else {  /* a part group, padded with +1 */
-                        int8_t part[8] = {1, 1, 1, 1, 1, 1, 1, 1};
-                        memcpy(part, row + 8 * g, (size_t)(cols - 8 * g));
-                        x = load8(part);
-                    }
-                    word |= ((x & high) * 0x0002040810204081u) >> 56 << 8 * g;
-                    /* nonzero in exactly the bytes that are not +/-1 */
-                    uint64_t flags = ((x ^ x << 1) & upper) | (~x & low) << 2;
-                    if (flags != 0)
-                        bad += __builtin_popcountll((((flags & seven) + seven) | flags) & high);
-                }
-                block[i] = word;
-            }
+            for (int64_t i = 0; i < rows; i++)
+                block[i] = run64(bits, nbytes, (64 * k + i) * width + c0);
             for (int64_t i = rows; i < 64; i++)
                 block[i] = 0;
             transpose64(block);
             /* the signs' column j * d + e is G's column e * m_x + j */
             int64_t j = c0 / d, e = c0 % d;
             for (int64_t c = 0; c < cols; c++) {
-                bits[(e * m_x + j) * words + k] = block[c];
+                columns[(e * m_x + j) * words + k] = block[63 - c];
                 if (++e == d) {
                     e = 0;
                     j++;
@@ -152,7 +147,6 @@ static int64_t pack_signs(const int8_t *signs, int64_t m_phi, int64_t m_x, int64
             }
         }
     }
-    return bad;
 }
 
 /* The pair loops fill G's upper triangle, row by row, with the counts
@@ -164,7 +158,7 @@ static int64_t pack_signs(const int8_t *signs, int64_t m_phi, int64_t m_x, int64
 __attribute__((target_clones("popcnt", "default")))
 #endif
 void gram_pairs_scalar(const uint64_t *bits, int64_t width, int64_t words, int64_t m_phi,
-                       double *gram)
+                       int32_t *gram)
 {
     for (int64_t p = 0; p < width; p++) {
         const uint64_t *bp = bits + p * words;
@@ -173,7 +167,7 @@ void gram_pairs_scalar(const uint64_t *bits, int64_t width, int64_t words, int64
             int64_t h = 0;
             for (int64_t k = 0; k < words; k++)
                 h += __builtin_popcountll(bp[k] ^ bq[k]);
-            gram[p * width + q] = (double)(m_phi - 2 * h);
+            gram[p * width + q] = (int32_t)(m_phi - 2 * h);
         }
     }
 }
@@ -191,7 +185,7 @@ __m512i add_xor_counts(__m512i s, __m512i x, __m512i y)
  * missing rows repeat its first and are not stored. */
 __attribute__((target("avx512f,avx512vpopcntdq")))
 void gram_pairs_vpopcntdq(const uint64_t *bits, int64_t width, int64_t words, int64_t m_phi,
-                          double *gram)
+                          int32_t *gram)
 {
     int64_t full = words - words % 8;
     __mmask8 tail = (__mmask8)((1u << (words % 8)) - 1u);
@@ -220,14 +214,14 @@ void gram_pairs_vpopcntdq(const uint64_t *bits, int64_t width, int64_t words, in
             int64_t h[4] = {_mm512_reduce_add_epi64(s0), _mm512_reduce_add_epi64(s1),
                             _mm512_reduce_add_epi64(s2), _mm512_reduce_add_epi64(s3)};
             for (int64_t r = 0; r < rows && p + r <= q; r++)
-                gram[(p + r) * width + q] = (double)(m_phi - 2 * h[r]);
+                gram[(p + r) * width + q] = (int32_t)(m_phi - 2 * h[r]);
         }
     }
 }
 #endif
 
 /* G's lower triangle from its upper one, 32 x 32 entries at a time */
-static void mirror_upper(double *gram, int64_t width)
+static void mirror_upper(int32_t *gram, int64_t width)
 {
     for (int64_t i0 = 0; i0 < width; i0 += 32) {
         int64_t i1 = width - i0 < 32 ? width : i0 + 32;
@@ -238,26 +232,46 @@ static void mirror_upper(double *gram, int64_t width)
     }
 }
 
-/* signs: the (m_phi, m_x, d) int8 sketch, C order.  bits: (m_x * d, words)
- * with words = ceil(m_phi / 64), filled with each column's sign bits in
- * G's (d, m_x) order: direction 64 k + i sets bit i of word k when its sign
- * is negative, and padding bits stay 0.  gram: the (d * m_x)^2 counts.
- * Returns the number of entries other than +/-1, and fills gram only when
- * there are none; the pair loop is the AVX-512 one where the processor
- * has VPOPCNTDQ, else the scalar one. */
-int64_t gram_counts(const int8_t *signs, int64_t m_phi, int64_t m_x, int64_t d,
-                    uint64_t *bits, double *gram)
+/* bits: the (m_phi, m_x, d) sketch's signs, one bit each (1 for +1) in
+ * np.unpackbits order, rows not byte-aligned when m_x * d is not a multiple
+ * of 8.  columns: (m_x * d, words) with words = ceil(m_phi / 64), filled
+ * with each column's bits in G's (d, m_x) order: direction 64 k + i is bit
+ * i of word k, and padding bits are 0.  gram: the (d * m_x)^2 counts, exact
+ * in int32 for m_phi < 2^31.  The pair loop is the AVX-512 one where the
+ * processor has VPOPCNTDQ, else the scalar one. */
+void gram_counts(const uint8_t *bits, int64_t m_phi, int64_t m_x, int64_t d,
+                 uint64_t *columns, int32_t *gram)
 {
     int64_t width = m_x * d, words = (m_phi + 63) / 64;
-    int64_t bad = pack_signs(signs, m_phi, m_x, d, words, bits);
-    if (bad != 0)
-        return bad;
+    pack_columns(bits, m_phi, m_x, d, words, columns);
 #if X86_GLIBC
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq"))
-        gram_pairs_vpopcntdq(bits, width, words, m_phi, gram);
+        gram_pairs_vpopcntdq(columns, width, words, m_phi, gram);
     else
 #endif
-        gram_pairs_scalar(bits, width, words, m_phi, gram);
+        gram_pairs_scalar(columns, width, words, m_phi, gram);
     mirror_upper(gram, width);
-    return 0;
+}
+
+/* out = counts @ x for the (width, width) int32 counts: each row's terms
+ * (double)counts[p, q] * x[q] are summed in 8 lanes, lane q % 8 in
+ * ascending q, and the lanes added in one fixed tree.  Every clone the
+ * compiler makes of this loop rounds each sum alike, so it gives the same
+ * bits on every processor. */
+#if X86_GLIBC
+__attribute__((target_clones("avx2", "default")))
+#endif
+void gram_product(const int32_t *counts, const double *x, int64_t width, double *out)
+{
+    int64_t full = width - width % 8;
+    for (int64_t p = 0; p < width; p++) {
+        const int32_t *row = counts + p * width;
+        double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        for (int64_t q = 0; q < full; q += 8)
+            for (int l = 0; l < 8; l++)
+                s[l] += (double)row[q + l] * x[q + l];
+        for (int64_t q = full; q < width; q++)
+            s[q - full] += (double)row[q] * x[q];
+        out[p] = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+    }
 }

@@ -1,7 +1,8 @@
 """The package's compiled kernels: the C functions of _kernels.c, built with
 the system's C compiler at the first call that needs one (never at import)
-and cached beside the bytecode.  Phase 2's round loop (bandit.run_phase2)
-and the tall sketch's Gram counts (sampling.SamplingSets.gram) run there.
+and cached beside the bytecode.  Phase 2's round loop (bandit.run_phase2),
+the tall sketch's Gram counts (sampling.SamplingSets.gram) and their
+product with the solver's iterates (recovery._smooth_part) run there.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def load() -> ctypes.CDLL:
         library.phase2_rounds.argtypes = [i64, i64, ptr, i64, i64, i64, ctypes.c_double] + [ptr] * 7
         library.phase2_rounds.restype = None
         library.gram_counts.argtypes = [ptr, i64, i64, i64, ptr, ptr]
-        library.gram_counts.restype = i64
+        library.gram_counts.restype = None
+        library.gram_product.argtypes = [ptr, ptr, i64, ptr]
+        library.gram_product.restype = None
         _library = library
     return _library

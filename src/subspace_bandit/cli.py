@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -222,6 +223,14 @@ def _holds_numbers(obj, keys) -> bool:
     return isinstance(obj, dict) and all(type(obj.get(key)) in (int, float) for key in keys)
 
 
+def _is_finite(number) -> bool:
+    """Whether a JSON number is a finite float (an int too large for one is not)."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def _cmd_plot(args) -> int:
     with open(args.summary_path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -233,8 +242,19 @@ def _cmd_plot(args) -> int:
     for i, agg in enumerate(aggregates):
         if not _holds_numbers(agg, ("n", "mean_R", "se_R", "count")):
             raise ValueError(f"aggregates[{i}] must be an object with n, mean_R, se_R, count")
+        for key in ("n", "mean_R", "se_R"):
+            if not _is_finite(agg[key]):
+                raise ValueError(f"aggregates[{i}].{key} must be finite, got {agg[key]}")
         if agg["n"] <= 0:  # the chart's x axis is log10(n)
             raise ValueError(f"aggregates[{i}].n must be positive, got {agg['n']}")
+        # a point with mean_R > 0 is drawn from log10(mean_R / 2) at the
+        # lowest to log10(mean_R + se_R); the others are left out
+        if agg["se_R"] < 0:
+            raise ValueError(f"aggregates[{i}].se_R must be nonnegative, got {agg['se_R']}")
+        if not _is_finite(agg["mean_R"] + agg["se_R"]):
+            raise ValueError(f"aggregates[{i}].se_R must keep mean_R + se_R finite, got {agg['se_R']}")
+        if agg["mean_R"] > 0 and agg["mean_R"] / 2 == 0:
+            raise ValueError(f"aggregates[{i}].mean_R is too small to plot, got {agg['mean_R']}")
     if fit is not None and not _holds_numbers(fit, ("slope", "intercept", "r2")):
         raise ValueError("fit must be null or an object with slope, intercept, r2")
     summary = SweepSummary(

@@ -376,7 +376,7 @@ def emit_plot_data(summary: SweepSummary, out_dir: str) -> str:
     """
     aggs = [a for a in summary.aggregates if a["mean_R"] > 0]
     if not aggs:
-        raise ValueError("no data to plot")
+        raise ValueError("no data to plot: no aggregate has a positive mean_R")
     os.makedirs(out_dir, exist_ok=True)
 
     xs = [math.log10(a["n"]) for a in aggs]

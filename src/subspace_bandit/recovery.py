@@ -13,12 +13,14 @@ subspace estimate off the top left singular vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _kernels
 from .sampling import SamplingSets, apply_adjoint
 
 RANK_FLOOR = 1e-12
@@ -189,25 +191,46 @@ def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     return m_cur, iters, converged, lipschitz, backtracks
 
 
+class _GramResidual:
+    """The tall residual ``M -> F^T y - (C @ M) / m_Phi`` for the exact
+    integer counts ``C = S^T S = m_Phi F^T F`` of :meth:`SamplingSets.gram`.
+
+    ``C @ M`` is gram_product in _kernels.c, which sums in a fixed order, so
+    the residual's bits depend neither on the processor nor on the BLAS
+    thread count.  The product reads C and a copy of M and writes its
+    result by address, so this object owns all three buffers.
+    """
+
+    def __init__(self, sets: SamplingSets, adjoint_y: np.ndarray):
+        self.counts = sets.gram()
+        width = self.counts.shape[0]
+        self.x, self.out = np.empty(width), np.empty(width)
+        self.m_phi, self.adjoint_y = sets.m_Phi, adjoint_y
+        self.product = functools.partial(
+            _kernels.load().gram_product,
+            self.counts.ctypes.data, self.x.ctypes.data, width, self.out.ctypes.data,
+        )
+
+    def __call__(self, mat: np.ndarray) -> np.ndarray:
+        np.copyto(self.x, mat.reshape(self.x.shape))
+        self.product()
+        self.out /= self.m_phi
+        return self.adjoint_y - self.out.reshape(self.adjoint_y.shape)
+
+
 def _smooth_part(
     sets: SamplingSets, y: np.ndarray, adjoint_y: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The dual residual ``M -> Phi*(y - Phi(M))`` of ``0.5*||Phi(M) - y||^2``.
 
-    A tall sketch uses the normal equations: with the exact ``G = F^T F`` of
-    :meth:`SamplingSets.gram`, the residual is ``F^T y - G @ M``, so no
+    A tall sketch uses the normal equations (:class:`_GramResidual`), so no
     iteration touches an ``m_Phi``-long vector.  Otherwise it comes from
     products with F.
     """
-    shape = (sets.d, sets.m_X)
     if sets.tall:
-        gram = sets.gram()
+        return _GramResidual(sets, adjoint_y)
 
-        def residual(mat):
-            return adjoint_y - (gram @ mat.ravel()).reshape(shape)
-
-        return residual
-
+    shape = (sets.d, sets.m_X)
     flat_op = sets.flat_operator()
 
     def residual(mat):

@@ -21,16 +21,24 @@ PLAN_SLACK = 1e-12
 SKETCH_CHUNK = 256  # probe directions made float, queried and summed at once
 
 
-def _float_chunks(signs: np.ndarray):
+def _float_chunks(sets: "SamplingSets"):
     """(start, stop, float signs[start:stop]) over chunks of at most
-    SKETCH_CHUNK directions, each converted into one reused buffer, so a
-    chunk is valid only until the next one is drawn."""
-    m_phi = signs.shape[0]
-    buffer = np.empty((min(SKETCH_CHUNK, m_phi),) + signs.shape[1:])
+    SKETCH_CHUNK directions, each unpacked from the sign bits as exact
+    2b - 1 and converted into one reused (c, m_X, d) buffer, so a chunk is
+    valid only until the next one is drawn.  A chunk of SKETCH_CHUNK rows is
+    a whole number of bytes, so it starts on a byte; any other start is
+    unpacked from the byte that holds it."""
+    m_phi, row = sets.m_Phi, sets.m_X * sets.d
+    buffer = np.empty((min(SKETCH_CHUNK, m_phi), sets.m_X, sets.d))
     for a in range(0, m_phi, SKETCH_CHUNK):
         b = min(a + SKETCH_CHUNK, m_phi)
         chunk = buffer[: b - a]
-        np.copyto(chunk, signs[a:b], casting="unsafe")
+        skip = a * row % 8
+        bits = np.unpackbits(sets.bits[a * row // 8 : -(-b * row // 8)], count=skip + (b - a) * row)
+        signs = bits[skip:].view(np.int8)
+        signs *= 2
+        signs -= 1
+        np.copyto(chunk, signs.reshape(chunk.shape), casting="unsafe")
         yield a, b, chunk
 
 
@@ -68,19 +76,32 @@ class SamplingPlan:
         return self.epsilon * np.sqrt(d / self.m_Phi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingSets:
     """Realized base points and probe directions.
 
-    points: (m_X, d), unit rows.  signs: (m_Phi, m_X, d) int8 entries +/- 1;
-    the probe directions are signs / sqrt(m_Phi), one byte per entry instead
-    of eight.  Phase 1 works on the signs a chunk of SKETCH_CHUNK directions
-    at a time; the float directions as one array exist only when
-    ``directions`` or ``flat_operator`` (analysis, wide solves) asks for them.
+    points: (m_X, d), unit rows.  bits: the m_Phi * m_X * d signs of the
+    (m_Phi, m_X, d) sketch S, one bit each in ``np.unpackbits`` order
+    (sign 2b - 1), packed into uint8; the probe directions are
+    S / sqrt(m_Phi), one bit per entry instead of 64.  Phase 1 unpacks a
+    chunk of SKETCH_CHUNK directions at a time; the float directions as one
+    array exist only when ``directions`` or ``flat_operator`` (analysis,
+    wide solves) asks for them.  The fields are checked once and frozen,
+    since the compiled Gram counts read the bits by their length.
     """
 
     points: np.ndarray
-    signs: np.ndarray
+    bits: np.ndarray
+    m_Phi: int
+
+    def __post_init__(self):
+        if self.m_Phi < 1:
+            raise ValueError(f"m_Phi must be >= 1, got {self.m_Phi}")
+        size = -(-self.m_Phi * self.m_X * self.d // 8)
+        if self.bits.dtype != np.uint8 or self.bits.shape != (size,):
+            raise ValueError(
+                f"bits must be uint8 of shape {(size,)}, got {self.bits.dtype} {self.bits.shape}"
+            )
 
     @property
     def m_X(self) -> int:
@@ -89,10 +110,6 @@ class SamplingSets:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def m_Phi(self) -> int:
-        return self.signs.shape[0]
 
     @property
     def tall(self) -> bool:
@@ -104,46 +121,50 @@ class SamplingSets:
         """The magnitude 1/sqrt(m_Phi) of every direction entry."""
         return 1.0 / np.sqrt(self.m_Phi)
 
+    def _scaled(self, bits: np.ndarray) -> np.ndarray:
+        """Unpacked bits b as floats (2b - 1) / sqrt(m_Phi), exactly +/- scale."""
+        out = bits * (2.0 * self.scale)
+        out -= self.scale
+        return out
+
+    def _unpacked_bits(self) -> np.ndarray:
+        """(m_Phi, m_X, d) uint8 bits, built afresh."""
+        count = self.m_Phi * self.m_X * self.d
+        return np.unpackbits(self.bits, count=count).reshape(self.m_Phi, self.m_X, self.d)
+
     @property
     def directions(self) -> np.ndarray:
         """(m_Phi, m_X, d) float directions, built afresh and read-only."""
-        out = self.signs * self.scale
+        out = self._scaled(self._unpacked_bits())
         out.flags.writeable = False
         return out
 
     def flat_operator(self) -> np.ndarray:
         """The (m_Phi, d * m_X) matrix F with Phi(X) = F @ X.ravel()."""
-        flat_signs = self.signs.transpose(0, 2, 1).reshape(self.m_Phi, self.d * self.m_X)
-        return flat_signs * self.scale
+        bits = self._unpacked_bits().transpose(0, 2, 1).reshape(self.m_Phi, self.d * self.m_X)
+        return self._scaled(bits)
 
     def gram(self) -> np.ndarray:
-        """G = F^T F as the integer S^T S / m_Phi, correctly rounded.
+        """The exact integer Gram S^T S = m_Phi F^T F, as int32.
 
         gram_counts in _kernels.c (built at first use, see _kernels.load)
-        packs each column of S into sign bits, 64 directions per word, by
-        64 x 64 bit-block transposes, and counts entry (p, q) as
-        m_Phi - 2 popcount(b_p XOR b_q), an exact integer, so the one
-        rounding is the final division.  The pair loop uses AVX-512
+        gathers each column of S from the sign bits, 64 directions per word,
+        by 64 x 64 bit-block transposes, and counts entry (p, q) as
+        m_Phi - 2 popcount(b_p XOR b_q).  The pair loop uses AVX-512
         VPOPCNTDQ where the processor has it, else scalar popcounts; both
-        give the same integers.  The bits read only each sign, so int8
-        entries other than +/-1 raise ValueError with their count.
+        give the same integers.  Every count lies in [-m_Phi, m_Phi], so a
+        sketch of 2^31 or more directions is refused.
         """
-        if self.signs.dtype != np.int8 or self.signs.shape != (self.m_Phi, self.m_X, self.d):
-            raise ValueError(
-                f"signs must be int8 of shape {(self.m_Phi, self.m_X, self.d)}, "
-                f"got {self.signs.dtype} {self.signs.shape}"
-            )
-        signs = np.ascontiguousarray(self.signs)
+        if self.m_Phi >= 2**31:
+            raise ValueError(f"int32 counts need m_Phi < 2**31, got {self.m_Phi}")
+        bits = np.ascontiguousarray(self.bits)
         width = self.d * self.m_X
-        bits = np.empty((width, -(-self.m_Phi // 64)), dtype=np.uint64)
-        gram = np.empty((width, width))
-        bad = _kernels.load().gram_counts(
-            signs.ctypes.data, self.m_Phi, self.m_X, self.d, bits.ctypes.data, gram.ctypes.data
+        columns = np.empty((width, -(-self.m_Phi // 64)), dtype=np.uint64)
+        counts = np.empty((width, width), dtype=np.int32)
+        _kernels.load().gram_counts(
+            bits.ctypes.data, self.m_Phi, self.m_X, self.d, columns.ctypes.data, counts.ctypes.data
         )
-        if bad:
-            raise ValueError(f"signs must be +/-1; {bad} entries are not")
-        gram /= self.m_Phi
-        return gram
+        return counts
 
 
 def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
@@ -159,11 +180,8 @@ def draw_sampling_sets(plan: SamplingPlan, d: int, rng) -> SamplingSets:
         rng = np.random.default_rng(int(rng))
     points = uniform_sphere(rng, plan.m_X, d)
     count = plan.m_Phi * plan.m_X * d
-    packed = rng.integers(0, 256, -(-count // 8), dtype=np.uint8)
-    signs = np.unpackbits(packed, count=count).view(np.int8)
-    signs *= 2
-    signs -= 1
-    return SamplingSets(points=points, signs=signs.reshape(plan.m_Phi, plan.m_X, d))
+    bits = rng.integers(0, 256, -(-count // 8), dtype=np.uint8)
+    return SamplingSets(points=points, bits=bits, m_Phi=plan.m_Phi)
 
 
 def _adjoint_term(chunk: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -190,7 +208,7 @@ def apply_adjoint(sets: SamplingSets, v: np.ndarray) -> np.ndarray:
     if v.shape != (sets.m_Phi,):
         raise ValueError(f"v must have shape {(sets.m_Phi,)}, got {v.shape}")
     flat = np.zeros(sets.m_X * sets.d)
-    for a, b, chunk in _float_chunks(sets.signs):
+    for a, b, chunk in _float_chunks(sets):
         flat += _adjoint_term(chunk, v[a:b])
     return _adjoint_matrix(sets, flat)
 
@@ -257,7 +275,7 @@ def collect_measurements(env: Environment, sets: SamplingSets, plan: SamplingPla
     y = np.empty(plan.m_Phi)
     flat = np.zeros(sets.m_X * sets.d)
     step = plan.epsilon * sets.scale
-    for a, b, chunk in _float_chunks(sets.signs):
+    for a, b, chunk in _float_chunks(sets):
         shifted = base + step * _project(env, chunk.reshape(-1, sets.d)).reshape(b - a, plan.m_X, -1)
         means, averages = _query_projections(env, shifted.reshape(-1, base.shape[1]), plan.N)
         shifted_means[a:b] = means.reshape(b - a, plan.m_X)

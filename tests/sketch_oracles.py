@@ -1,8 +1,8 @@
 """Reference maps and oracles which only tests need: per-point mean
 rewards, batched reward queries, the reward gradient and Hessian, the
-environment descriptor, phase 1's forward sketch, the gradient matrix the
-measurements are linear in, the closed-form curvature term and isometry
-ratios."""
+environment descriptor, the sketch's signs as int8 and back to bits,
+phase 1's forward sketch, the gradient matrix the measurements are linear
+in, the closed-form curvature term and isometry ratios."""
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from subspace_bandit.envs import (
     mean_grad,
     mean_value,
 )
+from subspace_bandit.sampling import SamplingSets
 
 
 def mean_reward(env: Environment, x: np.ndarray) -> float:
@@ -81,6 +82,21 @@ def mean_hess(spec: MeanRewardSpec, u: np.ndarray) -> np.ndarray:
     return val * (np.outer(D, D) / s2**2 - np.eye(spec.k) / s2)
 
 
+def signs_of(sets) -> np.ndarray:
+    """The sets' (m_Phi, m_X, d) signs 2b - 1 as int8, unpacked by numpy."""
+    count = sets.m_Phi * sets.m_X * sets.d
+    signs = np.unpackbits(sets.bits, count=count).view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs.reshape(sets.m_Phi, sets.m_X, sets.d)
+
+
+def sets_with_signs(points, signs) -> SamplingSets:
+    """Sampling sets whose (m_Phi, m_X, d) +/-1 signs are packed into bits."""
+    bits = np.packbits(np.asarray(signs).ravel() > 0)
+    return SamplingSets(points=points, bits=bits, m_Phi=signs.shape[0])
+
+
 def apply_operator(sets, X):
     """Phi(X) = F @ X.ravel() for a (d, m_X) matrix X."""
     return sets.flat_operator() @ np.asarray(X, dtype=float).ravel()
@@ -89,7 +105,7 @@ def apply_operator(sets, X):
 def shifted_points(sets, epsilon):
     """All shifted query points, shape (m_Phi * m_X, d), grouped by direction
     index i (rows i * m_X + j hold x_j + epsilon * phi_{i,j})."""
-    return (sets.points + sets.signs * (epsilon * sets.scale)).reshape(-1, sets.d)
+    return (sets.points + signs_of(sets) * (epsilon * sets.scale)).reshape(-1, sets.d)
 
 
 def phase1_target(env, sets):

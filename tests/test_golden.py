@@ -5,11 +5,10 @@ outer continuation rounds, and ``subspace_err`` and total regret as
 ``float.hex()``, so any change to the numbers a seeded run produces shows
 here, not only a change beyond some tolerance.  Bit-exact pins hold for
 one numpy/BLAS build; they were recorded with numpy's bundled OpenBLAS.
-These five cells (d * m_X <= 300) give the same bits on one BLAS thread as
-on two, and all five are run again on one thread in a fresh process.  That
-is not true of every shape: on a 900-unknown tall sketch (the benchmark's
-``recover-tall``) OpenBLAS threads the Gram product ``G @ M`` and rounds it
-differently, so the solution's last bits follow the thread count.
+All six cells are run again in fresh processes on one BLAS thread and on
+two.  A tall sketch's Gram product is the compiled, fixed-order
+``gram_product``, so even the 900-unknown ``recover-tall`` cell gives the
+same bits at either thread count.
 """
 
 import json
@@ -54,15 +53,22 @@ CELLS = {
         dict(d=6, k=1, family="linear", sigma=0.0, nu=0.1, seed=3),
         dict(n=300_000, alpha=1.0, constants=dict(delta=0.4, rho=0.9, p=0.9)),
     ),
+    # the recover-tall benchmark cell at workload seed 1: 900 unknowns, the
+    # width where OpenBLAS would thread a float Gram product
+    "recover-tall": (
+        dict(d=30, k=2, family="centered-quadratic", sigma=0.0, nu=0.1, seed=1001),
+        dict(n=30 * (6000 + 1) + 5000, m_X=30, m_Phi=6000, epsilon=0.1, lambda_override=0.02),
+    ),
 }
 
 # name: (phase1_rounds, FISTA iterations, outer rounds, subspace_err, total regret)
 GOLDEN = {
     "quickstart-wide": (30300, 109, 3, "0x1.74c54bdfc0928p-2", "0x1.640a11522c8bap+15"),
-    "small-tall": (164, 69, 8, "0x1.01073aa638b6dp-11", "0x1.b5d3ca751ddb3p+10"),
+    "small-tall": (164, 69, 8, "0x1.01073aa63a260p-11", "0x1.b5d3ca751ddb0p+10"),
     "known-subspace": (0, None, None, "0x0.0p+0", "0x1.a110000000000p+8"),
-    "k3-round-robin": (2412, 82, 4, "0x1.a1b0a2206890bp-3", "0x1.0ef6740c19654p+12"),
-    "theory-tall": (160676, 23, 8, "0x1.799d6c43ee8ffp-18", "0x1.c0d79ff8c2a11p+17"),
+    "k3-round-robin": (2412, 82, 4, "0x1.a1b0a220688ebp-3", "0x1.0ef6740c19652p+12"),
+    "theory-tall": (160676, 23, 8, "0x1.799d6c43a7005p-18", "0x1.c0d79ff8c2a11p+17"),
+    "recover-tall": (180030, 30, 5, "0x1.612504cb5c3a8p-8", "0x1.8a1c18519f17cp+13"),
 }
 
 
@@ -115,7 +121,7 @@ def test_seeded_run_matches_golden(name):
     assert golden_row(name) == GOLDEN[name]
 
 
-ONE_THREAD_RUN = """
+FRESH_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import test_golden
@@ -123,13 +129,23 @@ print(json.dumps({name: test_golden.golden_row(name) for name in sorted(test_gol
 """
 
 
-def test_pins_hold_on_one_blas_thread():
-    """All five cells, run again in one fresh process on one BLAS thread."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _fresh_process_rows(threads):
+    """Every cell's golden row, from one fresh process on `threads` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = str(Path(subspace_bandit.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", ONE_THREAD_RUN, str(Path(__file__).resolve().parent)],
+        [sys.executable, "-c", FRESH_RUN, str(Path(__file__).resolve().parent)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()[-1]
-    got = {name: tuple(row) for name, row in json.loads(out).items()}
-    assert got == GOLDEN
+    return {name: tuple(row) for name, row in json.loads(out).items()}
+
+
+def test_pins_hold_on_one_blas_thread():
+    """All six cells, run again in one fresh process on one BLAS thread."""
+    assert _fresh_process_rows("1") == GOLDEN
+
+
+def test_pins_hold_on_two_blas_threads():
+    """All six cells, run again in one fresh process on two BLAS threads:
+    the results do not follow the thread count, at 900 unknowns neither."""
+    assert _fresh_process_rows("2") == GOLDEN

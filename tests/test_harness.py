@@ -387,13 +387,41 @@ class TestCli:
                 {"aggregates": [{"n": -900, "mean_R": 5.0, "se_R": 0.5, "count": 2}]},
                 "aggregates[0].n must be positive, got -900",
             ),
+            (
+                {"aggregates": [{"n": 900, "mean_R": 1.0, "se_R": -2.0, "count": 2}]},
+                "aggregates[0].se_R must be nonnegative, got -2.0",
+            ),
+            (
+                '{"aggregates": [{"n": 900, "mean_R": 1.0, "se_R": 1e309, "count": 2}]}',
+                "aggregates[0].se_R must be finite, got inf",
+            ),
+            (
+                '{"aggregates": [{"n": 900, "mean_R": 1.0, "se_R": 0.5, "count": 2},'
+                ' {"n": 9000, "mean_R": NaN, "se_R": 0.5, "count": 2}]}',
+                "aggregates[1].mean_R must be finite, got nan",
+            ),
+            (
+                {"aggregates": [{"n": 900, "mean_R": 1e308, "se_R": 1e308, "count": 2}]},
+                "aggregates[0].se_R must keep mean_R + se_R finite, got 1e+308",
+            ),
+            (
+                {"aggregates": [{"n": 900, "mean_R": 5e-324, "se_R": 1.0, "count": 2}]},
+                "aggregates[0].mean_R is too small to plot, got 5e-324",
+            ),
+            (
+                {"aggregates": [{"n": 900, "mean_R": 0.0, "se_R": 0.5, "count": 2}]},
+                "no data to plot: no aggregate has a positive mean_R",
+            ),
         ],
-        ids=["summary-list", "aggregate-int", "fit-list", "n-zero", "n-negative"],
+        ids=["summary-list", "aggregate-int", "fit-list", "n-zero", "n-negative",
+             "se_R-negative", "se_R-overflow", "mean_R-nan", "bar-overflow",
+             "mean_R-subnormal", "mean_R-zero"],
     )
     def test_plot_of_malformed_summary_is_config_error(self, tmp_path, capsys, summary, message):
-        """Each input once raised out of the CLI with a traceback."""
+        """Each input once raised out of the CLI with a traceback or a bare
+        math error; a string is the summary's JSON text as written."""
         path = tmp_path / "summary.json"
-        path.write_text(json.dumps(summary))
+        path.write_text(summary if isinstance(summary, str) else json.dumps(summary))
         assert main(["plot", str(path)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "plot.svg").exists()

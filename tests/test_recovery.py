@@ -1,11 +1,12 @@
 """Tests for the Dantzig selector solve and subspace extraction."""
 
+import ctypes
 import math
 
 import numpy as np
 import pytest
 
-from subspace_bandit import recovery
+from subspace_bandit import _kernels, recovery
 from subspace_bandit.envs import make_environment
 from subspace_bandit.recovery import (
     DantzigProblem,
@@ -347,6 +348,32 @@ class TestGramForm:
             else:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_product_sums_in_its_fixed_lane_order(self):
+        """gram_product gives the bits of its fixed order on every processor:
+        each row summed in 8 lanes, lane q % 8 in ascending q, the lanes
+        added as ((0+1)+(2+3))+((4+5)+(6+7)).  numpy's elementwise float64
+        steps round each one exactly so, at every width (multiples of 8 or
+        not); the product also agrees with numpy's matmul to 1e-14 relative."""
+        library = _kernels.load()
+        rng = np.random.default_rng(SEED + 40)
+        all_counts = rng.integers(-6000, 6001, (900, 900), dtype=np.int32)
+        all_x = rng.standard_normal(900)
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        for width in [*range(1, 70), *range(70, 900, 29), 899, 900]:
+            counts = np.ascontiguousarray(all_counts[:width, :width])
+            x = all_x[:width].copy()
+            out = np.full(width, np.nan)
+            library.gram_product(ptr(counts.ctypes.data), ptr(x.ctypes.data), i64(width), ptr(out.ctypes.data))
+            lanes = np.zeros((width, 8))
+            for q in range(0, width, 8):
+                part = counts[:, q : q + 8].astype(float) * x[q : q + 8]
+                lanes[:, : part.shape[1]] += part
+            s = lanes.T
+            ordered = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+            assert np.array_equal(out.view(np.int64), ordered.view(np.int64)), width
+            want = counts.astype(float) @ x
+            assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(want), width
+
     # lam_rel = 2 takes the zero-is-feasible exit, 1e-3 the full solve
     @pytest.mark.parametrize("lam_rel, iterates", [(1e-3, True), (2.0, False)])
     def test_tall_solve_never_builds_flat_operator(self, lam_rel, iterates, monkeypatch):
@@ -485,8 +512,9 @@ class TestStepRule:
         assert info.feasible and len(handed) == info.outer_rounds > 1
         assert handed[0] == 1.0
         assert handed == sorted(handed) and info.lipschitz >= handed[-1]
-        # 1 is the diagonal of G = F^T F for any +/-1/sqrt(m_Phi) sketch
-        assert np.array_equal(np.diag(sets.gram()), np.ones(sets.d * sets.m_X))
+        # 1 is the diagonal of G = F^T F for any +/-1/sqrt(m_Phi) sketch:
+        # the counts S^T S have m_Phi there
+        assert np.array_equal(np.diag(sets.gram()), np.full(sets.d * sets.m_X, sets.m_Phi))
         flat = sets.flat_operator()
         np.testing.assert_allclose(np.einsum("ij,ij->j", flat, flat), 1.0, rtol=1e-14)
 

@@ -31,7 +31,9 @@ from sketch_oracles import (
     rip_ratio_sample,
     second_order_bound,
     second_order_residual,
+    sets_with_signs,
     shifted_points,
+    signs_of,
 )
 
 SEED = 42
@@ -193,7 +195,7 @@ class TestCollection:
             env = self.make_env("norm-squared", sigma=0.1)
             points = drawn.points.copy()
             points[2] *= scale
-            sets = SamplingSets(points=points, signs=drawn.signs)
+            sets = SamplingSets(points=points, bits=drawn.bits, m_Phi=drawn.m_Phi)
             if refused:
                 state = env.rng.bit_generator.state
                 with pytest.raises(DomainError, match="shifted point outside the action ball"):
@@ -244,7 +246,7 @@ def _reference_collection(env, sets, plan):
     at once, queried in one call after the base points; returns y and the
     (m_Phi * m_X, k) shifted projections."""
     base = envs._project(env, sets.points)
-    steps = envs._project(env, sets.signs.astype(float).reshape(-1, env.d))
+    steps = envs._project(env, signs_of(sets).astype(float).reshape(-1, env.d))
     shifted = (base + plan.epsilon * sets.scale * steps.reshape(plan.m_Phi, plan.m_X, -1)).reshape(-1, env.k)
     averaged_base = envs._query_projections(env, base, plan.N)[1]
     flat = envs._query_projections(env, shifted, plan.N)[1].reshape(plan.m_Phi, plan.m_X)
@@ -253,12 +255,9 @@ def _reference_collection(env, sets, plan):
 
 
 def _integer_counts(sets):
-    flat_signs = sets.signs.transpose(0, 2, 1).reshape(sets.m_Phi, -1).astype(np.int64)
+    """S^T S in int64, with S's columns in G's (d, m_X) order."""
+    flat_signs = signs_of(sets).transpose(0, 2, 1).reshape(sets.m_Phi, -1).astype(np.int64)
     return flat_signs.T @ flat_signs
-
-
-def _integer_gram(sets):
-    return _integer_counts(sets) / sets.m_Phi
 
 
 # (m_X, d) of widths 1, 3, 4, 5, 8, 9, 63, 64, 65, 129 and 900
@@ -271,8 +270,8 @@ WIDTHS = [(1, 1), (1, 3), (2, 2), (5, 1), (2, 4), (3, 3), (7, 9), (8, 8), (5, 13
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("shape", [(7, 3, 5), (5 * 256 + 11, 4, 6)])
 def test_signs_are_one_packed_draw(shape, chunked, request):
-    """The signs equal 2 * bits - 1 for the bits of one uint8 draw, and the
-    generator is left where that draw leaves it."""
+    """The sets keep one uint8 draw as their bits, the signs are 2 * bits - 1,
+    and the generator is left where that draw leaves it."""
     if chunked:
         request.getfixturevalue("small_chunk")
     m_phi, m_x, d = shape
@@ -280,11 +279,49 @@ def test_signs_are_one_packed_draw(shape, chunked, request):
     rng = np.random.default_rng(SEED)
     sets = draw_sampling_sets(plan, d, rng)
     points, signs, ref_rng = _reference_draw(plan, d, SEED)
-    assert sets.signs.dtype == np.int8
+    assert sets.bits.dtype == np.uint8 and sets.bits.shape == ((m_phi * m_x * d + 7) // 8,)
     np.testing.assert_array_equal(sets.points, points)
-    np.testing.assert_array_equal(sets.signs, signs)
+    np.testing.assert_array_equal(signs_of(sets), signs)
     assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
     assert rng.random() == ref_rng.random()
+
+
+# (m_Phi, m_X, d): one part chunk, three chunks of the small one with
+# m_X * d = 15 (chunks start mid-byte) or of the library's with a
+# part-filled last one, and whole chunks only
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("shape", [(7, 3, 5), (2 * 256 + 11, 3, 5), (3 * 256, 2, 4)])
+def test_float_chunks_are_the_unpacked_signs(shape, chunked, request):
+    """Every chunk, the last part-filled one too, is 2b - 1 of numpy's
+    unpacked bits, as float64, over consecutive direction ranges."""
+    if chunked:
+        request.getfixturevalue("small_chunk")
+    m_phi, m_x, d = shape
+    plan = SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1)
+    sets = draw_sampling_sets(plan, d, rng=SEED)
+    _, signs, _ = _reference_draw(plan, d, SEED)
+    ranges = []
+    for a, b, chunk in sampling._float_chunks(sets):
+        assert chunk.dtype == np.float64 and chunk.shape == (b - a, m_x, d)
+        assert np.array_equal(chunk, signs[a:b])
+        ranges.append((a, b))
+    size = sampling.SKETCH_CHUNK
+    assert ranges == [(a, min(a + size, m_phi)) for a in range(0, m_phi, size)]
+
+
+# (m_Phi, m_X, d): rows mid-byte, one bit per row, and rows of 129 bits
+@pytest.mark.parametrize("m_phi, m_x, d", [(7, 3, 5), (64, 1, 1), (130, 3, 43)])
+def test_directions_and_flat_operator_are_the_scaled_bits(m_phi, m_x, d):
+    """directions (which the benchmark's tracer reads) and flat_operator()
+    (the wide solve's F) are (2b - 1) / sqrt(m_Phi) of numpy's unpacked
+    bits, in (m_Phi, m_X, d) and (m_Phi, d * m_X) order."""
+    sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng=SEED)
+    bits = np.unpackbits(sets.bits)[: m_phi * m_x * d].astype(np.int64).reshape(m_phi, m_x, d)
+    want = (2 * bits - 1) / np.sqrt(m_phi)
+    assert np.array_equal(sets.directions, want)
+    flat = sets.flat_operator()
+    assert flat.flags.c_contiguous
+    assert np.array_equal(flat, want.transpose(0, 2, 1).reshape(m_phi, d * m_x))
 
 
 @pytest.mark.usefixtures("small_chunk")
@@ -300,7 +337,7 @@ class TestChunkedPhaseOne:
         sets = draw_sampling_sets(plan, self.D, np.random.default_rng(SEED))
         points, signs, _ = _reference_draw(plan, self.D, SEED)
         directions = signs / np.sqrt(m_phi)
-        assert sets.signs.dtype == np.int8
+        assert sets.bits.dtype == np.uint8
         np.testing.assert_array_equal(sets.points, points)
         assert np.array_equal(sets.directions, directions)
         assert not sets.directions.flags.writeable
@@ -349,14 +386,14 @@ class TestChunkedPhaseOne:
         env = make_environment(d=self.D, k=2, family="norm-squared", sigma=0.2, nu=nu, seed=SEED)
         plan = SamplingPlan(m_X=self.M_X, m_Phi=m_phi, epsilon=eps)
         drawn = draw_sampling_sets(plan, self.D, rng=SEED)
-        points, signs = drawn.points.copy(), drawn.signs.copy()
+        points, signs = drawn.points.copy(), signs_of(drawn)
         # base point 0 sits at 1.35 e_1 inside the ball; stepping back along
         # e_1 keeps it inside, stepping forward (only the last direction) leaves
         points[0] = 0.0
         points[0, 0] = 1.35
         signs[:, 0, 0] = -1
         signs[-1, 0, 0] = 1
-        sets = SamplingSets(points=points, signs=signs)
+        sets = sets_with_signs(points, signs)
         norms = np.linalg.norm(shifted_points(sets, eps), axis=1)
         outside = np.flatnonzero(norms > 1.0 + nu)
         assert list(outside) == [(m_phi - 1) * self.M_X]
@@ -420,7 +457,7 @@ class TestNoiseStream:
 
 
 class TestGram:
-    """The tall solve's exact Gram matrix and phase 1's memory."""
+    """The tall solve's exact integer Gram counts and phase 1's memory."""
 
     # (m_Phi, m_X, d): one direction, word boundaries of the packed sign
     # bits, many words, and a single column; then widths m_X * d on both
@@ -433,8 +470,13 @@ class TestGram:
         + [(m, *shape) for shape in WIDTHS for m in (640, 1000)],
     )
     def test_gram_is_the_exact_integer_gram(self, m_phi, m_x, d):
+        """The int32 counts equal the int64 S^T S.  A width m_X * d that is
+        not a multiple of 8 starts rows mid-byte, and one that is not a
+        multiple of 64 ends a column block part-filled."""
         sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng=SEED)
-        assert np.array_equal(sets.gram(), _integer_gram(sets))
+        counts = sets.gram()
+        assert counts.dtype == np.int32 and counts.flags.c_contiguous
+        assert np.array_equal(counts, _integer_counts(sets))
 
     @pytest.mark.parametrize("m_x, d", WIDTHS[::2])
     def test_both_pair_loops_count_exactly(self, m_x, d):
@@ -452,66 +494,102 @@ class TestGram:
         m_phi = 700
         sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng=SEED)
         width, words = m_x * d, -(-m_phi // 64)
-        bits = np.empty((width, words), dtype=np.uint64)
-        counts = np.empty((width, width))
+        columns = np.empty((width, words), dtype=np.uint64)
+        counts = np.empty((width, width), dtype=np.int32)
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        assert library.gram_counts(
-            ptr(sets.signs.ctypes.data), i64(m_phi), i64(m_x), i64(d), ptr(bits.ctypes.data), ptr(counts.ctypes.data)
-        ) == 0
+        library.gram_counts(
+            ptr(sets.bits.ctypes.data), i64(m_phi), i64(m_x), i64(d), ptr(columns.ctypes.data), ptr(counts.ctypes.data)
+        )
         upper = np.triu_indices(width)
         expected = _integer_counts(sets)
+        unset = np.iinfo(np.int32).min
         for name in loops:
-            got = np.full((width, width), np.nan)
-            getattr(library, name)(ptr(bits.ctypes.data), i64(width), i64(words), i64(m_phi), ptr(got.ctypes.data))
+            got = np.full((width, width), unset, dtype=np.int32)
+            getattr(library, name)(ptr(columns.ctypes.data), i64(width), i64(words), i64(m_phi), ptr(got.ctypes.data))
             assert np.array_equal(got[upper], expected[upper]), name
-            assert np.isnan(got[np.tril_indices(width, -1)]).all(), name
+            assert (got[np.tril_indices(width, -1)] == unset).all(), name
 
     def test_exact_beyond_the_float32_limit(self):
-        """Counts past 2**24 (34 MB of signs), where float32 sums of the
-        +/-1 terms would round: two columns that differ in one sign have
-        inner product 2**24 + 1, odd and above float32's exact integers."""
+        """Counts past 2**24 (4 MB of bits), where float32 sums of the +/-1
+        terms would round: two columns that differ in one sign have inner
+        product 2**24 + 1, odd and above float32's exact integers."""
         m_phi = 2**24 + 3
-        sets = draw_sampling_sets(SamplingPlan(m_X=1, m_Phi=m_phi, epsilon=0.1), 2, rng=SEED)
-        sets.signs[:, 0, 1] = sets.signs[:, 0, 0]
-        sets.signs[m_phi // 2, 0, 1] *= -1
-        inner = np.float64(m_phi - 2) / m_phi
-        assert np.array_equal(sets.gram(), [[1.0, inner], [inner, 1.0]])
+        drawn = draw_sampling_sets(SamplingPlan(m_X=1, m_Phi=m_phi, epsilon=0.1), 2, rng=SEED)
+        signs = signs_of(drawn)
+        signs[:, 0, 1] = signs[:, 0, 0]
+        signs[m_phi // 2, 0, 1] *= -1
+        sets = sets_with_signs(drawn.points, signs)
+        del signs
+        inner = m_phi - 2
+        assert np.array_equal(sets.gram(), [[m_phi, inner], [inner, m_phi]])
 
-    # (direction, j, e) in a 130 x 15 sketch: the last column in the last
-    # part 64-row word, past the one whole 8-byte group; the first column;
-    # a column past that group in a whole word; the first column of the
-    # last word
-    @pytest.mark.parametrize("where", [(129, 2, 4), (0, 0, 0), (5, 1, 4), (128, 0, 0)])
-    @pytest.mark.parametrize("value", [0, 2, -2, 127, -128])
-    def test_signs_other_than_plus_or_minus_one_are_refused(self, value, where):
-        """The packed bits read only each sign, so any other entry would
-        give a wrong G without an error."""
-        sets = draw_sampling_sets(SamplingPlan(m_X=3, m_Phi=130, epsilon=0.1), 5, rng=SEED)
-        sets.signs[where] = value
-        with pytest.raises(ValueError, match="signs must be \\+/-1; 1 entries are not"):
+    def test_counts_beyond_int32_are_refused_before_any_work(self, monkeypatch):
+        """2**31 directions could count past int32; the refusal comes before
+        the kernels load or the bits are read."""
+
+        def forbidden():
+            raise AssertionError("kernels loaded")
+
+        monkeypatch.setattr(_kernels, "load", forbidden)
+        bits = np.broadcast_to(np.uint8(0), (2**28,))  # 2**31 bits, no memory
+        sets = SamplingSets(points=np.ones((1, 1)), bits=bits, m_Phi=2**31)
+        with pytest.raises(ValueError, match=r"int32 counts need m_Phi < 2\*\*31, got 2147483648"):
             sets.gram()
 
-    def test_every_bad_sign_is_counted(self):
-        """Two bad entries in one 8-byte group and one in the last column of
-        the second 64-column block, in the last part word."""
-        sets = draw_sampling_sets(SamplingPlan(m_X=5, m_Phi=130, epsilon=0.1), 13, rng=SEED)
-        sets.signs[0, 0, 0] = 0
-        sets.signs[0, 0, 1] = 3
-        sets.signs[129, 4, 12] = -3
-        with pytest.raises(ValueError, match="signs must be \\+/-1; 3 entries are not"):
-            sets.gram()
-
-    def test_signs_the_kernel_cannot_read_are_refused(self):
-        """Wider integers, or signs whose shape disagrees with the points,
-        never reach the compiled counts."""
+    # each takes the 130 x 3 x 5 sketch (1950 bits in 244 bytes) and
+    # returns (points, bits, m_Phi) that disagree in one way
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda s: (s.points, s.bits.astype(np.int64), 130),
+            lambda s: (s.points, s.bits[:-1], 130),
+            lambda s: (s.points, s.bits.reshape(4, 61), 130),
+            lambda s: (s.points[:, :4], s.bits, 130),
+            lambda s: (s.points, s.bits, 131),
+        ],
+        ids=["int64", "a-byte-short", "two-dimensional", "narrower-points", "more-directions"],
+    )
+    def test_bits_that_do_not_fit_the_shape_are_refused(self, spoil):
+        """Bits of another type, or a length other than ceil(m_Phi * m_X *
+        d / 8) bytes, never reach the compiled counts."""
         sets = draw_sampling_sets(SamplingPlan(m_X=3, m_Phi=130, epsilon=0.1), 5, rng=SEED)
-        for points, signs in [
-            (sets.points, sets.signs.astype(np.int64)),
-            (sets.points[:, :4], sets.signs),
-            (sets.points, sets.signs[:, :, :4]),
-        ]:
-            with pytest.raises(ValueError, match="signs must be int8 of shape"):
-                SamplingSets(points=points, signs=signs).gram()
+        assert sets.bits.shape == (244,)
+        points, bits, m_phi = spoil(sets)
+        with pytest.raises(ValueError, match="bits must be uint8 of shape"):
+            SamplingSets(points=points, bits=bits, m_Phi=m_phi)
+
+    def test_a_sketch_without_directions_is_refused(self):
+        points = uniform_sphere(np.random.default_rng(SEED), 3, 5)
+        with pytest.raises(ValueError, match="m_Phi must be >= 1, got 0"):
+            SamplingSets(points=points, bits=np.empty(0, dtype=np.uint8), m_Phi=0)
+
+    # (m_Phi, m_X, d) whose m_Phi * m_X * d signs leave 7, 2, 7 and 7 pad
+    # bits in the last byte: a mid-byte last row, a last part 64-row word
+    # past a 64-column block, and one column of 65 directions
+    @pytest.mark.parametrize("m_phi, m_x, d", [(7, 3, 5), (130, 3, 5), (129, 5, 13), (65, 1, 1)])
+    def test_pad_bits_past_the_last_sign_are_ignored(self, m_phi, m_x, d):
+        """The bytes hold ceil(m_Phi * m_X * d / 8) * 8 bits, and the ones
+        past the last sign are no sign: all clear or all set, they change
+        neither the counts, the float directions, the float chunks nor the
+        adjoint."""
+        plan = SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1)
+        drawn = draw_sampling_sets(plan, d, rng=SEED)
+        pad = 8 * drawn.bits.size - m_phi * m_x * d
+        assert pad > 0
+        mask = np.uint8((1 << pad) - 1)
+        clear, full = drawn.bits.copy(), drawn.bits.copy()
+        clear[-1] &= ~mask
+        full[-1] |= mask
+        clean = SamplingSets(points=drawn.points, bits=clear, m_Phi=m_phi)
+        padded = SamplingSets(points=drawn.points, bits=full, m_Phi=m_phi)
+        assert np.array_equal(padded.gram(), clean.gram())
+        assert np.array_equal(padded.gram(), _integer_counts(drawn))
+        assert np.array_equal(padded.directions, clean.directions)
+        chunks = [(a, b, c.copy()) for a, b, c in sampling._float_chunks(padded)]
+        want = [(a, b, c.copy()) for a, b, c in sampling._float_chunks(clean)]
+        assert all(g[:2] == w[:2] and np.array_equal(g[2], w[2]) for g, w in zip(chunks, want, strict=True))
+        v = np.random.default_rng(SEED + 1).standard_normal(m_phi)
+        assert np.array_equal(apply_adjoint(padded, v), apply_adjoint(clean, v))
 
     def test_tall_run_never_builds_float_directions(self, monkeypatch):
         def forbidden(self):
