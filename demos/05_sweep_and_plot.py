@@ -7,7 +7,7 @@ A seeded sweep over horizons, aggregated and plotted
 import os
 import tempfile
 
-from subspace_bandit import ExperimentConfig, emit_plot_data, run_experiment
+from subspace_bandit import ExperimentConfig, run_experiment
 
 out_dir = os.path.join(tempfile.mkdtemp(prefix="sweep-demo-"), "out")
 
@@ -34,7 +34,9 @@ config = ExperimentConfig(
 
 # run_experiment executes every (horizon, seed) cell, writes one JSON
 # record per cell plus sweep.csv and summary.json, and fits the regret
-# growth exponent once at least three horizons aggregated cleanly.
+# growth exponent once at least three horizons aggregated cleanly.  It
+# also draws the chart: plot.svg, a self-contained log-log SVG, next to
+# plot_data.csv, the exact numbers it plots.
 summary = run_experiment(config)
 for agg in summary.aggregates:
     print(
@@ -49,8 +51,6 @@ for agg in summary.aggregates:
 # to them unchanged.
 print(f"fitted exponent {summary.fit['slope']:.3f}  (r^2 = {summary.fit['r2']:.4f})")
 
-# The plot is a self-contained SVG next to a CSV of the plotted numbers.
-emit_plot_data(summary, out_dir)
 print()
 print("files written to", out_dir)
 for name in sorted(os.listdir(out_dir)):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: run (one cell), sweep (full grid), recover (phase 1 only),
-conditioning (gradient-moment spectrum), plan (echo a theory-mode plan),
-fit (exponent fit from a sweep CSV), plot (SVG chart from summary JSON).
+Subcommands: run (one cell), sweep (full grid, exponent fit and chart),
+recover (phase 1 only), conditioning (gradient-moment spectrum), plan (echo
+a theory-mode plan).
 
 Exit codes: 0 success, 1 config or input error, 2 when any cell failed.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -19,13 +18,10 @@ from typing import Optional
 from .harness import (
     ExperimentConfig,
     conditioning_report,
-    emit_plot_data,
-    fit_regret_exponent,
     load_config,
     plan_report,
     recovery_report,
     run_experiment,
-    SweepSummary,
 )
 from .util import dump_json
 
@@ -70,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one (horizon, seed) cell and print its regret split")
     _add_common(p)
 
-    p = sub.add_parser("sweep", help="run the full horizon x seed grid")
+    p = sub.add_parser("sweep", help="run the full horizon x seed grid, fit its exponent and chart it")
     _add_common(p)
 
     p = sub.add_parser("recover", help="run phase 1 only and report the recovered subspace")
@@ -83,12 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="echo the theory-mode parameter plan as JSON")
     _add_common(p)
 
-    p = sub.add_parser("fit", help="fit the regret exponent from a sweep CSV")
-    p.add_argument("csv_path", metavar="SWEEP_CSV", help="sweep.csv produced by the sweep command")
-
-    p = sub.add_parser("plot", help="render summary.json into a log-log SVG chart")
-    p.add_argument("summary_path", metavar="SUMMARY_JSON", help="summary.json from a sweep")
-    p.add_argument("--out", metavar="DIR", help="output directory (default: alongside the summary)")
     return parser
 
 
@@ -185,96 +175,12 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _read_sweep_points(path: str) -> list:
-    """Aggregate (n, mean R_total) pairs from a sweep CSV, ok rows only."""
-    from .harness import SWEEP_CSV_HEADER
-
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(number, ln.strip()) for number, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines or lines[0][1] != SWEEP_CSV_HEADER:
-        raise ValueError(f"{path} does not look like a sweep CSV (bad header)")
-    columns = SWEEP_CSV_HEADER.count(",") + 1
-    sums: dict = {}
-    for number, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != columns:
-            raise ValueError(f"{path} line {number}: {len(parts)} columns, expected {columns}")
-        if parts[-1] != "ok":
-            continue
-        try:
-            n, total = int(parts[0]), float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"{path} line {number}: {exc}") from None
-        acc = sums.setdefault(n, [0.0, 0])
-        acc[0] += total
-        acc[1] += 1
-    return [(n, s / c) for n, (s, c) in sorted(sums.items())]
-
-
-def _cmd_fit(args) -> int:
-    points = _read_sweep_points(args.csv_path)
-    slope, intercept, r2 = fit_regret_exponent(points)
-    print(f"slope={slope:.6f} intercept={intercept:.6f} r2={r2:.6f}")
-    return 0
-
-
-def _holds_numbers(obj, keys) -> bool:
-    """Whether obj is a JSON object with a number (not a bool) at each key."""
-    return isinstance(obj, dict) and all(type(obj.get(key)) in (int, float) for key in keys)
-
-
-def _is_finite(number) -> bool:
-    """Whether a JSON number is a finite float (an int too large for one is not)."""
-    try:
-        return math.isfinite(number)
-    except OverflowError:
-        return False
-
-
-def _cmd_plot(args) -> int:
-    with open(args.summary_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("summary must be an object")
-    aggregates, fit = data.get("aggregates", []), data.get("fit")
-    if not isinstance(aggregates, list):
-        raise ValueError("aggregates must be a list")
-    for i, agg in enumerate(aggregates):
-        if not _holds_numbers(agg, ("n", "mean_R", "se_R", "count")):
-            raise ValueError(f"aggregates[{i}] must be an object with n, mean_R, se_R, count")
-        for key in ("n", "mean_R", "se_R"):
-            if not _is_finite(agg[key]):
-                raise ValueError(f"aggregates[{i}].{key} must be finite, got {agg[key]}")
-        if agg["n"] <= 0:  # the chart's x axis is log10(n)
-            raise ValueError(f"aggregates[{i}].n must be positive, got {agg['n']}")
-        # a point with mean_R > 0 is drawn from log10(mean_R / 2) at the
-        # lowest to log10(mean_R + se_R); the others are left out
-        if agg["se_R"] < 0:
-            raise ValueError(f"aggregates[{i}].se_R must be nonnegative, got {agg['se_R']}")
-        if not _is_finite(agg["mean_R"] + agg["se_R"]):
-            raise ValueError(f"aggregates[{i}].se_R must keep mean_R + se_R finite, got {agg['se_R']}")
-        if agg["mean_R"] > 0 and agg["mean_R"] / 2 == 0:
-            raise ValueError(f"aggregates[{i}].mean_R is too small to plot, got {agg['mean_R']}")
-    if fit is not None and not _holds_numbers(fit, ("slope", "intercept", "r2")):
-        raise ValueError("fit must be null or an object with slope, intercept, r2")
-    summary = SweepSummary(
-        config=None,  # type: ignore[arg-type]  # only aggregates and fit are read
-        cells=[], aggregates=aggregates, failed_count=0, fit=fit,
-    )
-    out_dir = args.out or (os.path.dirname(os.path.abspath(args.summary_path)))
-    path = emit_plot_data(summary, out_dir)
-    print(f"wrote {path}")
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
     "recover": _cmd_recover,
     "conditioning": _cmd_conditioning,
     "plan": _cmd_plan,
-    "fit": _cmd_fit,
-    "plot": _cmd_plot,
 }
 
 

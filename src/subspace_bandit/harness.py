@@ -1,5 +1,5 @@
 """Experiment sweeps: config handling, seed splitting, CSV/JSON emission,
-regret-exponent fitting, and self-contained SVG plot output.
+regret-exponent fitting, and the sweep's self-contained SVG chart.
 
 A sweep runs the two-phase pipeline over a grid of horizons and seeds.
 Every cell gets a fresh environment whose stream seed is derived from the
@@ -295,7 +295,9 @@ def run_experiment(config: ExperimentConfig) -> SweepSummary:
     """Execute the sweep, write artifacts when out_dir is set, return the summary.
 
     Files under out_dir: run-n{n}-seed{seed}.json per successful or aborted
-    cell, sweep.csv with one row per cell, and summary.json.
+    cell, sweep.csv with one row per cell, summary.json, and, when some
+    horizon aggregated with a positive mean regret, the chart plot.svg and
+    its numbers plot_data.csv.
     """
     out_dir = config.out_dir
     if out_dir:
@@ -311,9 +313,9 @@ def run_experiment(config: ExperimentConfig) -> SweepSummary:
     aggregates = _aggregate(cells, config.horizons)
     failed = sum(1 for c in cells if c.status != "ok")
     fit = None
-    points = [(a["n"], a["mean_R"]) for a in aggregates if a["mean_R"] > 0]
-    if len(points) >= 3:
-        slope, intercept, r2 = fit_regret_exponent(points)
+    positive = [a for a in aggregates if a["mean_R"] > 0]
+    if len(positive) >= 3:
+        slope, intercept, r2 = fit_regret_exponent([(a["n"], a["mean_R"]) for a in positive])
         fit = {"slope": slope, "intercept": intercept, "r2": r2}
     summary = SweepSummary(
         config=config, cells=cells, aggregates=aggregates, failed_count=failed, fit=fit
@@ -322,6 +324,8 @@ def run_experiment(config: ExperimentConfig) -> SweepSummary:
         with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
             write_sweep_csv(cells, fh)
         dump_json(summary.to_dict(), os.path.join(out_dir, "summary.json"))
+        if positive:
+            _write_plot(positive, fit, out_dir)
     return summary
 
 
@@ -350,7 +354,7 @@ def fit_regret_exponent(points) -> tuple:
     return float(slope), float(intercept), float(r2)
 
 
-# ---------- plot emission ----------
+# ---------- the sweep's chart ----------
 
 
 def _log_ticks(lo: float, hi: float) -> list:
@@ -367,18 +371,14 @@ def _fmt_pow10(v: float) -> str:
     return f"{10.0**v:.3g}"
 
 
-def emit_plot_data(summary: SweepSummary, out_dir: str) -> str:
+def _write_plot(aggs: list, fit: Optional[dict], out_dir: str) -> None:
     """Write a log-log regret chart as plot.svg plus its numbers as plot_data.csv.
 
-    Returns the SVG path.  The chart needs no external tooling: markers,
+    aggs is a nonempty list of aggregates, each with mean_R > 0, and fit the
+    sweep's rate fit or None.  The chart needs no external tooling: markers,
     error bars, the fitted rate line, and decade ticks are emitted as raw
     SVG elements with a 10% margin around the data in log space.
     """
-    aggs = [a for a in summary.aggregates if a["mean_R"] > 0]
-    if not aggs:
-        raise ValueError("no data to plot: no aggregate has a positive mean_R")
-    os.makedirs(out_dir, exist_ok=True)
-
     xs = [math.log10(a["n"]) for a in aggs]
     lows, highs = [], []
     for a in aggs:
@@ -426,9 +426,9 @@ def emit_plot_data(summary: SweepSummary, out_dir: str) -> str:
         f'transform="rotate(-90 18 {(mt + height - mb) / 2:.2f})">mean total regret</text>'
     )
 
-    if summary.fit is not None:
+    if fit is not None:
         ln10 = math.log(10.0)
-        slope, intercept = summary.fit["slope"], summary.fit["intercept"]
+        slope, intercept = fit["slope"], fit["intercept"]
 
         def fit_y(xlog: float) -> float:
             return slope * xlog + intercept / ln10
@@ -440,7 +440,7 @@ def emit_plot_data(summary: SweepSummary, out_dir: str) -> str:
         )
         parts.append(
             f'<text x="{width - mr - 6:.2f}" y="{mt + 16:.2f}" text-anchor="end" fill="#c33">'
-            f'fitted slope {slope:.3f}, r^2 {summary.fit["r2"]:.4f}</text>'
+            f'fitted slope {slope:.3f}, r^2 {fit["r2"]:.4f}</text>'
         )
 
     line_pts = " ".join(f"{px(x):.2f},{py(math.log10(a['mean_R'])):.2f}" for x, a in zip(xs, aggs))
@@ -456,15 +456,12 @@ def emit_plot_data(summary: SweepSummary, out_dir: str) -> str:
         parts.append(f'<circle cx="{cx:.2f}" cy="{py(math.log10(a["mean_R"])):.2f}" r="4" fill="#2266aa"/>')
     parts.append("</svg>")
 
-    svg_path = os.path.join(out_dir, "plot.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "plot.svg"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-    csv_path = os.path.join(out_dir, "plot_data.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "plot_data.csv"), "w", encoding="utf-8") as fh:
         fh.write(PLOT_CSV_HEADER + "\n")
         for a in aggs:
             fh.write(f"{a['n']},{a['mean_R']!r},{a['se_R']!r},{a['count']}\n")
-    return svg_path
 
 
 # ---------- one-off helpers used by the CLI ----------

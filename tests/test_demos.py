@@ -9,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# lines a demo's stdout must hold, so a demo that stops doing its job fails
+MUST_PRINT = {"05_sweep_and_plot.py": {"plot.svg", "plot_data.csv"}}
 
 
 def test_demos_found():
@@ -24,3 +26,5 @@ def test_demo_exits_0(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    printed = {line.strip() for line in done.stdout.splitlines()}
+    assert MUST_PRINT.get(demo.name, set()) <= printed, done.stdout

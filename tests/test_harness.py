@@ -1,9 +1,8 @@
-"""Tests for experiment sweeps, exponent fitting, plotting, and the CLI."""
+"""Tests for experiment sweeps, exponent fitting, the sweep's chart, and the CLI."""
 
 import json
 import math
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +13,7 @@ from subspace_bandit.util import derive_seed, dump_json
 from subspace_bandit.harness import (
     ExperimentConfig,
     SWEEP_CSV_HEADER,
-    SweepSummary,
     config_from_dict,
-    emit_plot_data,
     fit_regret_exponent,
     load_config,
     run_experiment,
@@ -157,7 +154,7 @@ class TestSweep:
         config_b = small_config(horizons=[900, 1300, 1900], out_dir=str(tmp_path / "b"))
         run_experiment(config_a)
         run_experiment(config_b)
-        for name in ("sweep.csv", "summary.json", "run-n900-seed1.json"):
+        for name in ("sweep.csv", "summary.json", "run-n900-seed1.json", "plot.svg", "plot_data.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_extending_horizons_keeps_existing_cells(self):
@@ -179,6 +176,58 @@ class TestSweep:
         assert len(rows) == 5
         assert rows[1].endswith(",infeasible")
         assert "nan" in rows[1]
+
+    def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        summary = run_experiment(small_config(horizons=[900], seeds=[1]))
+        assert summary.aggregates and summary.aggregates[0]["mean_R"] > 0
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "horizons", [[900], [900, 1300], [900, 1300, 1900]], ids=["one", "two", "three"]
+    )
+    def test_chart_draws_the_fit_only_from_three_horizons(self, tmp_path, horizons):
+        out = tmp_path / "out"
+        summary = run_experiment(small_config(horizons=horizons, out_dir=str(out)))
+        text = (out / "plot.svg").read_text()
+        assert text.count("<circle") == len(horizons)
+        assert (summary.fit is not None) == (len(horizons) >= 3)
+        if summary.fit is None:
+            assert "fitted slope" not in text
+        else:
+            assert f"fitted slope {summary.fit['slope']:.3f}, r^2 {summary.fit['r2']:.4f}" in text
+
+    @pytest.mark.parametrize("mean_R", [0.0, -3.5], ids=["zero", "negative"])
+    def test_chart_and_fit_leave_out_nonpositive_aggregates(self, tmp_path, monkeypatch, mean_R):
+        """summary.json keeps every aggregate; the log-log fit and chart
+        cannot place a nonpositive mean regret, so they skip it."""
+        aggregate = harness._aggregate
+
+        def first_nonpositive(cells, horizons):
+            aggs = aggregate(cells, horizons)
+            aggs[0] = dict(aggs[0], mean_R=mean_R)
+            return aggs
+
+        monkeypatch.setattr(harness, "_aggregate", first_nonpositive)
+        out = tmp_path / "out"
+        summary = run_experiment(small_config(out_dir=str(out)))
+        assert summary.fit is None
+        saved = json.loads((out / "summary.json").read_text())["aggregates"]
+        assert [a["n"] for a in saved] == [900, 1300, 1900] and saved[0]["mean_R"] == mean_R
+        rows = (out / "plot_data.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["n", "1300", "1900"]
+        assert (out / "plot.svg").read_text().count("<circle") == 2
+
+    def test_no_positive_aggregate_writes_no_chart(self, tmp_path, monkeypatch):
+        aggregate = harness._aggregate
+        monkeypatch.setattr(
+            harness, "_aggregate",
+            lambda cells, horizons: [dict(a, mean_R=0.0) for a in aggregate(cells, horizons)],
+        )
+        out = tmp_path / "out"
+        summary = run_experiment(small_config(horizons=[900], seeds=[1], out_dir=str(out)))
+        assert summary.fit is None and summary.failed_count == 0
+        assert sorted(os.listdir(out)) == ["run-n900-seed1.json", "summary.json", "sweep.csv"]
 
     def test_environment_without_nu_takes_the_library_default(self):
         environment = {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "seed": 3}
@@ -248,11 +297,11 @@ class TestFit:
             fit_regret_exponent([(10, 1.0), (100, 2.0)])
 
 
-# ---------- plot emission ----------
+# ---------- the sweep's chart ----------
 
 
-def fake_summary(n_points=3):
-    aggregates = [
+def fake_aggregates(n_points=3):
+    return [
         {
             "n": 10 ** (3 + i),
             "count": 5,
@@ -265,19 +314,30 @@ def fake_summary(n_points=3):
         }
         for i in range(n_points)
     ]
-    fit = {"slope": 0.7, "intercept": math.log(40.0), "r2": 0.999}
-    return SweepSummary(config=None, cells=[], aggregates=aggregates, failed_count=0, fit=fit)
+
+
+FAKE_FIT = {"slope": 0.7, "intercept": math.log(40.0), "r2": 0.999}
+
+# (n, mean_R, se_R, count) rows a sweep can hand the chart: one horizon or
+# several, with or without a rate fit, no error bars or a bar reaching past
+# zero, flat or falling regret, and totals near either end of the float range
+CHART_CASES = {
+    "one-horizon": [(900, 25.0, 0.0, 1)],
+    "two-horizons": [(900, 25.0, 1.5, 2), (1300, 31.0, 2.0, 2)],
+    "rate-fit": [(1000, 500.0, 20.0, 4), (4000, 1300.0, 45.0, 4), (16000, 3500.0, 90.0, 4)],
+    "no-error-bars": [(1000, 500.0, 0.0, 1), (4000, 1300.0, 0.0, 1), (16000, 3500.0, 0.0, 1)],
+    "bar-past-zero": [(900, 4.0, 6.0, 3), (1300, 9.0, 1.0, 3), (1900, 12.0, 2.0, 3)],
+    "flat-regret": [(900, 50.0, 0.0, 1), (1300, 50.0, 0.0, 1), (1900, 50.0, 0.0, 1)],
+    "falling-regret": [(900, 80.0, 5.0, 2), (1300, 60.0, 4.0, 2), (1900, 45.0, 3.0, 2)],
+    "huge-totals": [(1000, 1e300, 1e299, 2), (10000, 5e300, 2e299, 2), (100000, 2e301, 1e300, 2)],
+    "tiny-totals": [(1000, 1e-300, 1e-301, 2), (10000, 5e-300, 2e-301, 2), (100000, 2e-299, 1e-300, 2)],
+}
 
 
 class TestPlot:
-    def test_empty_summary_errors(self, tmp_path):
-        empty = SweepSummary(config=None, cells=[], aggregates=[], failed_count=0, fit=None)
-        with pytest.raises(ValueError, match="no data"):
-            emit_plot_data(empty, str(tmp_path))
-
     def test_chart_has_markers_and_fit_annotation(self, tmp_path):
-        path = emit_plot_data(fake_summary(), str(tmp_path))
-        text = Path(path).read_text()
+        harness._write_plot(fake_aggregates(), FAKE_FIT, str(tmp_path))
+        text = (tmp_path / "plot.svg").read_text()
         assert text.startswith("<svg")
         assert text.count("<circle") == 3
         assert "fitted slope 0.700" in text
@@ -286,14 +346,41 @@ class TestPlot:
     def test_markers_stay_inside_margins(self, tmp_path):
         import re
 
-        path = emit_plot_data(fake_summary(), str(tmp_path))
-        text = Path(path).read_text()
+        harness._write_plot(fake_aggregates(), FAKE_FIT, str(tmp_path))
+        text = (tmp_path / "plot.svg").read_text()
         cx = [float(v) for v in re.findall(r'<circle cx="([0-9.]+)"', text)]
         cy = [float(v) for v in re.findall(r'cy="([0-9.]+)"', text)]
         assert all(70.0 <= v <= 640.0 - 30.0 for v in cx)
         assert all(40.0 <= v <= 440.0 - 60.0 for v in cy)
         # 10% margin keeps data strictly off the frame
         assert min(cx) > 70.0 and max(cx) < 610.0
+
+    @pytest.mark.parametrize("rows", list(CHART_CASES.values()), ids=list(CHART_CASES))
+    def test_chart_of_sweep_aggregates_stays_in_frame(self, tmp_path, rows):
+        import re
+
+        aggs = [{"n": n, "mean_R": mean, "se_R": se, "count": count} for n, mean, se, count in rows]
+        fit = None
+        if len(aggs) >= 3:
+            slope, intercept, r2 = fit_regret_exponent([(a["n"], a["mean_R"]) for a in aggs])
+            fit = {"slope": slope, "intercept": intercept, "r2": r2}
+        harness._write_plot(aggs, fit, str(tmp_path))
+        text = (tmp_path / "plot.svg").read_text()
+        assert "nan" not in text and "inf" not in text
+        number = r"(-?[0-9.]+)"
+        circles = re.findall(rf'<circle cx="{number}" cy="{number}"', text)
+        assert len(circles) == len(aggs)
+        bars = re.findall(
+            rf'<line x1="{number}" y1="{number}" x2="{number}" y2="{number}" stroke="#2266aa"/>', text
+        )
+        # one vertical bar and two caps per aggregate with a nonzero standard error
+        assert len(bars) == 3 * sum(a["se_R"] > 0 for a in aggs)
+        for x, y in circles + [(x, y) for x1, y1, x2, y2 in bars for x, y in ((x1, y1), (x2, y2))]:
+            assert 70.0 < float(x) < 610.0 and 40.0 < float(y) < 380.0
+        assert ("fitted slope" in text) == (fit is not None)
+        assert (tmp_path / "plot_data.csv").read_text().splitlines() == ["n,mean_R,se_R,count"] + [
+            f"{n},{mean!r},{se!r},{count}" for n, mean, se, count in rows
+        ]
 
 
 # ---------- CLI ----------
@@ -358,78 +445,41 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "run-n900-seed1.json"))
         assert os.path.exists(os.path.join(out, "trace-n900-seed1.csv"))
 
-    def test_sweep_then_fit_then_plot(self, tmp_path, capsys):
+    def test_sweep_writes_the_chart(self, tmp_path, capsys):
         cfg = write_config(tmp_path, horizons=[900, 1300, 1900], seeds=[1, 2])
-        out = str(tmp_path / "out")
-        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert "fitted exponent" in capsys.readouterr().out
-        assert main(["fit", os.path.join(out, "sweep.csv")]) == 0
-        assert "slope=" in capsys.readouterr().out
-        assert main(["plot", os.path.join(out, "summary.json")]) == 0
-        capsys.readouterr()
-        assert os.path.exists(os.path.join(out, "plot.svg"))
+        text = (out / "plot.svg").read_text()
+        assert text.startswith("<svg") and text.count("<circle") == 3
+        assert "fitted slope" in text
+        aggregates = json.loads((out / "summary.json").read_text())["aggregates"]
+        rows = [f"{a['n']},{a['mean_R']!r},{a['se_R']!r},{a['count']}"
+                for a in aggregates if a["mean_R"] > 0]
+        assert len(rows) == 3
+        assert (out / "plot_data.csv").read_text().splitlines() == ["n,mean_R,se_R,count"] + rows
 
-    @pytest.mark.parametrize(
-        "summary, message",
-        [
-            ([], "summary must be an object"),
-            ({"aggregates": [1]}, "aggregates[0] must be an object with n, mean_R, se_R, count"),
-            (
-                {"aggregates": [{"n": 900, "mean_R": 5.0, "se_R": 0.5, "count": 2}], "fit": [1]},
-                "fit must be null or an object with slope, intercept, r2",
-            ),
-            (
-                {"aggregates": [{"n": 900, "mean_R": 5.0, "se_R": 0.5, "count": 2},
-                                {"n": 0, "mean_R": 5.0, "se_R": 0.5, "count": 2}]},
-                "aggregates[1].n must be positive, got 0",
-            ),
-            (
-                {"aggregates": [{"n": -900, "mean_R": 5.0, "se_R": 0.5, "count": 2}]},
-                "aggregates[0].n must be positive, got -900",
-            ),
-            (
-                {"aggregates": [{"n": 900, "mean_R": 1.0, "se_R": -2.0, "count": 2}]},
-                "aggregates[0].se_R must be nonnegative, got -2.0",
-            ),
-            (
-                '{"aggregates": [{"n": 900, "mean_R": 1.0, "se_R": 1e309, "count": 2}]}',
-                "aggregates[0].se_R must be finite, got inf",
-            ),
-            (
-                '{"aggregates": [{"n": 900, "mean_R": 1.0, "se_R": 0.5, "count": 2},'
-                ' {"n": 9000, "mean_R": NaN, "se_R": 0.5, "count": 2}]}',
-                "aggregates[1].mean_R must be finite, got nan",
-            ),
-            (
-                {"aggregates": [{"n": 900, "mean_R": 1e308, "se_R": 1e308, "count": 2}]},
-                "aggregates[0].se_R must keep mean_R + se_R finite, got 1e+308",
-            ),
-            (
-                {"aggregates": [{"n": 900, "mean_R": 5e-324, "se_R": 1.0, "count": 2}]},
-                "aggregates[0].mean_R is too small to plot, got 5e-324",
-            ),
-            (
-                {"aggregates": [{"n": 900, "mean_R": 0.0, "se_R": 0.5, "count": 2}]},
-                "no data to plot: no aggregate has a positive mean_R",
-            ),
-        ],
-        ids=["summary-list", "aggregate-int", "fit-list", "n-zero", "n-negative",
-             "se_R-negative", "se_R-overflow", "mean_R-nan", "bar-overflow",
-             "mean_R-subnormal", "mean_R-zero"],
-    )
-    def test_plot_of_malformed_summary_is_config_error(self, tmp_path, capsys, summary, message):
-        """Each input once raised out of the CLI with a traceback or a bare
-        math error; a string is the summary's JSON text as written."""
-        path = tmp_path / "summary.json"
-        path.write_text(summary if isinstance(summary, str) else json.dumps(summary))
-        assert main(["plot", str(path)]) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not (tmp_path / "plot.svg").exists()
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    def test_removed_subcommand_is_an_invalid_choice(self, capsys, command):
+        """The sweep writes the exponent fit and the chart itself."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "x.csv" if command == "fit" else "x.json"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_sweep_with_failed_cell_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, horizons=[100])
         assert main(["sweep", "--config", cfg]) == 2
         assert "failed" in capsys.readouterr().out
+
+    def test_sweep_with_every_cell_failed_writes_no_chart(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, horizons=[100], seeds=[1, 2])
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert "2 cell(s) failed" in printed.out
+        assert not any(line.startswith("config error") for line in printed.err.splitlines())
+        assert sorted(os.listdir(out)) == ["summary.json", "sweep.csv"]
 
     def test_sweep_with_query_outside_ball_exits_2(self, tmp_path, capsys):
         practical = {"m_X": 8, "m_Phi": 40, "epsilon": 2.0, "lambda_override": 0.03706776690647182}
@@ -451,8 +501,10 @@ class TestCli:
         failed = [c for c in data["cells"] if c["status"] != "ok"]
         assert [c["n"] for c in failed] == [100, 100]
         assert all(c[key] is None for c in failed for key in ("R_total", "R1", "R2", "R3", "subspace_err"))
-        assert main(["plot", str(out / "summary.json")]) == 0
-        assert (out / "plot.svg").exists()
+        assert (out / "plot.svg").read_text().count("<circle") == 2
+        assert [row.split(",")[0] for row in (out / "plot_data.csv").read_text().splitlines()] == [
+            "n", "900", "1300",
+        ]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -820,28 +872,6 @@ class TestCli:
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit):
             main(["run", "--config", cfg, "--mode", "bogus"])
-
-    def test_fit_rejects_foreign_csv(self, tmp_path, capsys):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b\n1,2\n")
-        assert main(["fit", str(path)]) == 1
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("900,ok", "line 3: 2 columns, expected 9"),
-            ("900,1,5.0,1,2,2,0.1,30,ok,extra", "line 3: 10 columns, expected 9"),
-            ("9e2,1,5.0,1,2,2,0.1,30,ok", "line 3: invalid literal for int() with base 10: '9e2'"),
-        ],
-        ids=["short", "long", "bad-n"],
-    )
-    def test_fit_names_a_malformed_row(self, tmp_path, capsys, row, message):
-        """A short row once raised IndexError out of the CLI with a traceback."""
-        path = tmp_path / "sweep.csv"
-        path.write_text(f"{SWEEP_CSV_HEADER}\n900,2,5.0,1,2,2,0.1,30,ok\n{row}\n")
-        assert main(["fit", str(path)]) == 1
-        assert capsys.readouterr().err == f"config error: {path} {message}\n"
 
 
 def test_dump_json_writes_non_finite_as_null(tmp_path):
