@@ -18,10 +18,7 @@ out_dir = os.path.join(tempfile.mkdtemp(prefix="sweep-demo-"), "out")
 # level is set by hand to 1e-3 times compute_lambda's default for this
 # problem; at the default, zero is feasible and recovery aborts.
 config = ExperimentConfig(
-    environment={
-        "family": "norm-squared", "d": 6, "k": 1,
-        "sigma": 0.05, "nu": 0.1, "seed": 3,
-    },
+    environment={"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1},
     horizons=[900, 1300, 1900],
     seeds=[1, 2],
     mode="practical",

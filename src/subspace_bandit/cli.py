@@ -26,24 +26,24 @@ from .harness import (
 from .util import dump_json
 
 
-def _parse_int_list(text: str) -> list:
+def _parse_int_list(flag: str, text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise ValueError("--config PATH is required for this command")
     overrides = {}
-    if getattr(args, "horizons", None):
-        overrides["horizons"] = _parse_int_list(args.horizons)
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = _parse_int_list(args.seeds)
-    if getattr(args, "mode", None):
+    if args.horizons is not None:
+        overrides["horizons"] = _parse_int_list("--horizons", args.horizons)
+    if args.seeds is not None:
+        overrides["seeds"] = _parse_int_list("--seeds", args.seeds)
+    if args.mode is not None:
         overrides["mode"] = args.mode
-    if getattr(args, "out", None):
+    if args.out is not None:
         overrides["out_dir"] = args.out
     return load_config(args.config, overrides)
 

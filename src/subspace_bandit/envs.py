@@ -15,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .util import check_keys, check_number, uniform_sphere
+from .util import check_number, uniform_sphere
 
 ROW_ORTHO_TOL = 1e-10  # ||A A^T - I||_F allowed in a LinearParamMatrix
-AS_IS_TOL = 1e-12  # make_row_orthonormal returns a matrix this close unchanged
 # Absolute slack on the domain check; guards against float dust from e.g.
 # x = (1+nu) * unit_vector, never against genuine violations.
 DOMAIN_SLACK = 1e-9
@@ -237,11 +236,9 @@ class LinearParamMatrix:
 
 
 def make_row_orthonormal(M: np.ndarray) -> LinearParamMatrix:
-    """Orthonormalize the rows of M while preserving its row space.
+    """An orthonormal basis of the row space of M, as rows (via SVD).
 
-    An already row-orthonormal matrix is returned unchanged.  Otherwise the
-    rows are replaced by an orthonormal basis of the row space (via SVD), with
-    each row's sign fixed so its largest-magnitude entry is positive.
+    Each row's sign is fixed so its largest-magnitude entry is positive.
     Raises if rank(M) < number of rows.
     """
     M = np.asarray(M, dtype=float)
@@ -250,14 +247,9 @@ def make_row_orthonormal(M: np.ndarray) -> LinearParamMatrix:
     k, d = M.shape
     if k > d:
         raise ValueError(f"need k <= d, got shape {M.shape}")
-    s = np.linalg.svd(M, compute_uv=False)
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s[-1] <= 1e-12 * max(1.0, s[0]):
         raise ValueError(f"rank < k: smallest singular value {s[-1]:.3e} (k = {k})")
-    try:
-        return LinearParamMatrix(check_row_orthonormal(M, AS_IS_TOL))
-    except ValueError:
-        pass  # not orthonormal yet
-    _, _, Vt = np.linalg.svd(M, full_matrices=False)
     Q = Vt[:k]
     for i in range(k):
         j = int(np.argmax(np.abs(Q[i])))
@@ -306,30 +298,23 @@ def make_environment(
     sigma: float = 0.0,
     nu: float = 0.1,
     seed: int = 0,
-    A="random_orthonormal",
     params: Optional[dict] = None,
 ) -> Environment:
-    """Construct an environment; A is either an explicit k x d matrix or the
-    string "random_orthonormal" (rows drawn from a seed-derived generator)."""
+    """Construct an environment.  The seed sets everything random: A is the
+    row-orthonormalized Gaussian draw of its first stream, and rewards draw
+    their noise from the second."""
     check_number("d", d, integer=True)
     check_number("k", k, integer=True)
+    check_number("sigma", sigma, integer=False)
+    check_number("nu", nu, integer=False)
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     spec = mean_spec(family, k, nu, params)
     ss = np.random.SeedSequence(int(seed))
     a_seq, reward_seq, aux_seq = ss.spawn(3)
-    if isinstance(A, str):
-        if A != "random_orthonormal":
-            raise ValueError(f'A must be a matrix or "random_orthonormal", got {A!r}')
-        G = np.random.default_rng(a_seq).standard_normal((k, d))
-        pm = make_row_orthonormal(G)
-    else:
-        pm = LinearParamMatrix(np.asarray(A, dtype=float))
-        if pm.matrix.shape != (k, d):
-            raise ValueError(f"A has shape {pm.matrix.shape}, expected {(k, d)}")
     del aux_seq  # reserved stream index; see _analysis_rng
     return Environment(
-        param_matrix=pm,
+        param_matrix=make_row_orthonormal(np.random.default_rng(a_seq).standard_normal((k, d))),
         mean=spec,
         sigma=float(sigma),
         nu=float(nu),
@@ -515,33 +500,4 @@ def estimate_conditioning(env: Environment, n_samples: int) -> ConditioningRepor
         singular_values=eigs,
         alpha_hat=float(eigs[-1]),
         n_samples=int(n_samples),
-    )
-
-
-# ---------- descriptors ----------
-
-
-DESCRIPTOR_KEYS = ("family", "d", "k", "sigma", "nu", "params", "seed", "A")
-
-
-def environment_from_descriptor(desc: dict) -> Environment:
-    """Build an environment from a descriptor dict: DESCRIPTOR_KEYS, with
-    the realized A as a nested list or "random_orthonormal".
-
-    sigma and nu may be omitted; make_environment's defaults then apply.
-    """
-    check_keys("descriptor", desc, DESCRIPTOR_KEYS)
-    required = {"family", "k", "d", "seed"}
-    missing = required - set(desc)
-    if missing:
-        raise ValueError(f"descriptor missing keys: {sorted(missing)}")
-    noise_and_margin = {key: float(desc[key]) for key in ("sigma", "nu") if key in desc}
-    return make_environment(
-        d=desc["d"],
-        k=desc["k"],
-        family=desc["family"],
-        seed=desc["seed"],
-        A=desc.get("A", "random_orthonormal"),
-        params=desc.get("params"),
-        **noise_and_margin,
     )

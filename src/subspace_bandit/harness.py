@@ -21,11 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .envs import (
-    DESCRIPTOR_KEYS,
     DomainError,
     Environment,
-    environment_from_descriptor,
     estimate_conditioning,
+    make_environment,
 )
 from .pipeline import (
     BudgetError,
@@ -50,6 +49,8 @@ PLOT_CSV_HEADER = "n,mean_R,se_R,count"
 # ---------- configuration ----------
 
 
+# make_environment's keywords but the seed, which each cell derives
+_ENVIRONMENT_KEYS = ("family", "d", "k", "sigma", "nu", "params")
 _PRACTICAL_KEYS = {f.name for f in fields(PracticalParams)} - {"n"}
 _PRACTICAL_REQUIRED = {f.name for f in fields(PracticalParams) if f.default is MISSING} - {"n"}
 _CONSTANT_KEYS = {f.name for f in fields(TheoryConstants)}
@@ -59,12 +60,12 @@ _CONSTANT_KEYS = {f.name for f in fields(TheoryConstants)}
 class ExperimentConfig:
     """One sweep: an environment template crossed with horizons and seeds.
 
-    environment is a descriptor dict (family, d, k, sigma, nu, params);
-    any seed or A it carries is ignored because each cell derives its own,
-    and any other key is an error.  practical holds PracticalParams
-    overrides shared by all cells, each checked here in practical mode;
-    theory holds {"alpha": ..., "constants": {...}}, nothing else, for
-    theory-mode planning, and the constants are checked here in either mode.
+    environment holds make_environment's keywords (family, d, k, sigma,
+    nu, params) but the seed, which each cell derives; any other key is an
+    error.  practical holds PracticalParams overrides shared by all cells,
+    each checked here in practical mode; theory holds {"alpha": ...,
+    "constants": {...}}, nothing else, for theory-mode planning, and the
+    constants are checked here in either mode.  out_dir is a path or None.
     """
 
     environment: dict
@@ -78,11 +79,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.environment, dict):
-            raise ValueError("environment must be a descriptor dict")
-        check_keys("environment", self.environment, DESCRIPTOR_KEYS)
-        for key in ("family", "d", "k"):
-            if key not in self.environment:
-                raise ValueError(f"environment descriptor missing {key!r}")
+            raise ValueError(f"environment must be an object, got {self.environment!r}")
+        check_keys("environment", self.environment, _ENVIRONMENT_KEYS)
+        missing = {"family", "d", "k"} - set(self.environment)
+        if missing:
+            raise ValueError(f"environment missing key(s): {sorted(missing)}")
         for key in ("d", "k", "sigma", "nu"):
             if key in self.environment:
                 check_number(f"environment.{key}", self.environment[key], integer=key in "dk")
@@ -106,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        if not isinstance(self.practical, dict):
+            raise ValueError(f"practical must be an object, got {self.practical!r}")
         check_keys("practical", self.practical, _PRACTICAL_KEYS)
         if self.mode == "practical":
             missing = _PRACTICAL_REQUIRED - set(self.practical)
@@ -132,6 +135,8 @@ class ExperimentConfig:
             self.constants = TheoryConstants(**constants)
         except ValueError as exc:
             raise ValueError(f"theory.constants: {exc}") from None
+        if not (self.out_dir is None or isinstance(self.out_dir, str) and self.out_dir):
+            raise ValueError(f"out_dir must be a nonempty string or null, got {self.out_dir!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -204,10 +209,7 @@ class SweepSummary:
 
 
 def _cell_environment(config: ExperimentConfig, n: int, seed: int) -> Environment:
-    desc = dict(config.environment)
-    desc["seed"] = derive_seed(seed, n)
-    desc.pop("A", None)  # realized bases never transfer between cells
-    return environment_from_descriptor(desc)
+    return make_environment(**config.environment, seed=derive_seed(seed, n))
 
 
 def _theory_plan(config: ExperimentConfig, env: Environment, n: int) -> TheoryParams:
@@ -301,6 +303,9 @@ def run_experiment(config: ExperimentConfig) -> SweepSummary:
     """
     out_dir = config.out_dir
     if out_dir:
+        # an environment the config cannot build stops the sweep before
+        # the directory exists
+        _cell_environment(config, config.horizons[0], config.seeds[0])
         os.makedirs(out_dir, exist_ok=True)
     cells = []
     for n in config.horizons:

@@ -1,8 +1,8 @@
 """Reference maps and oracles which only tests need: per-point mean
 rewards, batched reward queries, the reward gradient and Hessian, the
-environment descriptor, the sketch's signs as int8 and back to bits,
-phase 1's forward sketch, the gradient matrix the measurements are linear
-in, the closed-form curvature term and isometry ratios."""
+sketch's signs as int8 and back to bits, phase 1's forward sketch, the
+gradient matrix the measurements are linear in, the closed-form curvature
+term and isometry ratios."""
 
 import numpy as np
 
@@ -47,24 +47,6 @@ def gradient_mean_reward(env: Environment, x: np.ndarray) -> np.ndarray:
     """Analytic gradient of the mean reward at x: A^T grad g(A x)."""
     x = _check_domain(env, x)
     return env.A.T @ mean_grad(env.mean, env.A @ x)
-
-
-def to_descriptor(env: Environment) -> dict:
-    """JSON-ready environment descriptor (realized A is emitted explicitly)."""
-    params = {
-        key: (val.tolist() if isinstance(val, np.ndarray) else val)
-        for key, val in env.mean.params.items()
-    }
-    return {
-        "family": env.mean.family,
-        "params": params,
-        "k": env.k,
-        "d": env.d,
-        "sigma": env.sigma,
-        "nu": env.nu,
-        "seed": env.seed,
-        "A": env.A.tolist(),
-    }
 
 
 def mean_hess(spec: MeanRewardSpec, u: np.ndarray) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Reward environment tests: families, orthonormalization, budget accounting,
 optimum oracles, and conditioning estimates."""
 
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from subspace_bandit.envs import (
     DomainError,
     LinearParamMatrix,
     best_on_subspace,
-    environment_from_descriptor,
     estimate_conditioning,
     make_environment,
     make_row_orthonormal,
@@ -27,7 +25,6 @@ from sketch_oracles import (
     mean_hess,
     mean_reward,
     sample_rewards,
-    to_descriptor,
 )
 
 SEED = 42
@@ -46,12 +43,6 @@ FAMILY_CASES = [
 
 class TestRowOrthonormalization:
     """make_row_orthonormal returns a row-orthonormal basis of the row space."""
-
-    def test_orthonormal_input_unchanged(self):
-        A = np.zeros((1, 4))
-        A[0, 1] = 1.0
-        out = make_row_orthonormal(A)
-        np.testing.assert_array_equal(out.matrix, A)
 
     def test_scaled_unit_row(self):
         out = make_row_orthonormal(np.array([[2.0, 0.0, 0.0]]))
@@ -199,7 +190,7 @@ class TestFamilies:
     def test_d_must_be_an_integer(self):
         """A float d once reached numpy and raised its TypeError."""
         with pytest.raises(ValueError, match="d must be an integer, got 6.9"):
-            environment_from_descriptor({"family": "linear", "d": 6.9, "k": 1, "seed": 1})
+            make_environment(d=6.9, k=1, family="linear", seed=1)
 
     def test_k_must_be_an_integer(self):
         """A bool k once raised numpy's TypeError."""
@@ -207,9 +198,10 @@ class TestFamilies:
             make_environment(d=4, k=True, family="linear")
 
     @pytest.mark.parametrize("name", ["sigma", "nu"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1"])
     def test_noise_and_margin_must_be_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        """A string once raised a TypeError from math.isfinite."""
+        with pytest.raises(ValueError, match=f"{name} must be (finite|a real number)"):
             make_environment(d=4, k=1, family="linear", **{name: value})
 
 
@@ -461,39 +453,3 @@ class TestConditioning:
         r1 = estimate_conditioning(env, 500)
         r2 = estimate_conditioning(env, 500)
         np.testing.assert_array_equal(r1.singular_values, r2.singular_values)
-
-
-class TestDescriptors:
-    """Environment descriptors survive a JSON round trip."""
-
-    def test_round_trip(self):
-        env = make_environment(d=6, k=2, family="gaussian-bump", sigma=0.2, nu=0.05, seed=9,
-                               params={"center": np.array([0.1, -0.3]), "width": 0.7})
-        desc = json.loads(json.dumps(to_descriptor(env)))
-        env2 = environment_from_descriptor(desc)
-        np.testing.assert_array_equal(env.A, env2.A)
-        rng = np.random.default_rng(1)
-        xs = rng.uniform(-0.3, 0.3, size=(5, 6))
-        r1 = [sample_reward(env, x) for x in xs]
-        r2 = [sample_reward(env2, x) for x in xs]
-        np.testing.assert_array_equal(r1, r2)
-
-    def test_random_orthonormal_string(self):
-        desc = {
-            "family": "linear", "params": {}, "k": 1, "d": 5,
-            "sigma": 0.0, "nu": 0.1, "seed": 4, "A": "random_orthonormal",
-        }
-        env = environment_from_descriptor(desc)
-        env2 = environment_from_descriptor(desc)
-        np.testing.assert_array_equal(env.A, env2.A)
-
-    def test_unknown_key_rejected(self):
-        """A typo once left sigma at its default of 0 without a word."""
-        with pytest.raises(ValueError, match=r"descriptor\.sigmaa is not a key of descriptor"):
-            environment_from_descriptor(
-                {"family": "linear", "d": 6, "k": 1, "seed": 1, "sigmaa": 5.0}
-            )
-
-    def test_missing_keys_rejected(self):
-        with pytest.raises(ValueError, match="missing keys"):
-            environment_from_descriptor({"family": "linear"})

@@ -1,5 +1,6 @@
 """Tests for experiment sweeps, exponent fitting, the sweep's chart, and the CLI."""
 
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from subspace_bandit import harness
 from subspace_bandit.cli import main
+from subspace_bandit.envs import make_environment
 from subspace_bandit.util import derive_seed, dump_json
 from subspace_bandit.harness import (
     ExperimentConfig,
@@ -68,6 +70,14 @@ class TestConfig:
         practical = dict(small_config().practical, known_subspace=[[1.0] + [0.0] * (width - 1)])
         with pytest.raises(ValueError, match=rf"known_subspace: basis has {width} columns .* d = 6"):
             small_config(practical=practical)
+
+    def test_environment_without_family_rejected(self):
+        with pytest.raises(ValueError, match=r"environment missing key\(s\): \['family'\]"):
+            small_config(environment={"d": 6, "k": 1})
+
+    def test_environment_keys_are_make_environment_keywords_but_the_seed(self):
+        keywords = set(inspect.signature(make_environment).parameters) - {"seed"}
+        assert set(harness._ENVIRONMENT_KEYS) == keywords
 
     def test_theory_mode_needs_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -230,7 +240,7 @@ class TestSweep:
         assert sorted(os.listdir(out)) == ["run-n900-seed1.json", "summary.json", "sweep.csv"]
 
     def test_environment_without_nu_takes_the_library_default(self):
-        environment = {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "seed": 3}
+        environment = {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05}
         summary = run_experiment(small_config(environment=environment))
         assert [c.status for c in summary.cells] == ["ok"] * 6
 
@@ -572,16 +582,22 @@ class TestCli:
             ({"environment": dict(CLI_ENVIRONMENT, sigma="0.01")}, "environment.sigma"),
             ({"environment": dict(CLI_ENVIRONMENT, nu="0.1")}, "environment.nu"),
             ({"mode": "theory", "theory": {"alpha": "0.5"}}, "theory.alpha"),
+            ({"practical": 5}, "practical"),
+            ({"practical": None}, "practical"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"out_dir": ["x"]}, "out_dir"),
         ],
         ids=[
             "horizons-scalar", "horizon-float", "horizon-str", "seed-float", "seed-bool",
             "d-float", "k-bool", "sigma-str", "nu-str", "alpha-str",
+            "practical-int", "practical-null", "out_dir-int", "out_dir-list",
         ],
     )
     def test_non_number_is_config_error(self, tmp_path, capsys, overrides, key):
         """Each value was once truncated by int() or parsed by float(), and
-        the run went ahead on some other cell (a scalar horizon raised a
-        TypeError out of the CLI)."""
+        the run went ahead on some other cell (a scalar horizon, a practical
+        block that is not an object and an out_dir that is not a string
+        raised a TypeError out of the CLI)."""
         cfg = write_config(tmp_path, **overrides)
         assert main(["run", "--config", cfg]) == 1
         captured = capsys.readouterr()
@@ -636,6 +652,20 @@ class TestCli:
         assert "n=1100 seed=7" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [("--horizons", ""), ("--horizons", "900,,1100"), ("--seeds", ""), ("--seeds", "1,"),
+         ("--out", "")],
+    )
+    def test_empty_override_is_config_error(self, tmp_path, capsys, flag, value):
+        """Each was once dropped without a word, and the run went ahead on
+        the config's horizons, seeds or output directory."""
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, flag, value]) == 1
+        captured = capsys.readouterr()
+        key = "out_dir" if flag == "--out" else flag
+        assert captured.err.startswith(f"config error: {key} ") and captured.out == ""
+
+    @pytest.mark.parametrize(
         "overrides, key",
         [
             (dict(THEORY_CONFIG, theory={"alpha": 1.0, "constans": {"delta": 0.9}}),
@@ -643,15 +673,21 @@ class TestCli:
             ({"environment": dict(CLI_ENVIRONMENT, sigmaa=5.0)}, "environment.sigmaa"),
             ({"practical": dict(CLI_PRACTICAL, lambda_scale=1e-3)}, "practical.lambda_scale"),
             ({"practical": dict(CLI_PRACTICAL, M=3)}, "practical.M"),
+            ({"environment": dict(CLI_ENVIRONMENT, seed=3)}, "environment.seed"),
+            ({"environment": dict(CLI_ENVIRONMENT, A=[[1, 0, 0, 0, 0, 0]])}, "environment.A"),
         ],
-        ids=["theory-typo", "environment-typo", "removed-lambda_scale", "removed-M"],
+        ids=[
+            "theory-typo", "environment-typo", "removed-lambda_scale", "removed-M",
+            "environment-seed", "environment-A",
+        ],
     )
     def test_unknown_key_is_config_error_before_any_cell(
         self, tmp_path, capsys, monkeypatch, overrides, key
     ):
         """Each typo was once ignored: the plan used the default constants,
         and the cell ran noiseless and exited 0.  lambda_scale and M were
-        practical keys once; a config that still sets one stops here."""
+        practical keys once; a config that still sets one stops here.  Each
+        cell once dropped an environment's seed and A and drew its own."""
 
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell started on a bad config")
@@ -849,6 +885,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {message}")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_bad_environment_leaves_no_output_directory(self, tmp_path, capsys):
+        """The first cell once refused the center after sweep had made the
+        directory, and left it empty."""
+        environment = {"family": "centered-quadratic", "d": 6, "k": 1, "params": {"center": [2.0]}}
+        cfg = write_config(tmp_path, environment=environment)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "config error: center must lie in the unit ball" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_conditioning_prints_alpha(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
