@@ -24,13 +24,24 @@
  * and GCC or Clang), else a scalar popcount loop.  Both give the same
  * integers.
  *
- * gram_product (see recovery._smooth_part) multiplies those counts by a
- * float vector on the calling thread, summing each row in 8 lanes in a
- * fixed order and adding the lanes in a fixed order, so it gives the same
- * bits on every processor and at any thread count.
+ * gram_product multiplies those counts by a float vector on the calling
+ * thread, summing each row in 8 lanes in a fixed order and adding the
+ * lanes in a fixed order, so it gives the same bits on every processor and
+ * at any thread count.
+ *
+ * fista_round (see recovery.solve_dantzig) runs one continuation round of
+ * the Dantzig solve: FISTA with backtracking, gradient restart and the
+ * iterate-change stop, its residual from the Gram counts (tall sketches)
+ * or the flat operator (wide ones), every inner product in dot8's fixed
+ * order.  Its prox is threshold_singular, singular value soft-thresholding
+ * by Golub-Kahan bidiagonalization and implicit-shift QR that accumulates
+ * only the right vectors; svt exposes it with its own scratch.  Nothing in
+ * a round calls a BLAS or LAPACK.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__GLIBC__)
@@ -274,4 +285,443 @@ void gram_product(const int32_t *counts, const double *x, int64_t width, double 
             s[q - full] += (double)row[q] * x[q];
         out[p] = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
     }
+}
+
+/* sum a[q] * b[q] over q < n in 8 lanes, lane q % 8 in ascending q, the
+ * lanes added in the tree of gram_product: the same bits on every
+ * processor, whatever clone of the caller runs */
+static inline double dot8(const double *a, const double *b, int64_t n)
+{
+    int64_t full = n - n % 8;
+    double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    for (int64_t q = 0; q < full; q += 8)
+        for (int l = 0; l < 8; l++)
+            s[l] += a[q + l] * b[q + l];
+    for (int64_t q = full; q < n; q++)
+        s[q - full] += a[q] * b[q];
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+/* (c, s) with c = f / r and s = g / r for r = sqrt(f^2 + g^2), returning
+ * r; (1, 0) when r is 0.  The bidiagonal is scaled to entries below 1 in
+ * magnitude, so f^2 + g^2 cannot overflow. */
+static double givens(double f, double g, double *c, double *s)
+{
+    double r = sqrt(f * f + g * g);
+    if (r == 0.0) {
+        *c = 1.0;
+        *s = 0.0;
+    } else {
+        *c = f / r;
+        *s = g / r;
+    }
+    return r;
+}
+
+/* columns i and j of the (n, n) row-major v, rotated: (v_i, v_j) ->
+ * (c v_i + s v_j, c v_j - s v_i) */
+static void rotate_columns(double *v, int64_t n, int64_t i, int64_t j, double c, double s)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double x = v[k * n + i], y = v[k * n + j];
+        v[k * n + i] = c * x + s * y;
+        v[k * n + j] = c * y - s * x;
+    }
+}
+
+/* The singular values of the (m, n) row-major a, m >= n, into d, and its
+ * right singular vectors into the columns of the (n, n) row-major v, with
+ * e (n) as scratch; a is overwritten.  Golub & Reinsch (1970): Householder
+ * reflections bring a to upper bidiagonal form (diagonal d, superdiagonal
+ * e), the right ones accumulated into v, the left ones dropped; then
+ * implicit-shift QR steps (Golub & Van Loan, Algorithms 8.6.1-8.6.2) with
+ * the Wilkinson shift of the trailing 2 x 2 of B^T B drive e to zero,
+ * rotating v's columns with B's.  An entry of e or d at most 8 ulps of
+ * the bidiagonal's norm counts as zero: a step computed in squares cannot
+ * resolve a coupling much below an ulp between two equal singular values,
+ * and a cut at half an ulp (EISPACK's svd) was seen to stall there
+ * (LAPACK's dbdsqr cuts at 10 to 100 ulps).  A zero on the diagonal is
+ * chased out of its row by rotations from the left, or out of its column,
+ * at the block's last row, from the right.
+ * d comes back unsorted and possibly negative: |d_i| is the singular value
+ * of column i of v.  Returns 0, or -1 when max_steps QR steps and chases
+ * leave some e_i above the cut. */
+static int bidiagonal_svd(double *a, int64_t m, int64_t n, int64_t max_steps, double *d,
+                          double *e, double *v)
+{
+    for (int64_t j = 0; j < n; j++) {
+        /* left: zero column j below the diagonal */
+        double ss = 0.0;
+        for (int64_t i = j; i < m; i++)
+            ss += a[i * n + j] * a[i * n + j];
+        d[j] = 0.0;
+        if (ss > 0.0) {
+            double f = a[j * n + j], beta = f >= 0.0 ? -sqrt(ss) : sqrt(ss);
+            double h = f * beta - ss; /* beta (f - beta) = -|u|^2 / 2 */
+            a[j * n + j] = f - beta;
+            for (int64_t k = j + 1; k < n; k++) {
+                double t = 0.0;
+                for (int64_t i = j; i < m; i++)
+                    t += a[i * n + j] * a[i * n + k];
+                t /= h;
+                for (int64_t i = j; i < m; i++)
+                    a[i * n + k] += t * a[i * n + j];
+            }
+            d[j] = beta;
+        }
+        /* right: zero row j beyond the superdiagonal, keeping u in a's row */
+        e[j] = 0.0;
+        if (j + 1 >= n)
+            continue;
+        double *u = a + j * n;
+        ss = 0.0;
+        for (int64_t k = j + 1; k < n; k++)
+            ss += u[k] * u[k];
+        if (j + 2 == n || ss == 0.0) {
+            e[j] = u[j + 1];
+            u[j] = 0.0; /* no reflection at j */
+            continue;
+        }
+        double f = u[j + 1], beta = f >= 0.0 ? -sqrt(ss) : sqrt(ss);
+        double h = f * beta - ss;
+        u[j + 1] = f - beta;
+        u[j] = h; /* a's diagonal is done with: it keeps the reflection's h */
+        for (int64_t i = j + 1; i < m; i++) {
+            double *row = a + i * n;
+            double t = 0.0;
+            for (int64_t k = j + 1; k < n; k++)
+                t += row[k] * u[k];
+            t /= h;
+            for (int64_t k = j + 1; k < n; k++)
+                row[k] += t * u[k];
+        }
+        e[j] = beta;
+    }
+    /* v = R_0 R_1 ... R_{n-3}, applied right to left to the identity */
+    memset(v, 0, (size_t)(n * n) * sizeof(double));
+    for (int64_t i = 0; i < n; i++)
+        v[i * n + i] = 1.0;
+    for (int64_t j = n - 3; j >= 0; j--) {
+        const double *u = a + j * n;
+        double h = u[j];
+        if (h == 0.0)
+            continue;
+        for (int64_t c = j + 1; c < n; c++) {
+            double t = 0.0;
+            for (int64_t k = j + 1; k < n; k++)
+                t += u[k] * v[k * n + c];
+            t /= h;
+            for (int64_t k = j + 1; k < n; k++)
+                v[k * n + c] += t * u[k];
+        }
+    }
+
+    double norm = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double x = fabs(d[i]) + fabs(e[i]);
+        if (x > norm)
+            norm = x;
+    }
+    double tol = 8.0 * DBL_EPSILON * norm;
+    int64_t steps = 0;
+    for (int64_t hi = n - 1; hi > 0;) {
+        if (fabs(e[hi - 1]) <= tol) {
+            e[hi - 1] = 0.0;
+            hi--;
+            continue;
+        }
+        if (++steps > max_steps)
+            return -1;
+        int64_t lo = hi - 1;
+        while (lo > 0 && fabs(e[lo - 1]) > tol)
+            lo--;
+        if (lo > 0)
+            e[lo - 1] = 0.0;
+        int64_t zero = -1;
+        for (int64_t i = lo; i <= hi && zero < 0; i++)
+            if (fabs(d[i]) <= tol)
+                zero = i;
+        if (zero >= 0 && zero < hi) {
+            /* rotate rows zero and j to clear f = B[zero, j], j = zero+1..hi */
+            double f = e[zero], c, s;
+            d[zero] = e[zero] = 0.0;
+            for (int64_t j = zero + 1; j <= hi; j++) {
+                d[j] = givens(d[j], f, &c, &s);
+                if (j < hi) {
+                    f = -s * e[j];
+                    e[j] = c * e[j];
+                }
+            }
+        } else if (zero == hi) {
+            /* rotate columns j and hi to clear f = B[j, hi], j = hi-1..lo */
+            double f = e[hi - 1], c, s;
+            d[hi] = e[hi - 1] = 0.0;
+            for (int64_t j = hi - 1; j >= lo; j--) {
+                d[j] = givens(d[j], f, &c, &s);
+                if (j > lo) {
+                    f = -s * e[j - 1];
+                    e[j - 1] = c * e[j - 1];
+                }
+                rotate_columns(v, n, j, hi, c, s);
+            }
+        } else {
+            /* one QR step on B[lo..hi], shifted by the eigenvalue of the
+             * trailing 2 x 2 of B^T B nearer its last diagonal entry */
+            double above = hi - 1 > lo ? e[hi - 2] : 0.0;
+            double t11 = d[hi - 1] * d[hi - 1] + above * above;
+            double t12 = d[hi - 1] * e[hi - 1];
+            double t22 = d[hi] * d[hi] + e[hi - 1] * e[hi - 1];
+            double half = 0.5 * (t11 - t22);
+            double root = sqrt(half * half + t12 * t12);
+            double shift = t22 - t12 * t12 / (half >= 0.0 ? half + root : half - root);
+            double y = d[lo] * d[lo] - shift, z = d[lo] * e[lo], c, s;
+            for (int64_t k = lo; k < hi; k++) {
+                /* from the right, columns k and k + 1 */
+                double r = givens(y, z, &c, &s);
+                if (k > lo)
+                    e[k - 1] = r;
+                y = c * d[k] + s * e[k];
+                e[k] = c * e[k] - s * d[k];
+                z = s * d[k + 1];
+                d[k + 1] = c * d[k + 1];
+                rotate_columns(v, n, k, k + 1, c, s);
+                /* from the left, rows k and k + 1 */
+                d[k] = givens(y, z, &c, &s);
+                y = c * e[k] + s * d[k + 1];
+                d[k + 1] = c * d[k + 1] - s * e[k];
+                if (k + 1 < hi) {
+                    z = s * e[k + 1];
+                    e[k + 1] = c * e[k + 1];
+                }
+            }
+            e[hi - 1] = y;
+        }
+    }
+    return 0;
+}
+
+/* Doubles of scratch that threshold_singular needs for a (rows, cols) w. */
+static int64_t svt_scratch(int64_t rows, int64_t cols)
+{
+    int64_t m = rows > cols ? rows : cols, n = rows > cols ? cols : rows;
+    return 2 * m * n + n * n + 3 * n;
+}
+
+/* out = w V_r diag(1 - thresh / s_r) V_r^T, where s_r > thresh are the
+ * singular values of the (rows, cols) row-major w and V_r their right
+ * singular vectors: singular value soft-thresholding, the prox of
+ * thresh * ||.||_*.  A wide w is decomposed as w^T, so the vectors are
+ * min(rows, cols) long and out = U_r diag(1 - thresh / s_r) U_r^T w.  The
+ * decomposition (bidiagonal_svd, at most max_steps QR steps) runs on w
+ * times the power of two that brings its largest entry into [0.5, 1), an
+ * exact scaling that keeps every square in range; the factors
+ * (s - thresh) / s are the same at either scale.  work holds
+ * svt_scratch(rows, cols) doubles.  Returns 0, or -1 when w is not finite
+ * or the QR iteration does not converge. */
+static int threshold_singular(int64_t rows, int64_t cols, const double *w, double thresh,
+                              int64_t max_steps, double *out, double *work)
+{
+    int wide = rows < cols;
+    int64_t m = wide ? cols : rows, n = wide ? rows : cols;
+    double *a = work, *t = a + m * n, *v = t + m * n, *d = v + n * n, *e = d + n, *f = e + n;
+    double big = 0.0;
+    for (int64_t i = 0; i < m * n; i++) {
+        double x = fabs(w[i]);
+        if (!(x <= DBL_MAX))
+            return -1;
+        if (x > big)
+            big = x;
+    }
+    if (big == 0.0) {
+        memset(out, 0, (size_t)(m * n) * sizeof(double));
+        return 0;
+    }
+    int exponent;
+    frexp(big, &exponent);
+    double scale = ldexp(1.0, -exponent);
+    if (!(scale <= DBL_MAX)) /* a subnormal w: decomposed as it is */
+        scale = 1.0;
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t j = 0; j < n; j++)
+            a[i * n + j] = scale * (wide ? w[j * cols + i] : w[i * cols + j]);
+    if (bidiagonal_svd(a, m, n, max_steps, d, e, v) != 0)
+        return -1;
+    /* the kept columns of v, moved to the front, and their factors */
+    double cut = scale * thresh;
+    int64_t r = 0;
+    for (int64_t c = 0; c < n; c++) {
+        double s = fabs(d[c]);
+        if (s > cut) {
+            f[r] = (s - cut) / s;
+            for (int64_t k = 0; k < n; k++)
+                v[k * n + r] = v[k * n + c];
+            r++;
+        }
+    }
+    /* t = A V_r diag(f) for A = w (or w^T), then out = t V_r^T (or its
+     * transpose) */
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t c = 0; c < r; c++) {
+            double s = 0.0;
+            for (int64_t k = 0; k < n; k++)
+                s += (wide ? w[k * cols + i] : w[i * cols + k]) * v[k * n + c];
+            t[i * r + c] = s * f[c];
+        }
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t j = 0; j < n; j++) {
+            double s = 0.0;
+            for (int64_t c = 0; c < r; c++)
+                s += t[i * r + c] * v[j * n + c];
+            out[wide ? j * cols + i : i * cols + j] = s;
+        }
+    return 0;
+}
+
+/* threshold_singular with its own scratch.  Returns its status, or -2
+ * when the scratch cannot be allocated. */
+int svt(int64_t rows, int64_t cols, const double *w, double thresh, int64_t max_steps,
+        double *out)
+{
+    double *work = malloc((size_t)svt_scratch(rows, cols) * sizeof(double));
+    if (work == NULL)
+        return -2;
+    int status = threshold_singular(rows, cols, w, thresh, max_steps, out, work);
+    free(work);
+    return status;
+}
+
+/* r = Phi^*(y - Phi(m)), the dual residual at the flat (width) m.  Tall,
+ * from the (width, width) int32 counts C = S^T S: adjoint_y - (C m) / m_phi,
+ * with C m in gram_product.  Wide, from the (m_phi, width) row-major F:
+ * u = y - F m with each row's product summed as dot8 does, then F^T u,
+ * each entry summed over F's rows in ascending order.  tmp holds width
+ * (tall) or m_phi (wide) doubles. */
+static inline void dual_residual(const int32_t *counts, const double *flat, int64_t m_phi,
+                                 const double *y, const double *adjoint_y, int64_t width,
+                                 const double *m, double *r, double *tmp)
+{
+    if (counts != NULL) {
+        gram_product(counts, m, width, tmp);
+        for (int64_t q = 0; q < width; q++)
+            r[q] = adjoint_y[q] - tmp[q] / (double)m_phi;
+        return;
+    }
+    int64_t full = width - width % 8;
+    for (int64_t i = 0; i < m_phi; i++)
+        tmp[i] = y[i] - dot8(flat + i * width, m, width);
+    memset(r, 0, (size_t)width * sizeof(double));
+    for (int64_t i = 0; i < m_phi; i++) {
+        const double *row = flat + i * width;
+        double u = tmp[i];
+        for (int64_t q = 0; q < full; q += 8)
+            for (int l = 0; l < 8; l++)
+                r[q + l] += row[q + l] * u;
+        for (int64_t q = full; q < width; q++)
+            r[q] += row[q] * u;
+    }
+}
+
+/* One continuation round of the Dantzig solve (see recovery.solve_dantzig):
+ * FISTA on tau ||M||_* + 0.5 ||Phi(M) - y||^2 from the (rows, cols) m,
+ * with the step 1 / *lipschitz.  Each step p = svt(z + r(z) / L, tau / L)
+ * (threshold_singular) is accepted when, for d = p - z, the curvature
+ * <d, r(z) - r(p)> = ||Phi(d)||^2 exceeds L ||d||^2 by no more than
+ * step_rounding ||d|| (||r(z)|| + ||r(p)|| + L ||p||); otherwise L rises to
+ * max(1.05 L, curvature / ||d||^2) and the step is redone (Beck & Teboulle
+ * 2009).  r (dual_residual) is evaluated once per accepted step, and r(z)
+ * is extrapolated with z, since r is affine.  The momentum restarts when
+ * <d, p - m> < 0 (O'Donoghue & Candes 2015), and the round stops when
+ * ||p - m|| <= rel_tol max(1, ||p||) or after max_iters steps.  Every inner
+ * product and norm is a dot8 sum, so the round's bits depend on neither
+ * the processor nor a BLAS.  On return m holds the last iterate, r its
+ * residual, *lipschitz the last L, and stats the steps taken, the steps
+ * redone and whether the stop fired.  Returns 0; -1 when an SVT fails (a
+ * non-finite iterate, or no convergence); -2 when no scratch could be
+ * allocated; -3 when L overflows. */
+#if X86_GLIBC
+__attribute__((target_clones("avx2", "default")))
+#endif
+int fista_round(int64_t rows, int64_t cols, const int32_t *counts, const double *flat,
+                int64_t m_phi, const double *y, const double *adjoint_y, double tau,
+                int64_t max_iters, double rel_tol, double step_rounding, double *m, double *r,
+                double *lipschitz, int64_t *stats)
+{
+    int64_t width = rows * cols, svt_steps = 30 * (rows < cols ? rows : cols);
+    int64_t tmp_size = counts == NULL && m_phi > width ? m_phi : width;
+    double *buffer = malloc((size_t)(6 * width + tmp_size + svt_scratch(rows, cols)) * sizeof(double));
+    if (buffer == NULL)
+        return -2;
+    double *z = buffer, *r_z = z + width, *p = r_z + width, *r_p = p + width;
+    double *v = r_p + width, *d = v + width, *tmp = d + width, *work = tmp + tmp_size;
+    double *m_cur = m, *r_cur = r, lip = *lipschitz, t = 1.0;
+    int64_t iters = 0, backtracks = 0, converged = 0;
+    int status = 0;
+
+    dual_residual(counts, flat, m_phi, y, adjoint_y, width, m_cur, r_cur, tmp);
+    memcpy(z, m_cur, (size_t)width * sizeof(double));
+    memcpy(r_z, r_cur, (size_t)width * sizeof(double));
+    while (iters < max_iters) {
+        iters++;
+        for (;;) {
+            double step = 1.0 / lip;
+            for (int64_t q = 0; q < width; q++)
+                v[q] = z[q] + step * r_z[q];
+            if (threshold_singular(rows, cols, v, tau * step, svt_steps, p, work) != 0) {
+                status = -1;
+                goto done;
+            }
+            dual_residual(counts, flat, m_phi, y, adjoint_y, width, p, r_p, tmp);
+            for (int64_t q = 0; q < width; q++) {
+                d[q] = p[q] - z[q];
+                v[q] = r_z[q] - r_p[q];
+            }
+            double d_sq = dot8(d, d, width), curvature = dot8(d, v, width);
+            double excess = curvature - lip * d_sq;
+            if (excess <= 0.0 ||
+                excess <= step_rounding * sqrt(d_sq) *
+                              (sqrt(dot8(r_z, r_z, width)) + sqrt(dot8(r_p, r_p, width)) +
+                               lip * sqrt(dot8(p, p, width))))
+                break;
+            double grown = 1.05 * lip, ratio = curvature / d_sq;
+            lip = ratio > grown ? ratio : grown;
+            backtracks++;
+            if (!(lip <= DBL_MAX)) {
+                status = -3;
+                goto done;
+            }
+        }
+        for (int64_t q = 0; q < width; q++)
+            v[q] = p[q] - m_cur[q]; /* the move */
+        if (dot8(d, v, width) < 0.0)
+            t = 1.0;
+        double t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t));
+        double beta = (t - 1.0) / t_new;
+        for (int64_t q = 0; q < width; q++) {
+            z[q] = p[q] + beta * v[q];
+            r_z[q] = r_p[q] + beta * (r_p[q] - r_cur[q]);
+        }
+        double change = sqrt(dot8(v, v, width)), size = sqrt(dot8(p, p, width));
+        double *swap = m_cur;
+        m_cur = p;
+        p = swap;
+        swap = r_cur;
+        r_cur = r_p;
+        r_p = swap;
+        t = t_new;
+        if (change <= rel_tol * (size > 1.0 ? size : 1.0)) {
+            converged = 1;
+            break;
+        }
+    }
+done:
+    if (m_cur != m) {
+        memcpy(m, m_cur, (size_t)width * sizeof(double));
+        memcpy(r, r_cur, (size_t)width * sizeof(double));
+    }
+    *lipschitz = lip;
+    stats[0] = iters;
+    stats[1] = backtracks;
+    stats[2] = converged;
+    free(buffer);
+    return status;
 }

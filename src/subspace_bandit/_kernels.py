@@ -1,8 +1,9 @@
 """The package's compiled kernels: the C functions of _kernels.c, built with
 the system's C compiler at the first call that needs one (never at import)
 and cached beside the bytecode.  Phase 2's round loop (bandit.run_phase2),
-the tall sketch's Gram counts (sampling.SamplingSets.gram) and their
-product with the solver's iterates (recovery._smooth_part) run there.
+the tall sketch's Gram counts (sampling.SamplingSets.gram) and each
+continuation round of the Dantzig solve, with its singular value
+thresholding (recovery.solve_dantzig), run there.
 """
 
 from __future__ import annotations
@@ -94,5 +95,10 @@ def load() -> ctypes.CDLL:
         library.gram_counts.restype = None
         library.gram_product.argtypes = [ptr, ptr, i64, ptr]
         library.gram_product.restype = None
+        f64 = ctypes.c_double
+        library.svt.argtypes = [i64, i64, ptr, f64, i64, ptr]
+        library.svt.restype = ctypes.c_int
+        library.fista_round.argtypes = [i64, i64, ptr, ptr, i64, ptr, ptr] + [f64, i64, f64, f64] + [ptr] * 4
+        library.fista_round.restype = ctypes.c_int
         _library = library
     return _library

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +28,8 @@ RANK_FLOOR = 1e-12
 # relative iterate-change stop, the looser stop of the continuation rounds
 # that only warm-start the next one, the relative slack of the feasibility
 # test, the continuation's per-round shrink of the penalty weight, the most
-# continuation rounds, and the step test's rounding allowance (_prox_step)
+# continuation rounds, and the step test's rounding allowance (fista_round
+# in _kernels.c)
 MAX_ITERS = 5000
 REL_TOL = 1e-7
 WARM_TOL = 1e-3
@@ -93,13 +94,23 @@ class DantzigProblem:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        y = np.asarray(self.y, dtype=float)
+        y = np.ascontiguousarray(self.y, dtype=float)
         if y.shape != (self.sets.m_Phi,):
             raise ValueError(f"y must have shape {(self.sets.m_Phi,)}, got {y.shape}")
+        if not np.isfinite(y).all():
+            raise ValueError("y must be finite")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "lam", float(self.lam))
         if self.adjoint_y is None:
             object.__setattr__(self, "adjoint_y", apply_adjoint(self.sets, y))
+            return
+        adjoint_y = np.ascontiguousarray(self.adjoint_y, dtype=float)
+        shape = (self.sets.d, self.sets.m_X)
+        if adjoint_y.shape != shape:
+            raise ValueError(f"adjoint_y must have shape {shape}, got {adjoint_y.shape}")
+        if not np.isfinite(adjoint_y).all():
+            raise ValueError("adjoint_y must be finite")
+        object.__setattr__(self, "adjoint_y", adjoint_y)
 
 
 @dataclass
@@ -113,137 +124,58 @@ class SolveInfo:
     backtracks: int  # prox steps redone because L was too small
 
 
-def _svt(mat: np.ndarray, thresh: float) -> np.ndarray:
-    """Singular value soft-thresholding, the prox of ``thresh * ||.||_*``.
-
-    The singular values come sorted, so the ones left positive are a prefix.
-    """
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    s -= thresh
-    r = int(np.count_nonzero(s > 0.0))
-    if r == 0:
-        return np.zeros_like(mat)
-    return (u[:, :r] * s[:r]) @ vt[:r]
+_ROUND_FAILURES = {
+    -1: "a singular value thresholding step failed (a non-finite iterate, or no QR convergence)",
+    -2: "no memory for its scratch",
+    -3: "the curvature bound L overflowed",
+}
 
 
-def _prox_step(residual, z, r_z, tau, lipschitz):
-    """The prox step ``z -> p`` with step 1/L, where ``r_z = residual(z)``.
+class _FistaRounds:
+    """The continuation rounds of one problem, each one call of fista_round
+    in _kernels.c (built at first use, see _kernels.load).
 
-    Accepted when ``<d, r_z - r_p> = ||Phi(d)||^2 <= L ||d||^2`` for
-    ``d = p - z`` (Beck & Teboulle 2009; exact for this quadratic), up to a
-    rounding allowance; else L rises to ``max(1.05 L, curvature)`` and the
-    step is redone.  Returns ``(p, r_p, d, L, backtracks)``, d flat.
-    """
-    backtracks = 0
-    while True:
-        step = 1.0 / lipschitz
-        p = _svt(z + step * r_z, tau * step)
-        r_p = residual(p)
-        d = (p - z).ravel()
-        d_sq = d.dot(d)
-        curvature = d.dot((r_z - r_p).ravel())
-        excess = curvature - lipschitz * d_sq
-        if excess <= 0.0 or excess <= STEP_ROUNDING * math.sqrt(d_sq) * (
-            np.linalg.norm(r_z) + np.linalg.norm(r_p) + lipschitz * np.linalg.norm(p)
-        ):
-            return p, r_p, d, lipschitz, backtracks
-        lipschitz = max(1.05 * lipschitz, float(curvature / d_sq))
-        backtracks += 1
-
-
-def _fista(residual, tau, lipschitz, start, max_iters, rel_tol):
-    """Accelerated proximal descent for tau*||M||_* + 0.5*||Phi(M) - y||^2.
-
-    ``residual(M)`` is the dual residual ``Phi*(y - Phi(M))``, the negative
-    gradient of the smooth part, evaluated once per accepted
-    :func:`_prox_step`; being affine, it is extrapolated to the momentum
-    point z alongside z.  The momentum restarts (``t = 1``) whenever
-    the prox step ``d = M_new - z`` points against the last move
-    ``M_cur -> M_new``, the gradient restart of O'Donoghue & Candes (2015),
-    which stops the oscillation that momentum otherwise causes near the
-    solution.  Returns ``(M, iterations, converged, L, backtracks)``.
-    """
-    m_cur = z = start.copy()
-    r_cur = r_z = residual(m_cur)
-    t = 1.0
-    iters = backtracks = 0
-    converged = False
-    for iters in range(1, max_iters + 1):
-        m_new, r_new, d, lipschitz, redone = _prox_step(residual, z, r_z, tau, lipschitz)
-        backtracks += redone
-        move = m_new - m_cur
-        flat = move.ravel()
-        if d.dot(flat) < 0.0:
-            t = 1.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_new
-        z = m_new + beta * move
-        r_z = r_new + beta * (r_new - r_cur)
-        # the Frobenius norms exactly as np.linalg.norm computes them
-        change = math.sqrt(flat.dot(flat))
-        flat = m_new.ravel()
-        scale = max(1.0, math.sqrt(flat.dot(flat)))
-        m_cur, r_cur = m_new, r_new
-        t = t_new
-        if change <= rel_tol * scale:
-            converged = True
-            break
-    return m_cur, iters, converged, lipschitz, backtracks
-
-
-class _GramResidual:
-    """The tall residual ``M -> F^T y - (C @ M) / m_Phi`` for the exact
-    integer counts ``C = S^T S = m_Phi F^T F`` of :meth:`SamplingSets.gram`.
-
-    ``C @ M`` is gram_product in _kernels.c, which sums in a fixed order, so
-    the residual's bits depend neither on the processor nor on the BLAS
-    thread count.  The product reads C and a copy of M and writes its
-    result by address, so this object owns all three buffers.
+    A round runs FISTA with singular value thresholding from ``m`` in place
+    and leaves ``r`` holding ``Phi*(y - Phi(m))``.  A tall sketch's rounds
+    read its exact int32 Gram counts (:meth:`SamplingSets.gram`), a wide
+    one's the flat operator F and y.  The object owns every buffer the
+    library reads or writes.
     """
 
-    def __init__(self, sets: SamplingSets, adjoint_y: np.ndarray):
-        self.counts = sets.gram()
-        width = self.counts.shape[0]
-        self.x, self.out = np.empty(width), np.empty(width)
-        self.m_phi, self.adjoint_y = sets.m_Phi, adjoint_y
-        self.product = functools.partial(
-            _kernels.load().gram_product,
-            self.counts.ctypes.data, self.x.ctypes.data, width, self.out.ctypes.data,
+    def __init__(self, problem: "DantzigProblem"):
+        sets = problem.sets
+        self.m, self.r = np.zeros((sets.d, sets.m_X)), np.zeros((sets.d, sets.m_X))
+        self.lipschitz, self.stats = np.ones(1), np.zeros(3, dtype=np.int64)
+        self.problem = problem
+        self.operator = sets.gram() if sets.tall else np.ascontiguousarray(sets.flat_operator())
+        address = self.operator.ctypes.data
+        self.call = functools.partial(
+            _kernels.load().fista_round, sets.d, sets.m_X,
+            address if sets.tall else None, None if sets.tall else address,
+            sets.m_Phi, problem.y.ctypes.data, problem.adjoint_y.ctypes.data,
         )
 
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        np.copyto(self.x, mat.reshape(self.x.shape))
-        self.product()
-        self.out /= self.m_phi
-        return self.adjoint_y - self.out.reshape(self.adjoint_y.shape)
-
-
-def _smooth_part(
-    sets: SamplingSets, y: np.ndarray, adjoint_y: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The dual residual ``M -> Phi*(y - Phi(M))`` of ``0.5*||Phi(M) - y||^2``.
-
-    A tall sketch uses the normal equations (:class:`_GramResidual`), so no
-    iteration touches an ``m_Phi``-long vector.  Otherwise it comes from
-    products with F.
-    """
-    if sets.tall:
-        return _GramResidual(sets, adjoint_y)
-
-    shape = (sets.d, sets.m_X)
-    flat_op = sets.flat_operator()
-
-    def residual(mat):
-        return (flat_op.T @ (y - flat_op @ mat.ravel())).reshape(shape)
-
-    return residual
+    def __call__(self, tau: float, lipschitz: float, rel_tol: float, max_iters: int = MAX_ITERS):
+        """One round at weight tau from step 1/lipschitz, stopping at a
+        relative iterate change of rel_tol.  Returns ``(iterations,
+        converged, L, backtracks)``; raises RuntimeError if the round fails."""
+        self.lipschitz[0] = lipschitz
+        status = self.call(
+            tau, max_iters, rel_tol, STEP_ROUNDING, self.m.ctypes.data, self.r.ctypes.data,
+            self.lipschitz.ctypes.data, self.stats.ctypes.data,
+        )
+        if status:
+            raise RuntimeError(f"FISTA round failed: {_ROUND_FAILURES[status]}")
+        iterations, backtracks, converged = self.stats.tolist()
+        return iterations, bool(converged), float(self.lipschitz[0]), backtracks
 
 
 def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     """Solve the selector by continuation over the nuclear-norm penalty weight.
 
     Each penalized subproblem is solved by FISTA with singular value
-    thresholding and warm starts; the weight is driven down geometrically
+    thresholding and warm starts, one compiled call per continuation round
+    (:class:`_FistaRounds`); the weight is driven down geometrically
     to just under ``lam``, and the loop stops once the exact spectral norm
     of the dual residual ``Phi*(y - Phi(M))`` sits at or below ``lam``
     (within ``FEAS_TOL`` relative).  The penalized and constrained
@@ -261,7 +193,8 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     ``Phi^*(y)`` comes with the problem.  A tall sketch
     (``m_Phi > d * m_X``) is then solved in Gram form and never builds the
     flat operator or the float directions; its iterates agree with the flat
-    form to rounding, not bit for bit.
+    form to rounding, not bit for bit.  Inside a round no BLAS or LAPACK
+    runs, so the solve gives the same bits at any BLAS thread count.
     """
     sets = problem.sets
     shape = (sets.d, sets.m_X)
@@ -277,7 +210,7 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
         )
         return np.zeros(shape), info
 
-    residual = _smooth_part(sets, problem.y, dual0)
+    rounds = _FistaRounds(problem)
 
     # continuation: start just under the level where zero is optimal, and
     # aim slightly inside the constraint so inexact subproblem solves still
@@ -287,19 +220,18 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     if tau <= tau_floor:
         tau = tau_floor
 
-    m_cur = np.zeros(shape)
     total_iters = backtracks = outer = 0
     sub_converged = False
     floor_tol = REL_TOL
     while outer < MAX_OUTER:
         outer += 1
         at_floor = tau <= tau_floor * (1.0 + 1e-12)
-        m_cur, iters, sub_converged, lipschitz, redone = _fista(
-            residual, tau, lipschitz, m_cur, MAX_ITERS, floor_tol if at_floor else WARM_TOL
+        iters, sub_converged, lipschitz, redone = rounds(
+            tau, lipschitz, floor_tol if at_floor else WARM_TOL
         )
         total_iters += iters
         backtracks += redone
-        if at_floor and np.linalg.norm(residual(m_cur), 2) <= problem.lam * (1.0 + FEAS_TOL):
+        if at_floor and np.linalg.norm(rounds.r, 2) <= problem.lam * (1.0 + FEAS_TOL):
             break
         if not at_floor:
             tau = max(tau * TAU_SHRINK, tau_floor)
@@ -309,13 +241,13 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
             # tighten it and let the next round grind further down
             floor_tol = max(floor_tol * 1e-2, 1e-15)
 
-    residual_norm = float(np.linalg.norm(residual(m_cur), 2))
+    residual_norm = float(np.linalg.norm(rounds.r, 2))
     feasible = bool(residual_norm <= problem.lam * (1.0 + FEAS_TOL))
     info = SolveInfo(
         iterations=total_iters, outer_rounds=outer, converged=bool(sub_converged and feasible),
         feasible=feasible, residual_norm=residual_norm, lipschitz=lipschitz, backtracks=backtracks,
     )
-    return m_cur, info
+    return rounds.m, info
 
 
 def truncate_rank_k(mat: np.ndarray, k: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 rewards, batched reward queries, the reward gradient and Hessian, the
 sketch's signs as int8 and back to bits, phase 1's forward sketch, the
 gradient matrix the measurements are linear in, the closed-form curvature
-term and isometry ratios."""
+term and isometry ratios, and the Dantzig solve in numpy (the reference
+for the compiled FISTA rounds)."""
+
+import math
 
 import numpy as np
 
@@ -16,6 +19,8 @@ from subspace_bandit.envs import (
     mean_grad,
     mean_value,
 )
+from subspace_bandit import recovery
+from subspace_bandit.recovery import SolveInfo
 from subspace_bandit.sampling import SamplingSets
 
 
@@ -119,3 +124,131 @@ def rip_ratio_sample(sets, k, trials, rng):
         v = apply_operator(sets, X)
         ratios.append(float(v @ v) / float(np.sum(X * X)))
     return min(ratios), max(ratios)
+
+
+# ---------- the Dantzig solve in numpy ----------
+
+
+def svt(mat: np.ndarray, thresh: float) -> np.ndarray:
+    """Singular value soft-thresholding, the prox of ``thresh * ||.||_*``,
+    from numpy's SVD.  The singular values come sorted, so the ones left
+    positive are a prefix."""
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    s -= thresh
+    r = int(np.count_nonzero(s > 0.0))
+    if r == 0:
+        return np.zeros_like(mat)
+    return (u[:, :r] * s[:r]) @ vt[:r]
+
+
+def smooth_part(sets: SamplingSets, y: np.ndarray, adjoint_y: np.ndarray):
+    """The dual residual ``M -> Phi*(y - Phi(M))`` of ``0.5*||Phi(M) - y||^2``:
+    ``adjoint_y - (C @ M) / m_Phi`` for a tall sketch's counts C, else
+    products with the flat operator F."""
+    shape = (sets.d, sets.m_X)
+    if sets.tall:
+        counts = sets.gram().astype(float)
+        return lambda mat: adjoint_y - (counts @ mat.ravel()).reshape(shape) / sets.m_Phi
+    flat = sets.flat_operator()
+    return lambda mat: (flat.T @ (y - flat @ mat.ravel())).reshape(shape)
+
+
+def prox_step(residual, z, r_z, tau, lipschitz):
+    """The prox step ``z -> p`` with step 1/L, where ``r_z = residual(z)``.
+
+    Accepted when ``<d, r_z - r_p> = ||Phi(d)||^2 <= L ||d||^2`` for
+    ``d = p - z`` (Beck & Teboulle 2009; exact for this quadratic), up to a
+    rounding allowance; else L rises to ``max(1.05 L, curvature)`` and the
+    step is redone.  Returns ``(p, r_p, d, L, backtracks)``, d flat.
+    """
+    backtracks = 0
+    while True:
+        step = 1.0 / lipschitz
+        p = svt(z + step * r_z, tau * step)
+        r_p = residual(p)
+        d = (p - z).ravel()
+        d_sq = d.dot(d)
+        curvature = d.dot((r_z - r_p).ravel())
+        excess = curvature - lipschitz * d_sq
+        if excess <= 0.0 or excess <= recovery.STEP_ROUNDING * math.sqrt(d_sq) * (
+            np.linalg.norm(r_z) + np.linalg.norm(r_p) + lipschitz * np.linalg.norm(p)
+        ):
+            return p, r_p, d, lipschitz, backtracks
+        lipschitz = max(1.05 * lipschitz, float(curvature / d_sq))
+        backtracks += 1
+
+
+def fista(residual, tau, lipschitz, start, max_iters, rel_tol, prox=prox_step):
+    """Accelerated proximal descent for tau*||M||_* + 0.5*||Phi(M) - y||^2.
+
+    ``residual(M)`` is the dual residual, the negative gradient of the
+    smooth part, evaluated once per accepted prox step; being affine, it is
+    extrapolated to the momentum point z alongside z.  The momentum restarts
+    (``t = 1``) whenever the prox step ``d = M_new - z`` points against the
+    last move ``M_cur -> M_new`` (O'Donoghue & Candes 2015).  Returns
+    ``(M, iterations, converged, L, backtracks)``.
+    """
+    m_cur = z = start.copy()
+    r_cur = r_z = residual(m_cur)
+    t = 1.0
+    iters = backtracks = 0
+    converged = False
+    for iters in range(1, max_iters + 1):
+        m_new, r_new, d, lipschitz, redone = prox(residual, z, r_z, tau, lipschitz)
+        backtracks += redone
+        move = m_new - m_cur
+        flat = move.ravel()
+        if d.dot(flat) < 0.0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        z = m_new + beta * move
+        r_z = r_new + beta * (r_new - r_cur)
+        change = math.sqrt(flat.dot(flat))
+        flat = m_new.ravel()
+        scale = max(1.0, math.sqrt(flat.dot(flat)))
+        m_cur, r_cur = m_new, r_new
+        t = t_new
+        if change <= rel_tol * scale:
+            converged = True
+            break
+    return m_cur, iters, converged, lipschitz, backtracks
+
+
+def continuation(problem, inner=fista, lipschitz=1.0):
+    """recovery.solve_dantzig's continuation in numpy, each round solved by
+    ``inner(residual, tau, L, start, MAX_ITERS, rel_tol)`` (:func:`fista`
+    unless given) from the first round's L.  Returns ``(M, SolveInfo)``."""
+    sets = problem.sets
+    residual = smooth_part(sets, problem.y, problem.adjoint_y)
+    dual0_norm = float(np.linalg.norm(problem.adjoint_y, 2))
+    tau = 0.9 * dual0_norm
+    tau_floor = max(problem.lam * (1.0 - 10.0 * recovery.FEAS_TOL), 0.0)
+    tau = max(tau, tau_floor)
+    m_cur = np.zeros((sets.d, sets.m_X))
+    total_iters = backtracks = outer = 0
+    sub_converged = False
+    floor_tol = recovery.REL_TOL
+    limit = problem.lam * (1.0 + recovery.FEAS_TOL)
+    while outer < recovery.MAX_OUTER:
+        outer += 1
+        at_floor = tau <= tau_floor * (1.0 + 1e-12)
+        m_cur, iters, sub_converged, lipschitz, redone = inner(
+            residual, tau, lipschitz, m_cur, recovery.MAX_ITERS,
+            floor_tol if at_floor else recovery.WARM_TOL,
+        )
+        total_iters += iters
+        backtracks += redone
+        if at_floor and np.linalg.norm(residual(m_cur), 2) <= limit:
+            break
+        if not at_floor:
+            tau = max(tau * recovery.TAU_SHRINK, tau_floor)
+        else:
+            floor_tol = max(floor_tol * 1e-2, 1e-15)
+    residual_norm = float(np.linalg.norm(residual(m_cur), 2))
+    feasible = residual_norm <= limit
+    info = SolveInfo(
+        iterations=total_iters, outer_rounds=outer, converged=sub_converged and feasible,
+        feasible=feasible, residual_norm=residual_norm, lipschitz=lipschitz, backtracks=backtracks,
+    )
+    return m_cur, info

@@ -939,3 +939,33 @@ def test_dump_json_writes_non_finite_as_null(tmp_path):
         "empty": [],
         "pair": [0.25, None],
     }
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.5, 1e-300, -1e300, 0.1 + 0.2]),
+        np.repeat(np.random.default_rng(3).random(40), 25),  # repeats, as phase 2 writes
+        np.zeros(0),
+        np.array([0.25, np.nan, -0.0, 0.25]),  # not finite: the null path
+        np.array([-0.0, 1.0, 2.0, 3.0])[::2],  # strided
+        np.array([1.5, -0.0], dtype=np.float32),  # not float64: json.dumps
+    ],
+    ids=["signed-zeros", "repeats", "empty", "non-finite", "strided", "float32"],
+)
+def test_dump_json_bytes_are_json_dumps(tmp_path, trace):
+    """dump_json encodes a finite float64 trace from its distinct bit
+    patterns, and the rest through json.dumps, item by item: the file's
+    bytes are json.dumps's, with -0.0 kept apart from 0.0."""
+    from subspace_bandit.util import _json_ready
+
+    record = {
+        "mode": "practical", "n": 3, 7: "int key", "params": {"m_X": 2, "eps": float("nan")},
+        "regret_trace": trace, "after": [np.float64(-0.0), None], "last": np.int64(4),
+    }
+    path = tmp_path / "run.json"
+    dump_json(record, path)
+    assert path.read_bytes() == (json.dumps(_json_ready(record), allow_nan=False) + "\n").encode()
+    for top in ([trace, 1.0], trace, 2.5):
+        dump_json(top, path)
+        assert path.read_bytes() == (json.dumps(_json_ready(top), allow_nan=False) + "\n").encode()

@@ -1,5 +1,6 @@
 """Tests for building, caching and loading the compiled kernels of
-_kernels.c: phase 2's round loop and the tall sketch's Gram counts."""
+_kernels.c: phase 2's round loop, the tall sketch's Gram counts and the
+solve's FISTA rounds."""
 
 import json
 import os
@@ -43,8 +44,9 @@ def no_compiler(monkeypatch, cache):
 
 
 class TestKernelBuild:
-    """Both kernels (phase 2's rounds and the tall Gram's counts) come
-    from the one library, built at first use and cached."""
+    """Every kernel (phase 2's rounds, the tall Gram's counts, the solve's
+    FISTA rounds) comes from the one library, built at first use and
+    cached."""
 
     def test_import_loads_nothing(self):
         """Importing the package neither builds nor loads the kernels, and
@@ -114,8 +116,8 @@ class TestKernelBuild:
         assert env.rng.standard_normal() == norm_squared_env(SEED + 1100).rng.standard_normal()
         assert os.listdir(tmp_path) == []
 
-    # a wide sketch (d * m_X = 48 > m_Phi) fails in phase 2, a tall one
-    # (24 < m_Phi) in the solve's Gram counts; lam is 1e-3 times
+    # a wide sketch (d * m_X = 48 > m_Phi) fails in the solve's rounds, a
+    # tall one (24 < m_Phi) in its Gram counts; lam is 1e-3 times
     # compute_lambda at the default TheoryConstants
     @pytest.mark.parametrize(
         "m_x, lam", [(8, 0.7364726058014618), (4, 0.45094308029241253)], ids=["wide", "tall"]
@@ -133,10 +135,10 @@ class TestKernelBuild:
             cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert "config error" not in capsys.readouterr().err
 
-    def test_tall_solve_needs_the_kernels(self, tmp_path, monkeypatch):
-        """A tall sketch's Gram counts run in the compiled kernels, so its
-        solve raises RuntimeError naming the command; the zero-is-feasible
-        exit and a wide solve build nothing."""
+    def test_solve_needs_the_kernels(self, tmp_path, monkeypatch):
+        """A solve's rounds, and a tall sketch's Gram counts, run in the
+        compiled kernels, so a solve on either shape raises RuntimeError
+        naming the command; the zero-is-feasible exit builds nothing."""
         no_compiler(monkeypatch, tmp_path)
 
         def problem(m_phi, lam):
@@ -144,14 +146,29 @@ class TestKernelBuild:
             y = np.random.default_rng(SEED).standard_normal(m_phi)
             return DantzigProblem(y=y, sets=sets, lam=lam, k=1)
 
-        tall = problem(40, 1e-3)
-        assert tall.sets.tall
-        with pytest.raises(RuntimeError, match="cannot build the compiled kernels: no-such-cc -O2"):
-            solve_dantzig(tall)
+        tall, wide = problem(40, 1e-3), problem(20, 1e-3)
+        assert tall.sets.tall and not wide.sets.tall
+        for needs in (tall, wide):
+            with pytest.raises(RuntimeError, match="cannot build the compiled kernels: no-such-cc -O2"):
+                solve_dantzig(needs)
         assert solve_dantzig(problem(40, 1e6))[1].iterations == 0
-        wide = problem(20, 1e-3)
-        assert not wide.sets.tall and solve_dantzig(wide)[1].feasible
         assert os.listdir(tmp_path) == []
+
+    def test_recover_on_a_wide_sketch_needs_the_compiler(self, tmp_path, monkeypatch, capsys):
+        """`recover` runs no phase 2, but its solve's rounds are compiled, so
+        on a wide sketch too a missing compiler raises RuntimeError, as phase
+        2 does, and is not reported as a config error."""
+        no_compiler(monkeypatch, tmp_path / "cache")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "environment": {"family": "norm-squared", "d": 6, "k": 1, "sigma": 0.05, "nu": 0.1},
+            "practical": {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "lambda_override": 0.7364726058014618},
+            "horizons": [900],
+            "seeds": [1],
+        }))
+        with pytest.raises(RuntimeError, match="cannot build the compiled kernels: no-such-cc"):
+            cli.main(["recover", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert "config error" not in capsys.readouterr().err
 
     def test_compiler_errors_are_reported(self, tmp_path, monkeypatch):
         broken = tmp_path / "_kernels.c"

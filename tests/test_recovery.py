@@ -27,6 +27,7 @@ from subspace_bandit.sampling import (
     collect_measurements,
     draw_sampling_sets,
 )
+import sketch_oracles
 from sketch_oracles import apply_operator, phase1_target
 
 SEED = 20240817
@@ -310,6 +311,37 @@ class TestSolver:
         with pytest.raises(ValueError):
             DantzigProblem(np.zeros(12), sets, 1.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["y", "adjoint_y"])
+    def test_non_finite_targets_rejected(self, name, bad):
+        """A non-finite y, or a given Phi^*(y), is refused by name before any
+        solve, so the compiled rounds never see one."""
+        rng = np.random.default_rng(SEED + 16)
+        sets = draw_sampling_sets(SamplingPlan(m_X=4, m_Phi=12, epsilon=0.1), 3, rng)
+        y = rng.standard_normal(12)
+        adjoint_y = apply_adjoint(sets, y)
+        (y if name == "y" else adjoint_y)[1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            DantzigProblem(y, sets, 0.1, 1, adjoint_y=adjoint_y)
+
+    def test_adjoint_of_the_wrong_shape_rejected(self):
+        rng = np.random.default_rng(SEED + 16)
+        sets = draw_sampling_sets(SamplingPlan(m_X=4, m_Phi=12, epsilon=0.1), 3, rng)
+        with pytest.raises(ValueError, match=r"adjoint_y must have shape \(3, 4\)"):
+            DantzigProblem(np.zeros(12), sets, 0.1, 1, adjoint_y=np.zeros((4, 3)))
+
+
+def lane_sums(mat, x):
+    """mat @ x summed as the kernels sum: each row in 8 lanes, lane q % 8 in
+    ascending q, the lanes added as ((0+1)+(2+3))+((4+5)+(6+7)), each step
+    one rounded numpy float64 operation."""
+    lanes = np.zeros((mat.shape[0], 8))
+    for q in range(0, x.size, 8):
+        part = mat[:, q : q + 8].astype(float) * x[q : q + 8]
+        lanes[:, : part.shape[1]] += part
+    s = lanes.T
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+
 
 def _forbidden_flat_operator(self):
     raise AssertionError("flat operator built for a tall sketch")
@@ -321,32 +353,42 @@ class TestGramForm:
     # d * m_X = 40: 24 and 40 rows take the flat path, 41 and 120 the Gram path
     @pytest.mark.parametrize("m_phi", [24, 40, 41, 120])
     def test_solver_pieces_match_flat_products(self, m_phi, monkeypatch):
+        """After one compiled step the round's r is Phi^*(y - Phi(m)) at its
+        iterate: bit for bit in the fixed order of the C sums (tall: from
+        the Gram counts, never building F; wide: F m in 8 lanes, then F^T u
+        row by row), and to 1e-12 of numpy's flat products."""
         d, m_x = 5, 8
         rng = np.random.default_rng(SEED + 23 + m_phi)
         sets = draw_sampling_sets(SamplingPlan(m_X=m_x, m_Phi=m_phi, epsilon=0.1), d, rng)
         y = rng.standard_normal(m_phi)
-        mat = rng.standard_normal((d, m_x))
         tall = m_phi > d * m_x
         if tall:
             monkeypatch.setattr(SamplingSets, "flat_operator", _forbidden_flat_operator)
         assert sets.tall == tall
-        adjoint_y = apply_adjoint(sets, y)
-        residual = recovery._smooth_part(sets, y, adjoint_y)
-        grad = -residual(mat)
+        problem = DantzigProblem(y, sets, 0.1, 1)
+        rounds = recovery._FistaRounds(problem)
+        rounds.m[...] = rng.standard_normal((d, m_x))
+        tau = 0.5 * np.linalg.norm(problem.adjoint_y, 2)
+        assert rounds(tau, 1.0, 0.0, max_iters=1)[0] == 1
         monkeypatch.undo()
 
+        m = rounds.m.ravel()
         flat = sets.flat_operator()
-        # Phi^*(y) is summed over sign chunks on either shape; the wide
-        # path's gradient keeps the flat arithmetic bit for bit
-        triples = (
-            (adjoint_y, (flat.T @ y).reshape(d, m_x), False),
-            (grad, (flat.T @ (flat @ mat.ravel() - y)).reshape(d, m_x), not tall),
+        if tall:
+            ordered = problem.adjoint_y.ravel() - lane_sums(sets.gram(), m) / m_phi
+        else:
+            u = y - lane_sums(flat, m)
+            ordered = np.zeros(d * m_x)
+            for i in range(m_phi):
+                ordered = ordered + flat[i] * u[i]
+        assert np.array_equal(rounds.r.ravel().view(np.int64), ordered.view(np.int64))
+        # Phi^*(y) is summed over sign chunks on either shape
+        pairs = (
+            (problem.adjoint_y, (flat.T @ y).reshape(d, m_x)),
+            (rounds.r, (flat.T @ (y - flat @ m)).reshape(d, m_x)),
         )
-        for got, want, exact in triples:
-            if exact:
-                np.testing.assert_array_equal(got, want)
-            else:
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for got, want in pairs:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_product_sums_in_its_fixed_lane_order(self):
         """gram_product gives the bits of its fixed order on every processor:
@@ -364,13 +406,7 @@ class TestGramForm:
             x = all_x[:width].copy()
             out = np.full(width, np.nan)
             library.gram_product(ptr(counts.ctypes.data), ptr(x.ctypes.data), i64(width), ptr(out.ctypes.data))
-            lanes = np.zeros((width, 8))
-            for q in range(0, width, 8):
-                part = counts[:, q : q + 8].astype(float) * x[q : q + 8]
-                lanes[:, : part.shape[1]] += part
-            s = lanes.T
-            ordered = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-            assert np.array_equal(out.view(np.int64), ordered.view(np.int64)), width
+            assert np.array_equal(out.view(np.int64), lane_sums(counts, x).view(np.int64)), width
             want = counts.astype(float) @ x
             assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(want), width
 
@@ -385,12 +421,85 @@ class TestGramForm:
         assert (info.iterations > 0) == iterates
 
 
+def compiled_svt(mat, thresh, max_steps=None):
+    """svt of _kernels.c on mat, and its status (0 when it converged)."""
+    mat = np.ascontiguousarray(mat, dtype=float)
+    out = np.full_like(mat, np.nan)
+    steps = 30 * min(mat.shape) if max_steps is None else max_steps
+    status = _kernels.load().svt(mat.shape[0], mat.shape[1], mat.ctypes.data, thresh, steps, out.ctypes.data)
+    return out, status
+
+
+def low_rank(rng, rows, cols, rank):
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+class TestSvtKernel:
+    """The compiled prox of ``thresh * ||.||_*`` (Golub-Kahan
+    bidiagonalization and implicit-shift QR, right vectors only) against
+    numpy's SVD."""
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(12, 12), (10, 30), (30, 10), (30, 30), (1, 7), (7, 1), (1, 1), (3, 5)]
+    )
+    @pytest.mark.parametrize("kind", ["full", "rank-deficient", "clustered"])
+    def test_agrees_with_numpy(self, rows, cols, kind):
+        """At thresholds across the spectrum, from none kept to all kept,
+        the result is numpy's to 1e-12 relative to the input."""
+        rng = np.random.default_rng(SEED + 50 + 7 * rows + cols)
+        for trial in range(8):
+            if kind == "full":
+                mat = rng.standard_normal((rows, cols))
+            elif kind == "rank-deficient":
+                mat = low_rank(rng, rows, cols, max(1, min(rows, cols) // 3))
+            else:  # singular values in two clusters 1e-9 apart
+                u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+                v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+                s = np.ones(min(rows, cols))
+                s[::2] += 1e-9
+                mat = (u[:, : s.size] * s) @ v[:, : s.size].T
+            mat *= 10.0 ** (trial - 4)
+            spectrum = np.linalg.svd(mat, compute_uv=False)
+            for thresh in (0.0, 0.5 * spectrum[0], 0.99 * spectrum[-1], float(np.median(spectrum))):
+                got, status = compiled_svt(mat, thresh)
+                want = sketch_oracles.svt(mat, thresh)
+                assert status == 0
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(mat), (trial, thresh)
+
+    @pytest.mark.parametrize("rows, cols", [(12, 12), (10, 30), (30, 10), (1, 7)])
+    def test_threshold_extremes(self, rows, cols):
+        """A threshold above the top singular value gives exactly zero,
+        a zero threshold gives the input back, and a zero input gives zero."""
+        rng = np.random.default_rng(SEED + 51)
+        mat = rng.standard_normal((rows, cols))
+        top = np.linalg.svd(mat, compute_uv=False)[0]
+        for thresh in (1.01 * top, 1e300):
+            got, status = compiled_svt(mat, thresh)
+            assert status == 0 and np.array_equal(got, np.zeros_like(mat))
+        got, status = compiled_svt(mat, 0.0)
+        assert status == 0 and np.linalg.norm(got - mat) <= 1e-12 * np.linalg.norm(mat)
+        got, status = compiled_svt(np.zeros((rows, cols)), 0.0)
+        assert status == 0 and np.array_equal(got, np.zeros((rows, cols)))
+
+    def test_no_convergence_is_an_error_not_a_hang(self):
+        """A QR iteration cut off before convergence, and a non-finite input,
+        which could never converge, each return -1 at once."""
+        rng = np.random.default_rng(SEED + 52)
+        mat = rng.standard_normal((6, 6))
+        assert compiled_svt(mat, 0.1)[1] == 0
+        assert compiled_svt(mat, 0.1, max_steps=0)[1] == -1
+        for bad in (np.nan, np.inf):
+            mat[2, 3] = bad
+            assert compiled_svt(mat, 0.1)[1] == -1
+
+
 def plain_fista(residual, tau, lipschitz, start, max_iters, rel_tol):
-    """FISTA without restarts (Beck & Teboulle), the reference for ``_fista``.
+    """FISTA without restarts (Beck & Teboulle), against the restarted loop.
 
     The same prox step and stopping rule as the library loop, with the fixed
     step ``1 / lipschitz``: no backtracking, and ``t`` grows without ever
-    being reset.  Returns what ``_fista`` returns, with no backtracks.
+    being reset.  Returns what ``sketch_oracles.fista`` returns, with no
+    backtracks.
     """
     m_cur = start.copy()
     z = start.copy()
@@ -399,7 +508,7 @@ def plain_fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     iters = 0
     converged = False
     for iters in range(1, max_iters + 1):
-        m_new = recovery._svt(z + step * residual(z), tau * step)
+        m_new = sketch_oracles.svt(z + step * residual(z), tau * step)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = m_new + ((t - 1.0) / t_new) * (m_new - m_cur)
         change = np.linalg.norm(m_new - m_cur)
@@ -412,11 +521,90 @@ def plain_fista(residual, tau, lipschitz, start, max_iters, rel_tol):
     return m_cur, iters, converged, lipschitz, 0
 
 
+def noisy_planted_problem(label, seed, lam_rel=0.1, noise=0.05):
+    rng = np.random.default_rng(seed)
+    problem, _, _ = planted_problem(rng, m_phi=SKETCH_ROWS[label], lam_rel=lam_rel)
+    if not noise:
+        return problem
+    noisy = problem.y + noise * rng.standard_normal(problem.y.size)
+    dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
+    return DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
+
+
+class TestCompiledRounds:
+    """Each continuation round is one call of fista_round in _kernels.c,
+    whose reference is sketch_oracles.fista: the same steps in numpy."""
+
+    @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
+    @pytest.mark.parametrize("lipschitz", [1.0, 0.01, 100.0])
+    def test_round_matches_the_reference(self, label, lipschitz):
+        """From a warm start and from L = 1, 0.01 (every first step
+        backtracks) or 100 (none does): the same steps, backtracks and stop,
+        and iterate, residual and L within 1e-10 relative."""
+        problem = noisy_planted_problem(label, SEED + 30)
+        sets = problem.sets
+        residual = sketch_oracles.smooth_part(sets, problem.y, problem.adjoint_y)
+        rng = np.random.default_rng(SEED + 31)
+        start = 0.1 * low_rank(rng, sets.d, sets.m_X, 1)
+        tau = 0.3 * np.linalg.norm(problem.adjoint_y, 2)
+        for max_iters, rel_tol in ((5000, recovery.WARM_TOL), (5000, 1e-9), (7, 1e-9)):
+            rounds = recovery._FistaRounds(problem)
+            rounds.m[...] = start
+            iters, converged, lip, backtracks = rounds(tau, lipschitz, rel_tol, max_iters)
+            want, *counts = sketch_oracles.fista(residual, tau, lipschitz, start, max_iters, rel_tol)
+            assert [iters, converged, backtracks] == [counts[0], counts[1], counts[3]]
+            assert converged == (iters < max_iters)
+            assert backtracks > 0 if lipschitz < 1.0 else lipschitz == 1.0 or backtracks == 0
+            assert abs(lip - counts[2]) <= 1e-10 * counts[2]
+            assert np.linalg.norm(rounds.m - want) <= 1e-10 * np.linalg.norm(want)
+            r_want = residual(want)
+            assert np.linalg.norm(rounds.r - r_want) <= 1e-10 * np.linalg.norm(r_want)
+
+    @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
+    @pytest.mark.parametrize("lam_rel, noise", [(1e-3, 0.0), (0.1, 0.05)])
+    def test_solve_matches_the_reference_continuation(self, label, lam_rel, noise):
+        """solve_dantzig against sketch_oracles.continuation: the same
+        rounds, steps and backtracks, and the same iterate to 1e-10."""
+        problem = noisy_planted_problem(label, SEED + 25, lam_rel, noise)
+        est, info = solve_dantzig(problem)
+        ref, ref_info = sketch_oracles.continuation(problem)
+        assert info.feasible and ref_info.feasible
+        counts = ("iterations", "outer_rounds", "backtracks", "converged")
+        assert [getattr(info, c) for c in counts] == [getattr(ref_info, c) for c in counts]
+        assert np.linalg.norm(est - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert abs(info.lipschitz - ref_info.lipschitz) <= 1e-10 * ref_info.lipschitz
+        assert abs(info.residual_norm - ref_info.residual_norm) <= 1e-10 * ref_info.residual_norm
+
+    @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
+    def test_one_library_call_per_round(self, label, monkeypatch):
+        library = _kernels.load()
+        real = library.fista_round
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(library, "fista_round", spy)
+        _, info = solve_dantzig(noisy_planted_problem(label, SEED + 32))
+        assert info.feasible and len(calls) == info.outer_rounds > 1
+
+    def test_failed_round_is_a_runtime_error(self):
+        """A round whose thresholding fails (here on a non-finite start, which
+        no problem can produce) raises, naming the step."""
+        rounds = recovery._FistaRounds(noisy_planted_problem("wide", SEED + 33))
+        rounds.m[0, 0] = np.nan
+        with pytest.raises(RuntimeError, match="singular value thresholding step failed"):
+            rounds(1.0, 1.0, 1e-7)
+
+
 class TestRestartMatchesReference:
     """The restarted solver reaches the plain-FISTA solution in fewer steps."""
 
     def test_restart_fires_on_anisotropic_quadratic(self):
-        """0.5 * sum(w * (M - T)^2) with w = (1, 1e-3) and tau = 0.
+        """0.5 * sum(w * (M - T)^2) with w = (1, 1e-3) and tau = 0, on the
+        reference loop (the compiled one follows it step for step, see
+        TestCompiledRounds).
 
         With step 1 the stiff entry lands on its target at once, while the
         soft entry's momentum builds up until it overshoots; from then on
@@ -431,7 +619,7 @@ class TestRestartMatchesReference:
             return weights * (target - mat)
 
         start = np.zeros((1, 2))
-        est, iters, converged, _, _ = recovery._fista(residual, 0.0, 1.0, start, 2000, 1e-10)
+        est, iters, converged, _, _ = sketch_oracles.fista(residual, 0.0, 1.0, start, 2000, 1e-10)
         _, ref_iters, ref_converged, _, _ = plain_fista(residual, 0.0, 1.0, start, 2000, 1e-10)
         assert converged and iters < 1000, iters
         assert not ref_converged and ref_iters == 2000
@@ -439,29 +627,23 @@ class TestRestartMatchesReference:
 
     @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
     @pytest.mark.parametrize("lam_rel, noise", [(1e-3, 0.0), (0.1, 0.05)])
-    def test_planted_solve_against_plain_fista(self, label, lam_rel, noise, monkeypatch):
-        """Same continuation, inner loop swapped for the reference, which
-        steps by the exact ``1 / ||F||_2^2``.
+    def test_planted_solve_against_plain_fista(self, label, lam_rel, noise):
+        """The same continuation with its rounds solved by the reference,
+        which steps by the exact ``1 / ||F||_2^2``.
 
         Both solves stop on the same feasibility test, so their rank-1
         subspaces agree to solver tolerance: within 1e-5 in projector
         distance (at most 7e-7 seen), against 0.03-0.05 between either and
         the planted direction at the noisy level.
         """
-        rng = np.random.default_rng(SEED + 25)
-        problem, _, _ = planted_problem(rng, m_phi=SKETCH_ROWS[label], lam_rel=lam_rel)
-        if noise:
-            noisy = problem.y + noise * rng.standard_normal(problem.y.size)
-            dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
-            problem = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
+        problem = noisy_planted_problem(label, SEED + 25, lam_rel, noise)
         est, info = solve_dantzig(problem)
         norm_sq = np.linalg.norm(problem.sets.flat_operator(), 2) ** 2
 
         def fixed_step(residual, tau, _, *rest):
             return plain_fista(residual, tau, norm_sq, *rest)
 
-        monkeypatch.setattr(recovery, "_fista", fixed_step)
-        ref, ref_info = solve_dantzig(problem)
+        ref, ref_info = sketch_oracles.continuation(problem, inner=fixed_step)
         assert info.feasible and ref_info.feasible
         assert info.iterations < ref_info.iterations, (info, ref_info)
         basis = extract_subspace(truncate_rank_k(est, 1), 1)
@@ -469,28 +651,19 @@ class TestRestartMatchesReference:
         assert subspace_error(basis, ref_basis) <= 1e-5
 
 
-def noisy_planted_problem(label, seed):
-    rng = np.random.default_rng(seed)
-    problem, _, _ = planted_problem(rng, m_phi=SKETCH_ROWS[label], lam_rel=0.1)
-    noisy = problem.y + 0.05 * rng.standard_normal(problem.y.size)
-    dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
-    return DantzigProblem(noisy, problem.sets, 0.1 * dual0, 1)
-
-
-def scale_first_round(monkeypatch, factor):
-    """Scale the L that solve_dantzig hands to its first FISTA round.
-
-    Returns the list of the L each round was handed, before scaling."""
-    fista = recovery._fista
+def spy_on_rounds(monkeypatch, factor=1.0):
+    """Record what solve_dantzig hands each compiled round, as
+    ``(tau, L, rel_tol)``, and scale the first round's L by factor."""
+    call = recovery._FistaRounds.__call__
     handed = []
 
-    def scaled(residual, tau, lipschitz, *rest):
-        handed.append(lipschitz)
+    def spy(self, tau, lipschitz, rel_tol, *rest):
+        handed.append((tau, lipschitz, rel_tol))
         if len(handed) == 1:
             lipschitz *= factor
-        return fista(residual, tau, lipschitz, *rest)
+        return call(self, tau, lipschitz, rel_tol, *rest)
 
-    monkeypatch.setattr(recovery, "_fista", scaled)
+    monkeypatch.setattr(recovery._FistaRounds, "__call__", spy)
     return handed
 
 
@@ -507,8 +680,9 @@ class TestStepRule:
     def test_start_at_one_and_never_fall(self, label, monkeypatch):
         problem = noisy_planted_problem(label, SEED + 26)
         sets = problem.sets
-        handed = scale_first_round(monkeypatch, 1.0)
+        rounds = spy_on_rounds(monkeypatch)
         _, info = solve_dantzig(problem)
+        handed = [lip for _, lip, _ in rounds]
         assert info.feasible and len(handed) == info.outer_rounds > 1
         assert handed[0] == 1.0
         assert handed == sorted(handed) and info.lipschitz >= handed[-1]
@@ -520,28 +694,35 @@ class TestStepRule:
 
     @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
     def test_too_small_start_backtracks_to_the_same_solution(self, label, monkeypatch):
-        """From L = 0.01, the first steps overshoot.  The test raises L, every
-        accepted step satisfies it on the exact curvature ``||F d||^2``
-        (within the stated rounding allowance), L never falls between steps,
-        and the solve lands where the default one does."""
+        """From L = 0.01, the first steps overshoot.  The test raises L and
+        the solve lands where the default one does.  On the reference
+        continuation, which the compiled rounds follow step for step from
+        that L, every accepted step satisfies the test on the exact
+        curvature ``||F d||^2`` (within the stated rounding allowance), and L
+        never falls between steps."""
         problem = noisy_planted_problem(label, SEED + 27)
         ref, ref_info = solve_dantzig(problem)
-        steps = []
-        prox_step = recovery._prox_step
+        handed = spy_on_rounds(monkeypatch, 0.01)
+        est, info = solve_dantzig(problem)
+        assert info.feasible and ref_info.feasible
+        assert handed[0][1] == 1.0
+        assert info.backtracks >= 1 and info.lipschitz > 0.01
+        assert subspace_error(rank_one_basis(est), rank_one_basis(ref)) <= 1e-5
 
-        def spy(residual, z, r_z, tau, lipschitz):
-            out = prox_step(residual, z, r_z, tau, lipschitz)
+        steps = []
+
+        def prox(residual, z, r_z, tau, lipschitz):
+            out = sketch_oracles.prox_step(residual, z, r_z, tau, lipschitz)
             steps.append((z, r_z, lipschitz, out))
             return out
 
-        monkeypatch.setattr(recovery, "_prox_step", spy)
-        handed = scale_first_round(monkeypatch, 0.01)
-        est, info = solve_dantzig(problem)
-        assert info.feasible and ref_info.feasible
-        assert handed[0] == 1.0
-        assert info.backtracks == sum(out[4] for *_, out in steps) >= 1
-        assert info.lipschitz > 0.01
-        assert subspace_error(rank_one_basis(est), rank_one_basis(ref)) <= 1e-5
+        def inner(*args):
+            return sketch_oracles.fista(*args, prox=prox)
+
+        oracle, oracle_info = sketch_oracles.continuation(problem, inner, lipschitz=0.01)
+        assert (oracle_info.iterations, oracle_info.backtracks) == (info.iterations, info.backtracks)
+        assert np.linalg.norm(est - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert info.backtracks == sum(out[4] for *_, out in steps)
         flat = problem.sets.flat_operator()
         previous = 0.01
         for z, r_z, given, (p, r_p, d, lipschitz, _) in steps:
@@ -559,10 +740,10 @@ class TestStepRule:
         L never moves, and the solve still reaches the constraint."""
         problem = noisy_planted_problem(label, SEED + 28)
         assert np.linalg.norm(problem.sets.flat_operator(), 2) ** 2 < 100.0
-        handed = scale_first_round(monkeypatch, 100.0)
+        handed = spy_on_rounds(monkeypatch, 100.0)
         _, info = solve_dantzig(problem)
-        assert info.feasible and handed[0] == 1.0
-        assert info.backtracks == 0 and info.lipschitz == 100.0 * handed[0]
+        assert info.feasible and handed[0][1] == 1.0
+        assert info.backtracks == 0 and info.lipschitz == 100.0 * handed[0][1]
 
 
 class TestWarmStartRounds:
@@ -572,26 +753,14 @@ class TestWarmStartRounds:
     @pytest.mark.parametrize("label", sorted(SKETCH_ROWS))
     @pytest.mark.parametrize("lam_rel, noise", [(1e-3, 0.0), (0.1, 0.05)])
     def test_loose_warm_starts_land_on_the_tight_solution(self, label, lam_rel, noise, monkeypatch):
-        rng = np.random.default_rng(SEED + 29)
-        problem, _, _ = planted_problem(rng, m_phi=SKETCH_ROWS[label], lam_rel=lam_rel)
-        if noise:
-            noisy = problem.y + noise * rng.standard_normal(problem.y.size)
-            dual0 = np.linalg.norm(apply_adjoint(problem.sets, noisy), 2)
-            problem = DantzigProblem(noisy, problem.sets, lam_rel * dual0, 1)
-        fista = recovery._fista
-        handed = []
-
-        def spy(residual, tau, lipschitz, start, max_iters, rel_tol):
-            handed.append((tau, rel_tol))
-            return fista(residual, tau, lipschitz, start, max_iters, rel_tol)
-
-        monkeypatch.setattr(recovery, "_fista", spy)
+        problem = noisy_planted_problem(label, SEED + 29, lam_rel, noise)
+        handed = spy_on_rounds(monkeypatch)
         est, info = solve_dantzig(problem)
         final_tau = handed[-1][0]
-        assert handed[0][1] == recovery.WARM_TOL > recovery.REL_TOL
-        for tau, rel_tol in handed:
+        assert handed[0][2] == recovery.WARM_TOL > recovery.REL_TOL
+        for tau, _, rel_tol in handed:
             assert (rel_tol == recovery.WARM_TOL) == (tau > final_tau)
-        assert any(rel_tol == recovery.REL_TOL for _, rel_tol in handed)
+        assert any(rel_tol == recovery.REL_TOL for *_, rel_tol in handed)
 
         monkeypatch.setattr(recovery, "WARM_TOL", recovery.REL_TOL)
         ref, ref_info = solve_dantzig(problem)
