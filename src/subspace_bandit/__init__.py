@@ -16,7 +16,6 @@ from .envs import (
     make_environment,
     make_row_orthonormal,
     mean_spec,
-    sample_reward,
     optimal_value,
     best_on_subspace,
     estimate_conditioning,
@@ -31,12 +30,10 @@ from .sampling import (
 )
 from .recovery import (
     DantzigProblem,
-    DegenerateRecoveryError,
     RecoveryResult,
     SolveInfo,
     compute_lambda,
     ds_error_bound,
-    extract_subspace,
     recover_subspace,
     solve_dantzig,
     subspace_error,
@@ -44,12 +41,9 @@ from .recovery import (
 from .bandit import (
     ArmGrid,
     Phase2Result,
-    Ucb1State,
     build_arm_grid,
     choose_M,
     run_phase2,
-    ucb1_select,
-    ucb1_update,
 )
 from .pipeline import (
     BudgetError,
@@ -84,7 +78,6 @@ __all__ = [
     "make_environment",
     "make_row_orthonormal",
     "mean_spec",
-    "sample_reward",
     "optimal_value",
     "best_on_subspace",
     "estimate_conditioning",
@@ -95,23 +88,18 @@ __all__ = [
     "collect_measurements",
     "draw_sampling_sets",
     "DantzigProblem",
-    "DegenerateRecoveryError",
     "RecoveryResult",
     "SolveInfo",
     "compute_lambda",
     "ds_error_bound",
-    "extract_subspace",
     "recover_subspace",
     "solve_dantzig",
     "subspace_error",
     "ArmGrid",
     "Phase2Result",
-    "Ucb1State",
     "build_arm_grid",
     "choose_M",
     "run_phase2",
-    "ucb1_select",
-    "ucb1_update",
     "BudgetError",
     "Phase1Result",
     "PracticalParams",

@@ -82,68 +82,12 @@ def build_arm_grid(a_hat: np.ndarray, M: int, nu: float) -> ArmGrid:
 
 
 @dataclass
-class Ucb1State:
-    counts: np.ndarray
-    means: np.ndarray
-    t: int
-    scale: float
-
-    @property
-    def n_arms(self) -> int:
-        return self.counts.size
-
-
-def fresh_ucb_state(n_arms: int, scale: float) -> Ucb1State:
-    if n_arms < 1:
-        raise ValueError(f"need at least one arm, got {n_arms}")
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValueError(f"scale must be finite and >= 0, got {scale}")
-    return Ucb1State(
-        counts=np.zeros(n_arms, dtype=np.int64),
-        means=np.zeros(n_arms, dtype=float),
-        t=0,
-        scale=float(scale),
-    )
-
-
-def ucb1_select(state: Ucb1State) -> int:
-    """Lowest-index unpulled arm first; afterwards the argmax of the index.
-
-    Index of arm a is means[a] + scale * sqrt(2 log t / counts[a]); ties go
-    to the lowest index (numpy argmax keeps the first maximum).  This and
-    ucb1_update specify run_phase2, whose compiled loop evaluates the same
-    index with the same rounded steps (divide, sqrt, times scale, plus
-    mean) and keeps the first maximum.
-    """
-    unpulled = np.flatnonzero(state.counts == 0)
-    if unpulled.size:
-        return int(unpulled[0])
-    bonus = state.scale * np.sqrt(2.0 * math.log(state.t) / state.counts)
-    return int(np.argmax(state.means + bonus))
-
-
-def ucb1_update(state: Ucb1State, arm: int, reward: float) -> Ucb1State:
-    """Numerically stable running-mean update; mutates and returns the state.
-
-    run_phase2's compiled loop makes the same update, m += (r - m) / count,
-    so its means equal this function's bit for bit.
-    """
-    if not 0 <= arm < state.n_arms:
-        raise ValueError(f"arm {arm} out of range [0, {state.n_arms})")
-    state.counts[arm] += 1
-    state.t += 1
-    state.means[arm] += (reward - state.means[arm]) / state.counts[arm]
-    return state
-
-
-@dataclass
 class Phase2Result:
-    """Each round's arm and regret, the arm grid and the final UCB-1 state."""
+    """Each round's arm and regret, and the arm grid."""
 
     arm_ids: np.ndarray
     regrets: np.ndarray  # per round, against the global optimum
     grid: ArmGrid
-    state: Ucb1State
 
 
 def default_ucb_scale(env: Environment) -> float:
@@ -165,21 +109,27 @@ def run_phase2(
     Regrets are taken against opt_value (default: optimal_value(env)), and
     ucb_scale defaults to default_ucb_scale(env).  The horizon is known, so
     one grid of level M = choose_M(n2, k) suffices (M = 1 when n2 = 1).
-    The result is bit-identical to n2 rounds of ucb1_select, sample_reward
-    and ucb1_update, without a call per round: the grid is checked against
-    the action ball once, the n2 queries are charged at once, each arm's
-    mean is computed once, and the noise comes NOISE_CHUNK values per rng
-    call, the same stream as one standard_normal() per round (none at all
-    when sigma = 0, as for sample_reward).
+
+    The policy pulls each arm once, in index order, then the arm of largest
+    index means[a] + scale * sqrt(2 log t / counts[a]) in round t, ties to
+    the lowest index; a reward updates its arm's running mean as
+    m += (r - m) / count.  The result is bit-identical to n2 rounds of that
+    policy with one noisy reward query each (the per-round reference in
+    tests/sketch_oracles.py), without a call per round: the grid is checked
+    against the action ball once, the n2 queries are charged at once, each
+    arm's mean is computed once, and the noise comes NOISE_CHUNK values per
+    rng call, the same stream as one standard_normal() per round (none at
+    all when sigma = 0).
 
     The rounds run in phase2_rounds of _kernels.c, NOISE_CHUNK per call
     (built at first use, see _kernels.load).  After the sweep the loop
     bounds every arm's index once per block of BLOCK rounds and evaluates
     only the arms whose bounds exceed the running best, in numpy's
-    operation order, so the winner is ucb1_select's first argmax and the
-    means are ucb1_update's bit for bit.  The indices are finite because
-    sigma, nu and the scale are finite.  Raises RuntimeError, before any
-    query or draw, when the loop cannot be built.
+    operation order (divide, sqrt, times scale, plus mean), so the winner is
+    numpy's first argmax.  The indices are finite because sigma, nu and the
+    scale are finite.  Raises ValueError unless the scale is finite and
+    >= 0, and RuntimeError when the loop cannot be built, both before any
+    query or draw.
     """
     a_hat = np.asarray(a_hat, dtype=float)
     if n2 < 1:
@@ -190,6 +140,8 @@ def run_phase2(
         )
     kernel = _kernels.load().phase2_rounds
     scale = default_ucb_scale(env) if ucb_scale is None else float(ucb_scale)
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     opt_value = optimal_value(env)[0] if opt_value is None else float(opt_value)
 
     if M is not None:
@@ -200,10 +152,9 @@ def run_phase2(
         M = choose_M(n2, a_hat.shape[0])
     grid = build_arm_grid(a_hat, M, env.nu)
     n_arms = grid.n_arms
-    state = fresh_ucb_state(n_arms, scale)
     check_points(env, grid.arms)
-    # each arm's mean exactly as sample_reward computes it: A @ x per arm (a
-    # matrix product rounds differently), then one mean_value over the rows
+    # each arm's mean exactly as a one-point query computes it: A @ x per arm
+    # (a matrix product rounds differently), then one mean_value over the rows
     arm_means = np.ascontiguousarray(
         mean_value(env.mean, np.array([env.A @ x for x in grid.arms])), dtype=float
     )
@@ -212,18 +163,19 @@ def run_phase2(
     bounds = np.empty(n_arms)  # each arm's index bound in the open block
     hi = np.zeros(1)  # the open block's largest 2 log t
     end = np.array([n_arms], dtype=np.int64)  # the round that opens the next block
+    counts = np.zeros(n_arms, dtype=np.int64)
+    means = np.zeros(n_arms)  # each arm's running mean reward
     arm_ids = np.empty(n2, dtype=np.int64)
     fixed = (n2, BLOCK, n_arms, scale) + tuple(
-        a.ctypes.data for a in (arm_means, state.counts, state.means, bounds, hi, end, arm_ids)
+        a.ctypes.data for a in (arm_means, counts, means, bounds, hi, end, arm_ids)
     )
     for start in range(0, n2, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, n2)
         # held in a name while the loop reads it
         noise = np.ascontiguousarray(_reward_noise(env, stop - start), dtype=float)
         kernel(start, stop, noise.ctypes.data, *fixed)
-    state.t = n2
     arm_true_means = mean_value(env.mean, grid.arms @ env.A.T)
 
     return Phase2Result(
-        arm_ids=arm_ids, regrets=opt_value - arm_true_means[arm_ids], grid=grid, state=state
+        arm_ids=arm_ids, regrets=opt_value - arm_true_means[arm_ids], grid=grid
     )

@@ -41,7 +41,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class MeanRewardSpec:
-    """A smooth mean-reward family on B_k(1 + nu).
+    """A smooth mean-reward family on B_k(1 + nu), for the nu that mean_spec
+    was given (the environment keeps nu).
 
     c2 is an analytic upper bound on |g|, all first partials and all second
     partials over the domain.  closed_form_opt stores (optimal value, an
@@ -51,7 +52,6 @@ class MeanRewardSpec:
 
     family: str
     k: int
-    nu: float
     params: dict
     c2: float
     closed_form_opt: Optional[tuple] = None
@@ -150,7 +150,7 @@ def mean_spec(family: str, k: int, nu: float, params: Optional[dict] = None) -> 
         c2 = max(1.0, np.exp(-0.5) / width, 1.0 / width**2)
         opt = (1.0, c.copy())
 
-    return MeanRewardSpec(family=family, k=k, nu=float(nu), params=params, c2=float(c2), closed_form_opt=opt)
+    return MeanRewardSpec(family=family, k=k, params=params, c2=float(c2), closed_form_opt=opt)
 
 
 def mean_value(spec: MeanRewardSpec, u: np.ndarray):
@@ -307,6 +307,8 @@ def make_environment(
     check_number("k", k, integer=True)
     check_number("sigma", sigma, integer=False)
     check_number("nu", nu, integer=False)
+    if not 1 <= k <= d:
+        raise ValueError(f"k must satisfy 1 <= k <= d = {d}, got {k}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     spec = mean_spec(family, k, nu, params)
@@ -330,25 +332,6 @@ def _analysis_rng(env: Environment) -> np.random.Generator:
     re-derived on every call so estimates are idempotent per environment.
     """
     return np.random.default_rng(np.random.SeedSequence(env.seed).spawn(3)[2])
-
-
-def _check_domain(env: Environment, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(env.d)
-    nrm = float(np.linalg.norm(x))
-    if nrm > 1.0 + env.nu + DOMAIN_SLACK:
-        raise DomainError(
-            f"query point outside the action ball: ||x|| = {nrm:.12g} > 1 + nu = {1.0 + env.nu:.12g}"
-        )
-    return x
-
-
-def sample_reward(env: Environment, x: np.ndarray) -> float:
-    """One noisy reward query at x; increments the query count by one."""
-    x = _check_domain(env, x)
-    val = float(mean_value(env.mean, env.A @ x))
-    noise = float(_reward_noise(env, 1)[0])
-    env.query_count += 1
-    return val + noise
 
 
 def check_points(env: Environment, xs: np.ndarray) -> None:

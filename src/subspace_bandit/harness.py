@@ -62,7 +62,8 @@ class ExperimentConfig:
 
     environment holds make_environment's keywords (family, d, k, sigma,
     nu, params) but the seed, which each cell derives; any other key is an
-    error.  practical holds PracticalParams overrides shared by all cells,
+    error, and the values are checked by building the first cell's
+    environment, last.  practical holds PracticalParams overrides shared by all cells,
     each checked here in practical mode; theory holds {"alpha": ...,
     "constants": {...}}, nothing else, for theory-mode planning, and the
     constants are checked here in either mode.  out_dir is a path or None.
@@ -84,9 +85,6 @@ class ExperimentConfig:
         missing = {"family", "d", "k"} - set(self.environment)
         if missing:
             raise ValueError(f"environment missing key(s): {sorted(missing)}")
-        for key in ("d", "k", "sigma", "nu"):
-            if key in self.environment:
-                check_number(f"environment.{key}", self.environment[key], integer=key in "dk")
         if self.mode not in ("theory", "practical"):
             raise ValueError(f"mode must be 'theory' or 'practical', got {self.mode!r}")
         for key in ("horizons", "seeds"):
@@ -110,23 +108,22 @@ class ExperimentConfig:
         if not isinstance(self.practical, dict):
             raise ValueError(f"practical must be an object, got {self.practical!r}")
         check_keys("practical", self.practical, _PRACTICAL_KEYS)
+        known = None
         if self.mode == "practical":
             missing = _PRACTICAL_REQUIRED - set(self.practical)
             if missing:
                 raise ValueError(f"practical config missing key(s): {sorted(missing)}")
             known = PracticalParams(n=self.horizons[0], **self.practical).known_subspace
-            if known is not None and np.shape(known)[1] != self.environment["d"]:
-                raise ValueError(
-                    f"known_subspace: basis has {np.shape(known)[1]} columns but the "
-                    f"environment has d = {self.environment['d']}"
-                )
         if not isinstance(self.theory, dict):
             raise ValueError(f"theory must be an object, got {self.theory!r}")
         check_keys("theory", self.theory, ("alpha", "constants"))
         if self.mode == "theory" and "alpha" not in self.theory:
             raise ValueError("theory mode needs theory.alpha in the config")
         if "alpha" in self.theory:
-            check_number("theory.alpha", self.theory["alpha"], integer=False)
+            alpha = self.theory["alpha"]
+            check_number("theory.alpha", alpha, integer=False)
+            if not (math.isfinite(alpha) and alpha > 0):
+                raise ValueError(f"theory.alpha must be finite and > 0, got {alpha}")
         constants = self.theory.get("constants", {})
         if not isinstance(constants, dict):
             raise ValueError(f"theory.constants must be an object, got {constants!r}")
@@ -137,6 +134,17 @@ class ExperimentConfig:
             raise ValueError(f"theory.constants: {exc}") from None
         if not (self.out_dir is None or isinstance(self.out_dir, str) and self.out_dir):
             raise ValueError(f"out_dir must be a nonempty string or null, got {self.out_dir!r}")
+        # an environment the config cannot build stops here, before any
+        # cell runs or any directory exists
+        try:
+            d = _cell_environment(self, self.horizons[0], self.seeds[0]).d
+        except ValueError as exc:
+            raise ValueError(f"environment: {exc}") from None
+        if known is not None and np.shape(known)[1] != d:
+            raise ValueError(
+                f"known_subspace: basis has {np.shape(known)[1]} columns but the "
+                f"environment has d = {d}"
+            )
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -303,9 +311,6 @@ def run_experiment(config: ExperimentConfig) -> SweepSummary:
     """
     out_dir = config.out_dir
     if out_dir:
-        # an environment the config cannot build stops the sweep before
-        # the directory exists
-        _cell_environment(config, config.horizons[0], config.seeds[0])
         os.makedirs(out_dir, exist_ok=True)
     cells = []
     for n in config.horizons:

@@ -311,8 +311,8 @@ def plan_parameters(
     with a minimal-n estimate; nothing is silently repaired.
     """
     constants = constants or TheoryConstants()
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if d < 1 or not 1 <= k <= d:

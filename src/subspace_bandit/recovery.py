@@ -39,10 +39,6 @@ MAX_OUTER = 40
 STEP_ROUNDING = 1e-12
 
 
-class DegenerateRecoveryError(RuntimeError):
-    """Raised when the recovered matrix carries no energy in the target rank."""
-
-
 def compute_lambda(
     c2: float,
     epsilon: float,
@@ -250,39 +246,6 @@ def solve_dantzig(problem: DantzigProblem) -> tuple[np.ndarray, SolveInfo]:
     return rounds.m, info
 
 
-def truncate_rank_k(mat: np.ndarray, k: int) -> np.ndarray:
-    """Best rank-k approximation in Frobenius norm (truncated SVD)."""
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    r = min(k, s.size)
-    return (u[:, :r] * s[:r]) @ vt[:r]
-
-
-def singular_values(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(mat, compute_uv=False)
-
-
-def extract_subspace(mat_k: np.ndarray, k: int) -> np.ndarray:
-    """Row-orthonormal (k, d) basis from the top-k left singular vectors.
-
-    Raises :class:`DegenerateRecoveryError` when the k-th singular value is
-    numerically zero, meaning the solve produced no usable rank-k signal.
-    """
-    u, s, _ = np.linalg.svd(mat_k, full_matrices=False)
-    if s.size < k or s[k - 1] <= RANK_FLOOR:
-        raise DegenerateRecoveryError(
-            "degenerate recovery: singular value "
-            f"{0.0 if s.size < k else float(s[k - 1]):.3e} at rank {k} is below "
-            f"{RANK_FLOOR:.0e} (spectrum: {np.array2string(s[: k + 3], precision=3)})"
-        )
-    basis = u[:, :k].T.copy()
-    # fix signs so repeated runs give bit-identical bases
-    for i in range(k):
-        j = int(np.argmax(np.abs(basis[i])))
-        if basis[i, j] < 0:
-            basis[i] = -basis[i]
-    return basis
-
-
 def subspace_error(a: np.ndarray, a_hat: np.ndarray) -> float:
     """Frobenius distance between the orthogonal projectors of two row spaces."""
     a = np.asarray(a, dtype=float)
@@ -316,23 +279,36 @@ def recover_subspace(
     true_basis: Optional[np.ndarray] = None,
     c0: float = 4.0,
 ) -> RecoveryResult:
-    """Solve, truncate to rank k, and extract the subspace estimate.
+    """Solve, then read the spectrum and the subspace estimate off one SVD.
 
-    A collapsed solve (see :func:`extract_subspace`) is returned, not
-    raised: the result has no basis and carries the reason.
+    The basis is the top-k left singular vectors of the solution, as rows,
+    each row's sign fixed so its largest-magnitude entry is positive, so
+    repeated runs give bit-identical bases.  A solve whose k-th singular
+    value is numerically zero has no usable rank-k signal: the result is
+    returned, not raised, with no basis and the reason in abort_reason.
     """
     estimate, info = solve_dantzig(problem)
+    u, s, _ = np.linalg.svd(estimate, full_matrices=False)
+    k = problem.k
     result = RecoveryResult(
-        basis=None, lam=problem.lam, spectrum=singular_values(estimate), info=info,
-        error_bound=ds_error_bound(problem.lam, problem.k, c0),
+        basis=None, lam=problem.lam, spectrum=s, info=info,
+        error_bound=ds_error_bound(problem.lam, k, c0),
     )
-    try:
-        result.basis = extract_subspace(truncate_rank_k(estimate, problem.k), problem.k)
-    except DegenerateRecoveryError as exc:
-        result.abort_reason = str(exc)
+    if s.size < k or s[k - 1] <= RANK_FLOOR:
+        result.abort_reason = (
+            "degenerate recovery: singular value "
+            f"{0.0 if s.size < k else float(s[k - 1]):.3e} at rank {k} is below "
+            f"{RANK_FLOOR:.0e} (spectrum: {np.array2string(s[: k + 3], precision=3)})"
+        )
         return result
+    basis = u[:, :k].T.copy()
+    for i in range(k):
+        j = int(np.argmax(np.abs(basis[i])))
+        if basis[i, j] < 0:
+            basis[i] = -basis[i]
+    result.basis = basis
     if true_basis is not None:
-        result.subspace_err = subspace_error(true_basis, result.basis)
+        result.subspace_err = subspace_error(true_basis, basis)
     return result
 
 

@@ -1,20 +1,23 @@
 """Reference maps and oracles which only tests need: per-point mean
-rewards, batched reward queries, the reward gradient and Hessian, the
-sketch's signs as int8 and back to bits, phase 1's forward sketch, the
-gradient matrix the measurements are linear in, the closed-form curvature
-term and isometry ratios, and the Dantzig solve in numpy (the reference
-for the compiled FISTA rounds)."""
+rewards, one-point and batched reward queries, the reward gradient and
+Hessian, phase 2's per-round UCB-1 (the reference for the compiled round
+loop), the sketch's signs as int8 and back to bits, phase 1's forward
+sketch, the gradient matrix the measurements are linear in, the
+closed-form curvature term and isometry ratios, the best rank-k
+approximation, and the Dantzig solve in numpy (the reference for the
+compiled FISTA rounds)."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from subspace_bandit.envs import (
     Environment,
     MeanRewardSpec,
-    _check_domain,
     _project,
     _query_projections,
+    _reward_noise,
     check_points,
     mean_grad,
     mean_value,
@@ -24,10 +27,26 @@ from subspace_bandit.recovery import SolveInfo
 from subspace_bandit.sampling import SamplingSets
 
 
+def check_domain(env: Environment, x: np.ndarray) -> np.ndarray:
+    """x as a float (d,) vector; raises DomainError if it leaves the action ball."""
+    x = np.asarray(x, dtype=float).reshape(env.d)
+    check_points(env, x[None, :])
+    return x
+
+
 def mean_reward(env: Environment, x: np.ndarray) -> float:
     """Noise-free mean reward at x (no budget charge)."""
-    x = _check_domain(env, x)
+    x = check_domain(env, x)
     return float(mean_value(env.mean, env.A @ x))
+
+
+def sample_reward(env: Environment, x: np.ndarray) -> float:
+    """One noisy reward query at x; increments the query count by one."""
+    x = check_domain(env, x)
+    val = float(mean_value(env.mean, env.A @ x))
+    noise = float(_reward_noise(env, 1)[0])
+    env.query_count += 1
+    return val + noise
 
 
 def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.ndarray:
@@ -50,7 +69,7 @@ def sample_rewards(env: Environment, xs: np.ndarray, repeats: int = 1) -> np.nda
 
 def gradient_mean_reward(env: Environment, x: np.ndarray) -> np.ndarray:
     """Analytic gradient of the mean reward at x: A^T grad g(A x)."""
-    x = _check_domain(env, x)
+    x = check_domain(env, x)
     return env.A.T @ mean_grad(env.mean, env.A @ x)
 
 
@@ -67,6 +86,67 @@ def mean_hess(spec: MeanRewardSpec, u: np.ndarray) -> np.ndarray:
     s2 = spec.params["width"] ** 2
     val = np.exp(-float(D @ D) / (2.0 * s2))
     return val * (np.outer(D, D) / s2**2 - np.eye(spec.k) / s2)
+
+
+# ---------- phase 2's per-round UCB-1 ----------
+
+
+@dataclass
+class Ucb1State:
+    counts: np.ndarray
+    means: np.ndarray
+    t: int
+    scale: float
+
+    @property
+    def n_arms(self) -> int:
+        return self.counts.size
+
+
+def fresh_ucb_state(n_arms: int, scale: float) -> Ucb1State:
+    if n_arms < 1:
+        raise ValueError(f"need at least one arm, got {n_arms}")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
+    return Ucb1State(
+        counts=np.zeros(n_arms, dtype=np.int64),
+        means=np.zeros(n_arms, dtype=float),
+        t=0,
+        scale=float(scale),
+    )
+
+
+def ucb1_select(state: Ucb1State) -> int:
+    """Lowest-index unpulled arm first; afterwards the argmax of the index.
+
+    Index of arm a is means[a] + scale * sqrt(2 log t / counts[a]); ties go
+    to the lowest index (numpy argmax keeps the first maximum).  This and
+    ucb1_update specify bandit.run_phase2, whose compiled loop evaluates the
+    same index with the same rounded steps (divide, sqrt, times scale, plus
+    mean) and keeps the first maximum.
+    """
+    unpulled = np.flatnonzero(state.counts == 0)
+    if unpulled.size:
+        return int(unpulled[0])
+    bonus = state.scale * np.sqrt(2.0 * math.log(state.t) / state.counts)
+    return int(np.argmax(state.means + bonus))
+
+
+def ucb1_update(state: Ucb1State, arm: int, reward: float) -> Ucb1State:
+    """Numerically stable running-mean update; mutates and returns the state.
+
+    bandit.run_phase2's compiled loop makes the same update,
+    m += (r - m) / count, so its means equal this function's bit for bit.
+    """
+    if not 0 <= arm < state.n_arms:
+        raise ValueError(f"arm {arm} out of range [0, {state.n_arms})")
+    state.counts[arm] += 1
+    state.t += 1
+    state.means[arm] += (reward - state.means[arm]) / state.counts[arm]
+    return state
+
+
+# ---------- the sketch ----------
 
 
 def signs_of(sets) -> np.ndarray:
@@ -127,6 +207,13 @@ def rip_ratio_sample(sets, k, trials, rng):
 
 
 # ---------- the Dantzig solve in numpy ----------
+
+
+def truncate_rank_k(mat: np.ndarray, k: int) -> np.ndarray:
+    """Best rank-k approximation in Frobenius norm (truncated SVD)."""
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    r = min(k, s.size)
+    return (u[:, :r] * s[:r]) @ vt[:r]
 
 
 def svt(mat: np.ndarray, thresh: float) -> np.ndarray:

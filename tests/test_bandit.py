@@ -1,6 +1,8 @@
 """Tests for arm-grid construction and the UCB-1 phase-2 loop."""
 
+import ctypes
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,10 +13,7 @@ from subspace_bandit.bandit import (
     build_arm_grid,
     choose_M,
     default_ucb_scale,
-    fresh_ucb_state,
     run_phase2,
-    ucb1_select,
-    ucb1_update,
 )
 from subspace_bandit.envs import (
     DomainError,
@@ -22,8 +21,8 @@ from subspace_bandit.envs import (
     make_environment,
     mean_value,
     optimal_value,
-    sample_reward,
 )
+from sketch_oracles import fresh_ucb_state, sample_reward, ucb1_select, ucb1_update
 
 SEED = 91600
 
@@ -202,6 +201,24 @@ class TestUcb1:
 # ---------- phase-2 execution ----------
 
 
+def run_with_loop_state(env, a_hat, n2, **settings):
+    """run_phase2, and the counts and means its compiled loop ends with,
+    read from the buffers run_phase2 hands the loop's last call."""
+    kernel = bandit._kernels.load().phase2_rounds
+    seen = {}
+
+    def spy(*args):
+        kernel(*args)
+        n_arms, counts, means = args[5], args[8], args[9]
+        seen["counts"] = np.array((ctypes.c_int64 * n_arms).from_address(counts))
+        seen["means"] = np.array((ctypes.c_double * n_arms).from_address(means))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandit._kernels, "load", lambda: types.SimpleNamespace(phase2_rounds=spy))
+        result = run_phase2(env, a_hat, n2, **settings)
+    return result, seen["counts"], seen["means"]
+
+
 def quad_env(seed, sigma=0.0, d=6, nu=0.0, center=0.5):
     return make_environment(
         d=d,
@@ -217,9 +234,9 @@ def quad_env(seed, sigma=0.0, d=6, nu=0.0, center=0.5):
 class TestRunPhase2:
     def test_sweep_covers_every_arm_once(self):
         env = quad_env(SEED + 2)
-        result = run_phase2(env, env.A, n2=5, M=2)
+        result, counts, _ = run_with_loop_state(env, env.A, n2=5, M=2)
         np.testing.assert_array_equal(result.arm_ids, np.arange(5))
-        assert np.all(result.state.counts == 1)
+        assert np.all(counts == 1)
         assert env.query_count == 5
 
     def test_single_round_uses_the_coarsest_grid(self):
@@ -236,20 +253,21 @@ class TestRunPhase2:
         assert env.query_count == 137
 
     def test_identical_seeds_identical_runs(self):
-        first = run_phase2(quad_env(SEED + 4, sigma=0.2), quad_env(SEED + 4).A, 400)
-        second = run_phase2(quad_env(SEED + 4, sigma=0.2), quad_env(SEED + 4).A, 400)
+        basis = quad_env(SEED + 4).A
+        first, _, first_means = run_with_loop_state(quad_env(SEED + 4, sigma=0.2), basis, 400)
+        second, _, second_means = run_with_loop_state(quad_env(SEED + 4, sigma=0.2), basis, 400)
         np.testing.assert_array_equal(first.arm_ids, second.arm_ids)
-        np.testing.assert_array_equal(first.state.means, second.state.means)
+        np.testing.assert_array_equal(first_means, second_means)
 
     def test_noiseless_greedy_locks_onto_optimal_arm(self):
         """sigma=0 and zero exploration scale: after the sweep, only the
         best arm is played (the optimum sits on the grid, so it separates)."""
         env = quad_env(SEED + 5, sigma=0.0, center=0.5)
-        result = run_phase2(env, env.A, n2=50, M=2, ucb_scale=0.0)
+        result, _, means = run_with_loop_state(env, env.A, n2=50, M=2, ucb_scale=0.0)
         n_arms = result.grid.n_arms
         best = int(np.argmax(result.grid.lattice_points.ravel() == 0.5))
         assert np.all(result.arm_ids[n_arms:] == best)
-        assert result.state.means[best] == pytest.approx(1.0)
+        assert means[best] == pytest.approx(1.0)
         # per-round regret of those pulls is exactly the residual R3 gap: 0
         assert result.regrets[n_arms:].max() == pytest.approx(0.0, abs=1e-9)
 
@@ -334,8 +352,8 @@ def family_env(family, k, sigma, seed, d=8):
 
 
 def reference_phase2(env, a_hat, n2, ucb_scale=None, M=None):
-    """run_phase2 from the public per-round pieces: one ucb1_select,
-    sample_reward and ucb1_update call per round."""
+    """run_phase2 from the per-round pieces: one ucb1_select, sample_reward
+    and ucb1_update call per round."""
     scale = default_ucb_scale(env) if ucb_scale is None else float(ucb_scale)
     opt_value = optimal_value(env)[0]
     M = choose_M(n2, a_hat.shape[0]) if M is None else M
@@ -354,17 +372,17 @@ def assert_matches_reference(family, k, sigma, n2, seed, d=8, **settings):
     env = family_env(family, k, sigma, seed, d)
     ref_env = family_env(family, k, sigma, seed, d)
     a_hat = rotated_basis(env, 0.05)
-    got = run_phase2(env, a_hat, n2, **settings)
+    got, counts, means = run_with_loop_state(env, a_hat, n2, **settings)
     arm_ids, regrets, state = reference_phase2(ref_env, a_hat, n2, **settings)
     np.testing.assert_array_equal(got.arm_ids, arm_ids)
     np.testing.assert_array_equal(got.regrets, regrets)
-    np.testing.assert_array_equal(got.state.counts, state.counts)
-    np.testing.assert_array_equal(got.state.means, state.means)
-    assert got.arm_ids.dtype == arm_ids.dtype and got.state.counts.dtype == state.counts.dtype
-    assert got.state.t == state.t == n2
+    np.testing.assert_array_equal(counts, state.counts)
+    np.testing.assert_array_equal(means, state.means)
+    assert got.arm_ids.dtype == arm_ids.dtype
+    assert state.t == n2
     assert env.query_count == ref_env.query_count == n2
     assert env.rng.standard_normal() == ref_env.rng.standard_normal()
-    return got
+    return got, means
 
 
 class TestPhase2MatchesReference:
@@ -425,8 +443,7 @@ class TestPhase2MatchesReference:
         norm-squared the best arm ties exactly with its mirror image, in every
         round after the sweep.  The lower index of the pair must win them all."""
         monkeypatch.setattr(bandit, "BLOCK", block)
-        got = assert_matches_reference("norm-squared", 1, 0.0, 300, SEED + 700, M=4, ucb_scale=0.0)
-        means = got.state.means
+        got, means = assert_matches_reference("norm-squared", 1, 0.0, 300, SEED + 700, M=4, ucb_scale=0.0)
         n_arms = got.grid.n_arms
         best = np.flatnonzero(means == means.max())
         assert best.size == 2 and best[0] + best[1] == n_arms - 1
@@ -436,7 +453,7 @@ class TestPhase2MatchesReference:
         """A small scale concentrates play: the leading arm is pulled again
         inside the block that first pulled it, so its bound, recomputed at
         hi after each pull, must still let it be evaluated."""
-        got = assert_matches_reference(
+        got, _ = assert_matches_reference(
             "centered-quadratic", 2, 0.05, 3000, SEED + 800, ucb_scale=0.05
         )
         n_arms = got.grid.n_arms
@@ -452,7 +469,7 @@ class TestPhase2MatchesReference:
         """The theory plan's grid: linear, d = 6, k = 1, sigma = 0, M = 204,
         449 arms and the default scale, where the winner changes almost
         every round."""
-        got = assert_matches_reference("linear", 1, 0.0, 2000, SEED + 900, d=6, M=204)
+        got, _ = assert_matches_reference("linear", 1, 0.0, 2000, SEED + 900, d=6, M=204)
         assert got.grid.n_arms == 449
         changes = np.count_nonzero(np.diff(got.arm_ids[449:]))
         assert changes > 0.9 * (2000 - 449 - 1)
@@ -460,7 +477,7 @@ class TestPhase2MatchesReference:
     def test_wide_grid_of_1900_arms(self):
         """k = 3, M = 7: about 1900 arms, where a round's bounds rule out
         most arms without evaluating them."""
-        got = assert_matches_reference("centered-quadratic", 3, 0.1, 6000, SEED + 1000, M=7)
+        got, _ = assert_matches_reference("centered-quadratic", 3, 0.1, 6000, SEED + 1000, M=7)
         assert 1800 < got.grid.n_arms < 2000
 
     def test_grid_outside_ball_raises_before_any_query(self):

@@ -18,12 +18,12 @@ from subspace_bandit.envs import (
     mean_spec,
     mean_value,
     optimal_value,
-    sample_reward,
 )
 from sketch_oracles import (
     gradient_mean_reward,
     mean_hess,
     mean_reward,
+    sample_reward,
     sample_rewards,
 )
 
@@ -196,6 +196,14 @@ class TestFamilies:
         """A bool k once raised numpy's TypeError."""
         with pytest.raises(ValueError, match="k must be an integer, got True"):
             make_environment(d=4, k=True, family="linear")
+
+    @pytest.mark.parametrize("family", ["linear", "norm-squared"])
+    @pytest.mark.parametrize("k", [0, -2, 6])
+    def test_k_must_lie_between_one_and_d(self, family, k):
+        """k = 0 once ended in an IndexError from the norm-squared optimum,
+        k = -2 in numpy's "negative dimensions", and k > d named A's shape."""
+        with pytest.raises(ValueError, match=rf"k must satisfy 1 <= k <= d = 5, got {k}$"):
+            make_environment(d=5, k=k, family=family)
 
     @pytest.mark.parametrize("name", ["sigma", "nu"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1"])

@@ -64,12 +64,12 @@ CELLS = {
 
 # name: (phase1_rounds, FISTA iterations, outer rounds, subspace_err, total regret)
 GOLDEN = {
-    "quickstart-wide": (30300, 109, 3, "0x1.74c54bdfc0907p-2", "0x1.640a11522c8a8p+15"),
-    "small-tall": (164, 69, 8, "0x1.01073aa639853p-11", "0x1.b5d3ca751ddb0p+10"),
+    "quickstart-wide": (30300, 109, 3, "0x1.74c54bdfc0906p-2", "0x1.640a11522c8adp+15"),
+    "small-tall": (164, 69, 8, "0x1.01073aa639810p-11", "0x1.b5d3ca751ddb0p+10"),
     "known-subspace": (0, None, None, "0x0.0p+0", "0x1.a110000000000p+8"),
-    "k3-round-robin": (2412, 82, 4, "0x1.a1b0a220688efp-3", "0x1.0ef6740c19652p+12"),
-    "theory-tall": (160676, 23, 8, "0x1.799d6c43f4276p-18", "0x1.c0d79ff8c2a11p+17"),
-    "recover-tall": (180030, 30, 5, "0x1.612504cb5c52bp-8", "0x1.8a1c18519f17cp+13"),
+    "k3-round-robin": (2412, 82, 4, "0x1.a1b0a220688f0p-3", "0x1.0ef6740c19652p+12"),
+    "theory-tall": (160676, 23, 8, "0x1.799d6c43f062ap-18", "0x1.c0d79ff8c2a11p+17"),
+    "recover-tall": (180030, 30, 5, "0x1.612504cb5c482p-8", "0x1.8a1c18519f17cp+13"),
 }
 
 

@@ -523,19 +523,31 @@ class TestCli:
             {"environment": {"family": "norm-squared", "d": 6, "k": 1, "nu": float("inf")}},
             {"practical": {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "ucb_scale": float("nan")}},
             {"practical": {"m_X": 8, "m_Phi": 40, "epsilon": 0.05, "ucb_scale": -1.0}},
+            dict(THEORY_CONFIG, theory={"alpha": float("nan")}),
+            dict(THEORY_CONFIG, theory={"alpha": float("inf")}),
+            dict(THEORY_CONFIG, theory={"alpha": -1.0}),
+            dict(THEORY_CONFIG, theory={"alpha": 0.0}),
         ],
-        ids=["sigma-nan", "nu-inf", "ucb_scale-nan", "ucb_scale-negative"],
+        ids=[
+            "sigma-nan", "nu-inf", "ucb_scale-nan", "ucb_scale-negative",
+            "alpha-nan", "alpha-inf", "alpha-negative", "alpha-zero",
+        ],
     )
     def test_non_finite_or_negative_input_is_config_error_before_any_cell(
         self, tmp_path, capsys, monkeypatch, overrides
     ):
+        """An alpha of -1 once left an empty output directory, NaN failed in
+        int() and infinity in a ZeroDivisionError traceback."""
+
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran on a bad config")
 
         monkeypatch.setattr(harness, "run_cablp", no_cell)
         cfg = write_config(tmp_path, **overrides)
-        assert main(["sweep", "--config", cfg]) == 1
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -577,10 +589,10 @@ class TestCli:
             ({"horizons": ["900"]}, "horizons"),
             ({"seeds": [1.9]}, "seeds"),
             ({"seeds": [True]}, "seeds"),
-            ({"environment": dict(CLI_ENVIRONMENT, d=6.9)}, "environment.d"),
-            ({"environment": dict(CLI_ENVIRONMENT, k=True)}, "environment.k"),
-            ({"environment": dict(CLI_ENVIRONMENT, sigma="0.01")}, "environment.sigma"),
-            ({"environment": dict(CLI_ENVIRONMENT, nu="0.1")}, "environment.nu"),
+            ({"environment": dict(CLI_ENVIRONMENT, d=6.9)}, "environment: d"),
+            ({"environment": dict(CLI_ENVIRONMENT, k=True)}, "environment: k"),
+            ({"environment": dict(CLI_ENVIRONMENT, sigma="0.01")}, "environment: sigma"),
+            ({"environment": dict(CLI_ENVIRONMENT, nu="0.1")}, "environment: nu"),
             ({"mode": "theory", "theory": {"alpha": "0.5"}}, "theory.alpha"),
             ({"practical": 5}, "practical"),
             ({"practical": None}, "practical"),
@@ -800,7 +812,9 @@ class TestCli:
         assert captured.out == run_line and captured.err == ""
         report = json.loads((out / "recovery.json").read_text())
         assert report["status"] == "infeasible" and "queries" not in report
-        assert len(envs) == 2 and all(env.query_count == 0 for env in envs)
+        # each command loads the config, which builds the first cell's
+        # environment, then builds the cell's own
+        assert len(envs) == 4 and all(env.query_count == 0 for env in envs)
 
     def test_over_budget_theory_plan_is_refused_by_run_and_recover(
         self, tmp_path, capsys, monkeypatch
@@ -829,7 +843,7 @@ class TestCli:
         assert captured.out == run_line and captured.err == ""
         report = json.loads((out / "recovery.json").read_text())
         assert report["status"] == "infeasible" and "queries" not in report
-        assert len(envs) == 2 and all(env.query_count == 0 for env in envs)
+        assert len(envs) == 4 and all(env.query_count == 0 for env in envs)
 
     @pytest.mark.parametrize(
         "constants, message",
@@ -867,19 +881,29 @@ class TestCli:
     @pytest.mark.parametrize(
         "family, k, params, message",
         [
-            ("gaussian-bump", 1, {"widht": 0.2}, "params.widht is not a parameter"),
-            ("gaussian-bump", 1, {"width": "0.5"}, "params.width must be a real number"),
-            ("gaussian-bump", 1, {"width": True}, "params.width must be a real number"),
-            ("linear", 1, {"weight": ["1"]}, "params.weight must be a list of k = 1 "),
-            ("centered-quadratic", 1, {"center": ["0.1"]}, "params.center must be a list of k = 1 "),
-            ("linear", 2, {"weight": [1.0]}, "params.weight must be a list of k = 2 "),
+            ("gaussian-bump", 1, {"widht": 0.2}, "environment: params.widht is not a parameter"),
+            ("gaussian-bump", 1, {"width": "0.5"}, "environment: params.width must be a real number"),
+            ("gaussian-bump", 1, {"width": True}, "environment: params.width must be a real number"),
+            ("linear", 1, {"weight": ["1"]}, "environment: params.weight must be a list of k = 1 "),
+            ("centered-quadratic", 1, {"center": ["0.1"]},
+             "environment: params.center must be a list of k = 1 "),
+            ("linear", 2, {"weight": [1.0]}, "environment: params.weight must be a list of k = 2 "),
+            ("norm-squared", 0, None, "environment: k must satisfy 1 <= k <= d = 6, got 0\n"),
+            ("norm-squared", -2, None, "environment: k must satisfy 1 <= k <= d = 6, got -2\n"),
         ],
-        ids=["width-typo", "width-str", "width-bool", "weight-str", "center-str", "weight-short"],
+        ids=[
+            "width-typo", "width-str", "width-bool", "weight-str", "center-str", "weight-short",
+            "k-zero", "k-negative",
+        ],
     )
     def test_bad_family_parameter_is_config_error(self, tmp_path, capsys, family, k, params, message):
         """A typo was ignored and the cell ran on the default; strings and
-        bools were parsed; a short weight failed in numpy's reshape."""
-        environment = {"family": family, "d": 6, "k": k, "sigma": 0.05, "params": params}
+        bools were parsed; a short weight failed in numpy's reshape.  k = 0
+        ended in an IndexError traceback, k = -2 in numpy's "negative
+        dimensions are not allowed"."""
+        environment = {"family": family, "d": 6, "k": k, "sigma": 0.05}
+        if params is not None:
+            environment["params"] = params
         cfg = write_config(tmp_path, environment=environment)
         assert main(["run", "--config", cfg]) == 1
         captured = capsys.readouterr()
@@ -893,7 +917,7 @@ class TestCli:
         cfg = write_config(tmp_path, environment=environment)
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-        assert "config error: center must lie in the unit ball" in capsys.readouterr().err
+        assert "config error: environment: center must lie in the unit ball" in capsys.readouterr().err
         assert not out.exists()
 
     def test_conditioning_prints_alpha(self, tmp_path, capsys):

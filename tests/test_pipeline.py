@@ -80,6 +80,12 @@ class TestPlanningFormulas:
         with pytest.raises(ValueError, match="alpha"):
             plan_parameters(n=10**6, d=5, k=1, sigma=0.0, c2=1.0, alpha=0.0, nu=0.1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        """NaN once failed in int() and infinity in a division by zero."""
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            plan_parameters(n=10**6, d=5, k=1, sigma=0.0, c2=1.0, alpha=alpha, nu=0.1)
+
     def test_constant_ranges_are_enforced(self):
         with pytest.raises(ValueError):
             TheoryConstants(delta=0.5)

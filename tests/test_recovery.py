@@ -2,6 +2,7 @@
 
 import ctypes
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,15 +11,12 @@ from subspace_bandit import _kernels, recovery
 from subspace_bandit.envs import make_environment
 from subspace_bandit.recovery import (
     DantzigProblem,
-    DegenerateRecoveryError,
+    SolveInfo,
     compute_lambda,
     ds_error_bound,
-    extract_subspace,
     recover_subspace,
-    singular_values,
     solve_dantzig,
     subspace_error,
-    truncate_rank_k,
 )
 from subspace_bandit.sampling import (
     SamplingPlan,
@@ -28,7 +26,7 @@ from subspace_bandit.sampling import (
     draw_sampling_sets,
 )
 import sketch_oracles
-from sketch_oracles import apply_operator, phase1_target
+from sketch_oracles import apply_operator, phase1_target, truncate_rank_k
 
 SEED = 20240817
 
@@ -149,40 +147,76 @@ class TestTruncation:
         np.testing.assert_allclose(truncate_rank_k(mat, 2), mat, atol=1e-10)
 
 
+def recover_planted(monkeypatch, mat, k):
+    """recover_subspace on a solve that returns mat, at rank k."""
+    info = SolveInfo(
+        iterations=0, outer_rounds=0, converged=True, feasible=True,
+        residual_norm=0.0, lipschitz=1.0, backtracks=0,
+    )
+    monkeypatch.setattr(recovery, "solve_dantzig", lambda problem: (mat, info))
+    return recover_subspace(types.SimpleNamespace(lam=0.0, k=k))
+
+
 class TestSubspaceExtraction:
-    def test_recovers_planted_direction(self):
+    def test_recovers_planted_direction(self, monkeypatch):
         rng = np.random.default_rng(SEED + 4)
         direction = rng.standard_normal(10)
         direction /= np.linalg.norm(direction)
         coeffs = rng.standard_normal(20)
-        basis = extract_subspace(np.outer(direction, coeffs), 1)
+        basis = recover_planted(monkeypatch, np.outer(direction, coeffs), 1).basis
         assert basis.shape == (1, 10)
         assert subspace_error(direction[None, :], basis) < 1e-10
 
-    def test_basis_rows_are_orthonormal(self):
+    def test_basis_rows_are_orthonormal(self, monkeypatch):
         rng = np.random.default_rng(SEED + 5)
         mat = rng.standard_normal((15, 3)) @ rng.standard_normal((3, 25))
-        basis = extract_subspace(mat, 3)
+        basis = recover_planted(monkeypatch, mat, 3).basis
         np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-10)
 
-    def test_sign_convention_is_stable(self):
+    def test_sign_convention_is_stable(self, monkeypatch):
         # flipping the input sign flips left singular vectors; the fixed sign
         # rule must land on the same basis either way
         rng = np.random.default_rng(SEED + 6)
         mat = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 12))
-        np.testing.assert_array_equal(
-            extract_subspace(mat, 2), extract_subspace(-mat, 2)
-        )
+        basis = recover_planted(monkeypatch, mat, 2).basis
+        np.testing.assert_array_equal(basis, recover_planted(monkeypatch, -mat, 2).basis)
+        rows = np.arange(2)
+        assert np.all(basis[rows, np.argmax(np.abs(basis), axis=1)] > 0)
 
-    def test_zero_matrix_is_degenerate(self):
-        with pytest.raises(DegenerateRecoveryError, match="degenerate recovery"):
-            extract_subspace(np.zeros((5, 7)), 1)
+    def test_zero_matrix_is_degenerate(self, monkeypatch):
+        result = recover_planted(monkeypatch, np.zeros((5, 7)), 1)
+        assert result.basis is None
+        assert result.abort_reason.startswith("degenerate recovery: singular value 0.000e+00 at rank 1")
+        np.testing.assert_array_equal(result.spectrum, np.zeros(5))
 
-    def test_rank_deficit_is_degenerate(self):
+    def test_rank_deficit_is_degenerate(self, monkeypatch):
         rng = np.random.default_rng(SEED + 7)
         rank_one = np.outer(rng.standard_normal(6), rng.standard_normal(9))
-        with pytest.raises(DegenerateRecoveryError):
-            extract_subspace(rank_one, 2)
+        result = recover_planted(monkeypatch, rank_one, 2)
+        assert result.basis is None and result.subspace_err is None
+        assert "at rank 2 is below 1e-12" in result.abort_reason
+
+    def test_rank_above_the_matrix_size_is_degenerate(self, monkeypatch):
+        result = recover_planted(monkeypatch, np.eye(3, 8), 4)
+        assert result.basis is None
+        assert "singular value 0.000e+00 at rank 4" in result.abort_reason
+
+    def test_spectrum_and_basis_come_from_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(SEED + 9)
+        mat = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9))
+        result = recover_planted(monkeypatch, mat, 2)
+        assert len(calls) == 1
+        u, spectrum, _ = svd(mat, full_matrices=False)
+        np.testing.assert_array_equal(result.spectrum, spectrum)
+        np.testing.assert_array_equal(np.abs(result.basis), np.abs(u[:, :2].T))
 
 
 class TestSubspaceError:
@@ -646,9 +680,7 @@ class TestRestartMatchesReference:
         ref, ref_info = sketch_oracles.continuation(problem, inner=fixed_step)
         assert info.feasible and ref_info.feasible
         assert info.iterations < ref_info.iterations, (info, ref_info)
-        basis = extract_subspace(truncate_rank_k(est, 1), 1)
-        ref_basis = extract_subspace(truncate_rank_k(ref, 1), 1)
-        assert subspace_error(basis, ref_basis) <= 1e-5
+        assert subspace_error(rank_one_basis(est), rank_one_basis(ref)) <= 1e-5
 
 
 def spy_on_rounds(monkeypatch, factor=1.0):
@@ -668,7 +700,8 @@ def spy_on_rounds(monkeypatch, factor=1.0):
 
 
 def rank_one_basis(mat):
-    return extract_subspace(truncate_rank_k(mat, 1), 1)
+    """The top left singular vector of mat, as a (1, d) basis."""
+    return np.linalg.svd(mat, full_matrices=False)[0][:, :1].T
 
 
 class TestStepRule:
