@@ -37,6 +37,12 @@
  * by Golub-Kahan bidiagonalization and implicit-shift QR that accumulates
  * only the right vectors; svt exposes it with its own scratch.  Nothing in
  * a round calls a BLAS or LAPACK.
+ *
+ * format_floats (see util.dump_json) writes finite doubles as Python's
+ * repr() of a float does, which is json.dumps's text for them: Ryu's
+ * shortest round-trip digits (Adams, PLDI 2018), from the tables of 5^i
+ * and 5^-i that _kernels.load computes, in repr's fixed or exponential
+ * layout.
  */
 #include <float.h>
 #include <math.h>
@@ -724,4 +730,207 @@ done:
     stats[2] = converged;
     free(buffer);
     return status;
+}
+
+/* Ryu's shortest digits (see format_floats).  The tables hold 5^i and 5^-i
+ * as 125-bit fixed-point numbers, each as a low and a high 64-bit word. */
+#define RYU_BITS 125
+
+static uint64_t umul128(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    uint64_t a_lo = (uint32_t)a, a_hi = a >> 32, b_lo = (uint32_t)b, b_hi = b >> 32;
+    uint64_t b00 = a_lo * b_lo, b01 = a_lo * b_hi, b10 = a_hi * b_lo, b11 = a_hi * b_hi;
+    uint64_t mid1 = b10 + (b00 >> 32);
+    uint64_t mid2 = b01 + (uint32_t)mid1;
+    *hi = b11 + (mid1 >> 32) + (mid2 >> 32);
+    return (mid2 << 32) | (uint32_t)b00;
+}
+
+/* (m * mul) >> j for a 128-bit mul and 64 < j < 128 */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    uint64_t high0, high1;
+    uint64_t low1 = umul128(m, mul[1], &high1);
+    umul128(m, mul[0], &high0);
+    uint64_t sum = high0 + low1;
+    if (sum < high0)
+        high1++;
+    return (high1 << (128 - j)) | (sum >> (j - 64));
+}
+
+static int pow5_factor(uint64_t v)
+{
+    int count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count;
+}
+
+/* floor(log10(2^e)), floor(log10(5^e)) and the bit length of 5^e, for the
+ * exponents a double reaches */
+static int32_t log10_pow2(int32_t e) { return (int32_t)(((uint32_t)e * 78913) >> 18); }
+static int32_t log10_pow5(int32_t e) { return (int32_t)(((uint32_t)e * 732923) >> 20); }
+static int32_t pow5_bits(int32_t e) { return (int32_t)((((uint32_t)e * 1217359) >> 19) + 1); }
+
+/* The shortest decimal d * 10^*e10 that reads back as the finite nonzero
+ * double with these fields, the closest such when several are shortest:
+ * Ryu's d2d (Adams, PLDI 2018), with the interval's bounds accepted when
+ * the mantissa is even, as round-half-even reading accepts them. */
+static uint64_t shortest_digits(uint64_t fraction, uint32_t biased, const uint64_t *pow5,
+                                const uint64_t *pow5_inv, int32_t *e10)
+{
+    /* two extra bits for the bounds */
+    int32_t e2 = (biased ? (int32_t)biased : 1) - 1023 - 52 - 2;
+    uint64_t m2 = biased ? fraction | (1ull << 52) : fraction;
+    int accept_bounds = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = fraction != 0 || biased <= 1;
+    uint64_t vr, vp, vm;
+    int vm_zeros = 0, vr_zeros = 0; /* whether the removed digits are all 0 */
+    if (e2 >= 0) {
+        int32_t q = log10_pow2(e2) - (e2 > 3);
+        int32_t j = -e2 + q + RYU_BITS + pow5_bits(q) - 1;
+        const uint64_t *mul = pow5_inv + 2 * q;
+        *e10 = q;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = pow5_factor(mv) >= q;
+            else if (accept_bounds)
+                vm_zeros = pow5_factor(mv - 1 - mm_shift) >= q;
+            else
+                vp -= pow5_factor(mv + 2) >= q;
+        }
+    } else {
+        int32_t q = log10_pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - q;
+        int32_t j = q - (pow5_bits(i) - RYU_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        *e10 = q + e2;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (accept_bounds)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+
+    int32_t removed = 0;
+    uint64_t last = 0; /* the last digit removed from vr */
+    if (vm_zeros || vr_zeros) {
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = vr % 10;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros) {
+            while (vm % 10 == 0) {
+                vr_zeros &= last == 0;
+                last = vr % 10;
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4; /* exactly halfway: round to even */
+        vr += (vr == vm && (!accept_bounds || !vm_zeros)) || last >= 5;
+    } else {
+        while (vp / 10 > vm / 10) {
+            last = vr % 10;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        vr += vr == vm || last >= 5;
+    }
+    *e10 += removed;
+    return vr;
+}
+
+/* Writes the n finite doubles x as Python's repr() of a float does, which
+ * is what json.dumps writes, separated by ", ", and returns the number of
+ * bytes written: at most 26 per value.  pow5 holds 5^i for i < 326 and
+ * pow5_inv 5^-i for i < 342, as _kernels.load computes them. */
+int64_t format_floats(const double *x, int64_t n, const uint64_t *pow5,
+                      const uint64_t *pow5_inv, char *out)
+{
+    char *p = out;
+    for (int64_t t = 0; t < n; t++) {
+        uint64_t bits;
+        memcpy(&bits, x + t, sizeof bits);
+        if (t) {
+            *p++ = ',';
+            *p++ = ' ';
+        }
+        if (bits >> 63)
+            *p++ = '-';
+        uint64_t fraction = bits & ((1ull << 52) - 1);
+        uint32_t biased = (uint32_t)(bits >> 52) & 0x7ff;
+        char digits[20];
+        int32_t e10 = 0, count = 0;
+        uint64_t d = fraction || biased ? shortest_digits(fraction, biased, pow5, pow5_inv, &e10) : 0;
+        do {
+            digits[19 - count++] = (char)('0' + d % 10);
+            d /= 10;
+        } while (d);
+        const char *first = digits + 20 - count;
+        /* the value is 0.D * 10^point for the count digits D */
+        int32_t point = e10 + count;
+        if (point <= -4 || point > 16) {
+            *p++ = first[0];
+            if (count > 1) {
+                *p++ = '.';
+                memcpy(p, first + 1, (size_t)count - 1);
+                p += count - 1;
+            }
+            int32_t e = point - 1;
+            *p++ = 'e';
+            *p++ = e < 0 ? '-' : '+';
+            e = e < 0 ? -e : e;
+            if (e >= 100) {
+                *p++ = (char)('0' + e / 100);
+                e %= 100;
+            }
+            *p++ = (char)('0' + e / 10);
+            *p++ = (char)('0' + e % 10);
+        } else if (point <= 0) {
+            *p++ = '0';
+            *p++ = '.';
+            memset(p, '0', (size_t)-point);
+            p += -point;
+            memcpy(p, first, (size_t)count);
+            p += count;
+        } else if (point >= count) {
+            memcpy(p, first, (size_t)count);
+            p += count;
+            memset(p, '0', (size_t)(point - count));
+            p += point - count;
+            *p++ = '.';
+            *p++ = '0';
+        } else {
+            memcpy(p, first, (size_t)point);
+            p += point;
+            *p++ = '.';
+            memcpy(p, first + point, (size_t)(count - point));
+            p += count - point;
+        }
+    }
+    return p - out;
 }

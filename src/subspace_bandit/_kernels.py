@@ -3,7 +3,8 @@ the system's C compiler at the first call that needs one (never at import)
 and cached beside the bytecode.  Phase 2's round loop (bandit.run_phase2),
 the tall sketch's Gram counts (sampling.SamplingSets.gram) and each
 continuation round of the Dantzig solve, with its singular value
-thresholding (recovery.solve_dantzig), run there.
+thresholding (recovery.solve_dantzig), run there, and the JSON text of a
+regret trace is written there (util.dump_json).
 """
 
 from __future__ import annotations
@@ -78,9 +79,27 @@ def _build() -> str:
     raise RuntimeError(f"cannot build the compiled kernels: no writable folder among {dirs}")
 
 
+def _ryu_tables() -> tuple:
+    """format_floats's tables: 5^i for i < 326 as its top 125 bits, and 5^-i
+    for i < 342 as 2^(bits(5^i) - 1 + 125) // 5^i + 1, each number a row of
+    its low and high 64-bit words (Ryu's d2s, Adams, PLDI 2018)."""
+    import numpy as np
+
+    tables = ([], [])
+    for i in range(342):
+        power = 5**i
+        bits = power.bit_length()
+        if i < 326:
+            tables[0].append((power << 125) >> bits)
+        tables[1].append((1 << (bits - 1 + 125)) // power + 1)
+    mask = (1 << 64) - 1
+    return tuple(np.array([(v & mask, v >> 64) for v in t], dtype=np.uint64) for t in tables)
+
+
 def load() -> ctypes.CDLL:
     """The library of _kernels.c with its functions' signatures declared,
-    built and loaded at the first call."""
+    built and loaded at the first call; its ``ryu_tables`` attribute holds
+    the (pow5, pow5_inv) tables that format_floats reads."""
     global _library
     if _library is None:
         path = _build()
@@ -100,5 +119,8 @@ def load() -> ctypes.CDLL:
         library.svt.restype = ctypes.c_int
         library.fista_round.argtypes = [i64, i64, ptr, ptr, i64, ptr, ptr] + [f64, i64, f64, f64] + [ptr] * 4
         library.fista_round.restype = ctypes.c_int
+        library.format_floats.argtypes = [ptr, i64, ptr, ptr, ptr]
+        library.format_floats.restype = i64
+        library.ryu_tables = _ryu_tables()
         _library = library
     return _library

@@ -153,10 +153,11 @@ def run_phase2(
     grid = build_arm_grid(a_hat, M, env.nu)
     n_arms = grid.n_arms
     check_points(env, grid.arms)
-    # each arm's mean exactly as a one-point query computes it: A @ x per arm
-    # (a matrix product rounds differently), then one mean_value over the rows
+    # each arm's mean exactly as a one-point query computes it: a stacked
+    # product runs the one-point A @ x for each arm as its own (d, 1) column
+    # (one arms @ A.T rounds differently), then one mean_value over the rows
     arm_means = np.ascontiguousarray(
-        mean_value(env.mean, np.array([env.A @ x for x in grid.arms])), dtype=float
+        mean_value(env.mean, np.matmul(env.A, grid.arms[:, :, None])[:, :, 0]), dtype=float
     )
     env.query_count += n2
 

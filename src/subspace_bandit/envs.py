@@ -103,6 +103,9 @@ def mean_spec(family: str, k: int, nu: float, params: Optional[dict] = None) -> 
         Any other key, or a value that is not made of real numbers, raises
         a ValueError naming the key.
     """
+    check_number("k", k, integer=True)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if family not in FAMILIES:

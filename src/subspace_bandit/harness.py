@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"horizons must be strictly ascending, got {self.horizons}")
         if any(n < 1 for n in self.horizons):
             raise ValueError("horizons must be positive")
+        if self.mode == "theory" and self.horizons[0] < 2:
+            raise ValueError(f"horizons must be at least 2 in theory mode, got {self.horizons[0]}")
         self.seeds = [int(s) for s in self.seeds]
         if not self.seeds:
             raise ValueError("seeds must be nonempty")

@@ -1,4 +1,4 @@
-"""Small shared helpers: number and key checks, sphere sampling, seeds, JSON encoding."""
+"""Small shared helpers: number and key checks, sphere sampling, seeds, JSON writing."""
 
 from __future__ import annotations
 
@@ -7,6 +7,11 @@ import math
 import numbers
 
 import numpy as np
+
+from . import _kernels
+
+# values per format_floats call in dump_json
+FORMAT_CHUNK = 65536
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -85,53 +90,51 @@ def _json_ready(obj):
     return obj
 
 
-def _float_list(values: np.ndarray) -> str:
-    """json.dumps's text for a finite float64 vector, brackets left out.
-
-    Each distinct bit pattern is encoded once by float.__repr__, as
-    json.dumps encodes a float; a regret trace repeats most of its values.
-    Bit patterns, not values, are grouped, since -0.0 and 0.0 are written
-    differently.
-    """
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return ", ".join(texts[inverse].tolist())
-
-
-def _json_parts(obj):
-    """The text of ``json.dumps(_json_ready(obj), allow_nan=False)`` in parts:
-    a dict item by item, each finite 1-D float64 array by :func:`_float_list`,
-    everything else, keys included, by json.dumps."""
-    if not isinstance(obj, dict):
-        yield json.dumps(_json_ready(obj), allow_nan=False)
-        return
-    yield "{"
-    for i, (key, value) in enumerate(obj.items()):
-        if i:
-            yield ", "
-        if (
-            isinstance(value, np.ndarray) and value.ndim == 1
-            and value.dtype == np.float64 and np.isfinite(value).all()
-        ):
-            yield json.dumps({key: 0})[1:-2]  # the key and ": "
-            yield "["
-            yield _float_list(value)
-            yield "]"
-        else:
-            yield json.dumps({key: _json_ready(value)}, allow_nan=False)[1:-1]
-    yield "}"
+def _write_floats(fh, values: np.ndarray) -> None:
+    """Write json.dumps's text of a finite float64 vector, brackets left
+    out, to the binary file fh: FORMAT_CHUNK values at a time through
+    format_floats in _kernels.c, into one reused buffer."""
+    library = _kernels.load()
+    pow5, pow5_inv = library.ryu_tables
+    buffer = np.empty(26 * min(len(values), FORMAT_CHUNK), dtype=np.uint8)  # 26 bytes a value
+    for start in range(0, len(values), FORMAT_CHUNK):
+        chunk = np.ascontiguousarray(values[start : start + FORMAT_CHUNK])
+        size = library.format_floats(
+            chunk.ctypes.data, len(chunk), pow5.ctypes.data, pow5_inv.ctypes.data,
+            buffer.ctypes.data,
+        )
+        if start:
+            fh.write(b", ")
+        fh.write(buffer[:size])
 
 
 def dump_json(obj, path) -> None:
     """Write obj as strict JSON (non-finite floats as null) on one line.
 
     The bytes are ``json.dumps(_json_ready(obj), allow_nan=False)`` and a
-    newline, written part by part (:func:`_json_parts`), so the whole text
-    is never held at once.  json.dumps without indent runs the C encoder;
-    json.dump and any indent run the pure-Python one, several times slower
-    on a long regret trace.
+    newline.  A dict is written item by item: each finite 1-D float64 array
+    (a regret trace) in chunks by :func:`_write_floats`, which needs the
+    compiled kernels, and everything else, keys included, by json.dumps, so
+    the whole text is never held at once.  json.dumps without indent runs
+    the C encoder; json.dump and any indent run the pure-Python one, several
+    times slower.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for part in _json_parts(obj):
-            fh.write(part)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        if not isinstance(obj, dict):
+            fh.write(json.dumps(_json_ready(obj), allow_nan=False).encode())
+        else:
+            fh.write(b"{")
+            for i, (key, value) in enumerate(obj.items()):
+                if i:
+                    fh.write(b", ")
+                if (
+                    isinstance(value, np.ndarray) and value.ndim == 1
+                    and value.dtype == np.float64 and np.isfinite(value).all()
+                ):
+                    fh.write(json.dumps({key: 0})[1:-2].encode() + b"[")  # the key and ": "
+                    _write_floats(fh, value)
+                    fh.write(b"]")
+                else:
+                    fh.write(json.dumps({key: _json_ready(value)}, allow_nan=False)[1:-1].encode())
+            fh.write(b"}")
+        fh.write(b"\n")

@@ -205,6 +205,18 @@ class TestFamilies:
         with pytest.raises(ValueError, match=rf"k must satisfy 1 <= k <= d = 5, got {k}$"):
             make_environment(d=5, k=k, family=family)
 
+    @pytest.mark.parametrize("family", ["linear", "norm-squared", "centered-quadratic", "gaussian-bump"])
+    @pytest.mark.parametrize(
+        "k, message",
+        [(0, "k must be >= 1, got 0$"), (-2, "k must be >= 1, got -2$"),
+         (1.5, "k must be an integer, got 1.5$")],
+    )
+    def test_mean_spec_checks_k_first(self, family, k, message):
+        """k = 0 once ended in an IndexError from the norm-squared optimum
+        before MeanRewardSpec's own check of k ran."""
+        with pytest.raises(ValueError, match=message):
+            mean_spec(family, k, 0.1)
+
     @pytest.mark.parametrize("name", ["sigma", "nu"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1"])
     def test_noise_and_margin_must_be_finite(self, name, value):

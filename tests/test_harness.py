@@ -11,7 +11,7 @@ import pytest
 from subspace_bandit import harness
 from subspace_bandit.cli import main
 from subspace_bandit.envs import make_environment
-from subspace_bandit.util import derive_seed, dump_json
+from subspace_bandit.util import FORMAT_CHUNK, derive_seed, dump_json
 from subspace_bandit.harness import (
     ExperimentConfig,
     SWEEP_CSV_HEADER,
@@ -527,17 +527,20 @@ class TestCli:
             dict(THEORY_CONFIG, theory={"alpha": float("inf")}),
             dict(THEORY_CONFIG, theory={"alpha": -1.0}),
             dict(THEORY_CONFIG, theory={"alpha": 0.0}),
+            dict(THEORY_CONFIG, horizons=[1, 300_000]),
         ],
         ids=[
             "sigma-nan", "nu-inf", "ucb_scale-nan", "ucb_scale-negative",
-            "alpha-nan", "alpha-inf", "alpha-negative", "alpha-zero",
+            "alpha-nan", "alpha-inf", "alpha-negative", "alpha-zero", "theory-horizon-1",
         ],
     )
     def test_non_finite_or_negative_input_is_config_error_before_any_cell(
         self, tmp_path, capsys, monkeypatch, overrides
     ):
         """An alpha of -1 once left an empty output directory, NaN failed in
-        int() and infinity in a ZeroDivisionError traceback."""
+        int() and infinity in a ZeroDivisionError traceback; a theory-mode
+        horizon of 1 failed in the first cell, naming no key, after the
+        output directory was made."""
 
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran on a bad config")
@@ -546,7 +549,10 @@ class TestCli:
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-        assert "must be finite" in capsys.readouterr().err
+        message = "must be finite" if min(overrides.get("horizons", [2])) >= 2 else (
+            "config error: horizons must be at least 2 in theory mode, got 1"
+        )
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -965,6 +971,23 @@ def test_dump_json_writes_non_finite_as_null(tmp_path):
     }
 
 
+def test_dump_json_writes_a_long_trace_in_bounded_memory(tmp_path):
+    """A 10^6-round trace of distinct values (19 MB of text) is written
+    through one chunk buffer of 26 * FORMAT_CHUNK bytes (1.7 MB): the traced
+    peak stays under 4 MB, where joining the whole text peaked at 123 MB."""
+    import tracemalloc
+
+    record = {"n": 10**6, "regret_trace": np.cumsum(np.random.default_rng(7).random(10**6))}
+    tracemalloc.start()
+    try:
+        dump_json(record, tmp_path / "run.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "run.json").stat().st_size > 19_000_000
+    assert peak < 4_000_000
+
+
 @pytest.mark.parametrize(
     "trace",
     [
@@ -974,13 +997,19 @@ def test_dump_json_writes_non_finite_as_null(tmp_path):
         np.array([0.25, np.nan, -0.0, 0.25]),  # not finite: the null path
         np.array([-0.0, 1.0, 2.0, 3.0])[::2],  # strided
         np.array([1.5, -0.0], dtype=np.float32),  # not float64: json.dumps
+        np.random.default_rng(4).random(FORMAT_CHUNK),
+        np.random.default_rng(5).random(FORMAT_CHUNK + 1),
+        np.random.default_rng(6).random(2 * FORMAT_CHUNK)[::-1],  # reversed: not contiguous
     ],
-    ids=["signed-zeros", "repeats", "empty", "non-finite", "strided", "float32"],
+    ids=[
+        "signed-zeros", "repeats", "empty", "non-finite", "strided", "float32",
+        "one-chunk", "chunk-plus-one", "two-chunks",
+    ],
 )
 def test_dump_json_bytes_are_json_dumps(tmp_path, trace):
-    """dump_json encodes a finite float64 trace from its distinct bit
-    patterns, and the rest through json.dumps, item by item: the file's
-    bytes are json.dumps's, with -0.0 kept apart from 0.0."""
+    """dump_json writes a finite float64 trace through the compiled
+    formatter, chunk by chunk, and the rest through json.dumps, item by
+    item: the file's bytes are json.dumps's, with -0.0 kept apart from 0.0."""
     from subspace_bandit.util import _json_ready
 
     record = {
@@ -990,6 +1019,8 @@ def test_dump_json_bytes_are_json_dumps(tmp_path, trace):
     path = tmp_path / "run.json"
     dump_json(record, path)
     assert path.read_bytes() == (json.dumps(_json_ready(record), allow_nan=False) + "\n").encode()
+    if len(trace) >= FORMAT_CHUNK:
+        return  # json.dumps writes any top level but a dict: the short traces cover it
     for top in ([trace, 1.0], trace, 2.5):
         dump_json(top, path)
         assert path.read_bytes() == (json.dumps(_json_ready(top), allow_nan=False) + "\n").encode()

@@ -1,6 +1,6 @@
 """Tests for building, caching and loading the compiled kernels of
-_kernels.c: phase 2's round loop, the tall sketch's Gram counts and the
-solve's FISTA rounds."""
+_kernels.c: phase 2's round loop, the tall sketch's Gram counts, the
+solve's FISTA rounds and the float formatter."""
 
 import json
 import os
@@ -185,3 +185,57 @@ class TestKernelBuild:
                    "-o", str(tmp_path / "strict.so"), _kernels._SOURCE, "-lm"]
         done = subprocess.run(command, capture_output=True, text=True)
         assert done.returncode == 0 and done.stderr == "", done.stderr
+
+
+def format_floats(values):
+    """format_floats's text of a float64 vector."""
+    library = _kernels.load()
+    pow5, pow5_inv = library.ryu_tables
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.empty(26 * len(values), dtype=np.uint8)
+    size = library.format_floats(
+        values.ctypes.data, len(values), pow5.ctypes.data, pow5_inv.ctypes.data, out.ctypes.data
+    )
+    assert size <= out.size
+    return out[:size].tobytes().decode("ascii")
+
+
+class TestFormatFloats:
+    """format_floats writes what json.dumps writes for each finite float:
+    float.__repr__'s shortest round-trip digits, in its layout."""
+
+    @staticmethod
+    def assert_is_repr(values):
+        got = format_floats(values).split(", ")
+        assert len(got) == len(values)
+        want = [float.__repr__(v) for v in values.tolist()]
+        wrong = [(w, g) for w, g in zip(want, got) if w != g]
+        assert not wrong, wrong[:5]
+
+    def test_powers_and_layout_switches(self):
+        """Every power of two and of ten a double holds, each with both
+        neighbours, and the values where the layout changes form."""
+        powers = np.concatenate([
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            np.array([float(f"1e{e}") for e in range(-323, 309)]),
+            [np.finfo(float).tiny, np.finfo(float).max],
+        ])
+        with np.errstate(over="ignore"):
+            near = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+        switches = [9999999999999998.0, 1e16, 0.0001, 9.999999999999999e-05, 0.0, 5e-324]
+        values = np.concatenate([near[np.isfinite(near)], switches])
+        self.assert_is_repr(np.concatenate([values, -values]))
+        assert format_floats(np.array([0.0, -0.0, 1e16, 1e-05, 0.0001, 1e300])) == (
+            "0.0, -0.0, 1e+16, 1e-05, 0.0001, 1e+300"
+        )
+
+    def test_random_bit_patterns(self):
+        """2 * 10^5 finite doubles, every bit pattern equally likely."""
+        bits = np.random.default_rng(SEED).integers(0, 2**64, size=201_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:200_000]
+        assert len(values) == 200_000
+        self.assert_is_repr(values)
+
+    def test_nothing_to_write(self):
+        assert format_floats(np.zeros(0)) == ""
